@@ -1,20 +1,12 @@
 """Hard-wall eigenstates in a screw-dislocation background and their Shannon
 information entropies, with a verification of the BBM uncertainty bound."""
 
-from .eigen import Eigenstate, QuantumNumbers, SystemParams, effective_order, solve
-from .entropy import (
-    EntropyReport,
-    bbm_check,
-    longitudinal_momentum_entropy,
-    report,
-    shannon_momentum,
-    shannon_momentum_radial,
-    shannon_position,
-)
+from .eigen import Eigenstate, QuantumNumbers, SystemParams, solve
+from .entropy import EntropyReport, report, shannon_momentum, shannon_position
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .momentum import MomentumProfile, build_profile, momentum_density, radial_amplitude
-from .quadrature import QuadResult, integrate_adaptive, integrate_oscillatory, riemann_oracle
-from .specfun import bessel_j, bessel_j_prime, bessel_zero, gamma
+from .momentum import MomentumProfile, build_profile
+from .quadrature import integrate_adaptive, integrate_oscillatory
+from .specfun import bessel_j, bessel_zero
 
 __version__ = "0.1.0"
 
@@ -22,29 +14,19 @@ __all__ = [
     "Eigenstate",
     "QuantumNumbers",
     "SystemParams",
-    "effective_order",
     "solve",
     "EntropyReport",
-    "bbm_check",
-    "longitudinal_momentum_entropy",
     "report",
     "shannon_momentum",
-    "shannon_momentum_radial",
     "shannon_position",
     "ConvergenceError",
     "DomainError",
     "EvaluationError",
     "MomentumProfile",
     "build_profile",
-    "momentum_density",
-    "radial_amplitude",
-    "QuadResult",
     "integrate_adaptive",
     "integrate_oscillatory",
-    "riemann_oracle",
     "bessel_j",
-    "bessel_j_prime",
     "bessel_zero",
-    "gamma",
     "__version__",
 ]

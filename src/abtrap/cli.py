@@ -38,12 +38,11 @@ class RunConfig:
     betas: list[float] = field(default_factory=lambda: list(TABLE_BETAS))
     k: float = _DEFAULT_K
     tol: float = 1e-7
-    norm_tol: float = 1e-6
     fmt: str = "csv"
     out: str | None = None
 
 
-_CONFIG_KEYS = {"params", "grid", "betas", "tol", "norm_tol", "output"}
+_CONFIG_KEYS = {"params", "grid", "betas", "tol", "output"}
 _PARAM_KEYS = {"m", "beta", "r0", "lz", "k"}
 
 
@@ -111,8 +110,6 @@ def load_config(path: str | None) -> RunConfig:
 
     if "tol" in raw:
         cfg.tol = float(raw["tol"])
-    if "norm_tol" in raw:
-        cfg.norm_tol = float(raw["norm_tol"])
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise DomainError("--config: 'output' must be an object")
@@ -199,7 +196,7 @@ def cmd_state(args) -> int:
     if args.l is None:
         raise DomainError("--l is required")
     qn = _quantum_numbers(args.n, args.l, cfg.k)
-    rep = report(cfg.params, qn, tol=cfg.tol, norm_tol=cfg.norm_tol)
+    rep = report(cfg.params, qn, tol=cfg.tol)
     _emit(json.dumps(_report_payload(rep)) + "\n", cfg.out)
     return 0
 
@@ -213,7 +210,7 @@ def cmd_table(args) -> int:
             params = replace(cfg.params, beta=beta)
             qn = QuantumNumbers(n, l, cfg.k)
             try:
-                rows.append((n, l, beta, report(params, qn, tol=cfg.tol, norm_tol=cfg.norm_tol)))
+                rows.append((n, l, beta, report(params, qn, tol=cfg.tol)))
             except (ConvergenceError, EvaluationError) as exc:
                 rows.append((n, l, beta, exc))
                 failed = True
@@ -289,7 +286,7 @@ def cmd_density(args) -> int:
         for r, d in zip(rr, dens):
             lines.append(f"{_fmt(r)},{_fmt(d)}")
     else:
-        profile = build_profile(state, samples=args.samples, norm_tol=cfg.norm_tol)
+        profile = build_profile(state, samples=args.samples)
         ps = profile.samples[:, 0]
         dens = 2.0 * math.pi * profile.samples[:, 2] * ps
         for p, d in zip(ps, dens):
@@ -301,7 +298,7 @@ def cmd_density(args) -> int:
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--tol", type=float, help="quadrature tolerance for entropies")
+    sub.add_argument("--tol", type=float, help="quadrature tolerance for S_r")
     sub.add_argument("--m", type=float, help="mass (default 1)")
     sub.add_argument("--r0", type=float, help="hard-wall radius (default 1)")
     sub.add_argument("--lz", type=float, help="z-box length (default 1)")

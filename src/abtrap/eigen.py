@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate_adaptive
 from .specfun import bessel_j, bessel_zero
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "effective_order",
     "normalize",
     "solve",
-    "position_density",
 ]
 
 
@@ -125,13 +123,6 @@ class Eigenstate:
         w = self.radial_wavefunction(r)
         return w * w
 
-    def radial_norm_adaptive(self, tol: float = 1e-12) -> float:
-        """2 pi Lz int_0^r0 |R|^2 r dr, via the adaptive engine (cross-check)."""
-        res = integrate_adaptive(
-            lambda r: self.position_density(r) * r, 0.0, self.params.r0, tol
-        )
-        return 2.0 * math.pi * self.params.lz * res.value
-
 
 def solve(params: SystemParams, qn: QuantumNumbers) -> Eigenstate:
     """Construct the normalized eigenstate for the given quantum numbers.
@@ -144,8 +135,3 @@ def solve(params: SystemParams, qn: QuantumNumbers) -> Eigenstate:
     energy = (theta / params.r0) ** 2 / (2.0 * params.m) + qn.k**2 / (2.0 * params.m)
     a0 = normalize(params, nu, theta)
     return Eigenstate(params=params, qn=qn, nu=nu, theta=theta, energy=energy, a0=a0)
-
-
-def position_density(state: Eigenstate, r):
-    """Module-level alias for Eigenstate.position_density."""
-    return state.position_density(r)

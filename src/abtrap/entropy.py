@@ -5,8 +5,8 @@ Position space (density rho = |psi|^2, independent of theta and z):
 
     S_r = -2 pi Lz int_0^r0 rho ln(rho) r dr.
 
-Momentum space splits into a transverse part, integrated numerically over the
-profile's amplitude function, and a longitudinal part with a closed form.
+Momentum space splits into a transverse part, integrated by the momentum
+profile (see the momentum module), and a longitudinal part with a closed form.
 The z plane wave lives on a box of length Lz, so its momentum density is the
 sinc^2 distribution |chi(p_z)|^2 = (Lz/2pi) sinc^2((p_z - k) Lz / 2), whose
 differential entropy is exactly
@@ -21,14 +21,13 @@ nats throughout, and 0 ln 0 is taken as 0.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import Eigenstate, QuantumNumbers, SystemParams, solve
 from .errors import ConvergenceError
-from .momentum import MomentumProfile, build_profile, _radial_factor_zeros_inside
+from .momentum import MomentumProfile, build_profile, _radial_factor_zeros_inside, _xlnx
 from .quadrature import integrate_adaptive, integrate_oscillatory
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "SINC_ENTROPY_CONST",
     "longitudinal_momentum_entropy",
     "shannon_position",
-    "shannon_momentum_radial",
     "shannon_momentum",
     "bbm_check",
     "report",
@@ -44,14 +42,6 @@ __all__ = [
 
 # entropy of the unit-scale sinc^2 density: 2 (1 - euler_gamma)
 SINC_ENTROPY_CONST = 2.0 * (1.0 - float(np.euler_gamma))
-
-_DENSITY_FLOOR = 1e-300  # 0 ln 0 := 0 guard
-
-
-def _xlnx(rho):
-    rho = np.asarray(rho, dtype=float)
-    safe = np.maximum(rho, _DENSITY_FLOOR)
-    return np.where(rho > _DENSITY_FLOOR, rho * np.log(safe), 0.0)
 
 
 def longitudinal_momentum_entropy(params: SystemParams) -> float:
@@ -75,37 +65,12 @@ def shannon_position(state, tol: float = 1e-7) -> float:
     return -2.0 * math.pi * lz * res.value
 
 
-def shannon_momentum_radial(profile, tol: float = 1e-7) -> float:
-    """Transverse part of S_p: -2 pi int_0^pmax rho ln(rho) p dp.
-
-    Integrates the profile's amplitude function (not its raw samples), split
-    at the amplitude's sign changes where the integrand has log cusps.
-    """
-
-    def integrand(p):
-        return _xlnx(profile.density(p)) * p
-
-    pts = [q for q in profile.amplitude_breakpoints() if 0.0 < q < profile.p_max]
-    if pts:
-        res = integrate_oscillatory(integrand, 0.0, profile.p_max, pts, tol)
-    else:
-        res = integrate_adaptive(integrand, 0.0, profile.p_max, tol)
-    return -2.0 * math.pi * res.value
-
-
-def shannon_momentum(profile: MomentumProfile, tol: float = 1e-7) -> float:
+def shannon_momentum(profile: MomentumProfile) -> float:
     """Full momentum-space entropy S_p (transverse + longitudinal)."""
-    edge_density = float(np.asarray(profile.density(profile.p_max)))
-    tail_penalty = profile.tail_norm_bound * abs(math.log(max(edge_density, _DENSITY_FLOOR)))
-    if tail_penalty > tol:
-        warnings.warn(
-            f"truncated momentum tail may contribute ~{tail_penalty:.2e} to S_p "
-            f"(> tol={tol:.2e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return shannon_momentum_radial(profile, tol) + longitudinal_momentum_entropy(
-        profile.state.params
+    return (
+        profile.inner_entropy
+        + profile.tail_entropy
+        + longitudinal_momentum_entropy(profile.state.params)
     )
 
 
@@ -134,10 +99,12 @@ def report(
     params: SystemParams,
     qn: QuantumNumbers,
     tol: float = 1e-7,
-    norm_tol: float = 1e-6,
-    samples: int = 512,
 ) -> EntropyReport:
-    """solve -> momentum profile -> entropies -> BBM check, deterministically."""
+    """solve -> momentum profile -> entropies -> BBM check, deterministically.
+
+    `tol` is the quadrature tolerance of S_r; S_p comes from the profile's
+    fixed momentum rule.
+    """
 
     def _staged(stage, fn, *args, **kwargs):
         try:
@@ -148,9 +115,9 @@ def report(
             raise ConvergenceError(f"{stage}: {exc}", best=exc.best, stage=stage) from exc
 
     state = solve(params, qn)
-    profile = _staged("momentum-profile", build_profile, state, samples=samples, norm_tol=norm_tol)
+    profile = _staged("momentum-profile", build_profile, state)
     s_r = _staged("position-entropy", shannon_position, state, tol)
-    s_p = _staged("momentum-entropy", shannon_momentum, profile, tol)
+    s_p = shannon_momentum(profile)
     bound, ok = bbm_check(s_r, s_p)
     return EntropyReport(
         params=params,

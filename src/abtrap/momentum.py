@@ -14,12 +14,25 @@ density per p dp dp_theta is uniform in the momentum angle and equals
 
 The longitudinal factor is handled analytically in the entropy module.
 
-`radial_amplitude` evaluates phi by adaptive integration split at the sign
-changes of both Bessel factors. `build_profile` constructs a fast fixed-grid
-evaluator (composite Gauss-Legendre, panels no wider than half a kernel
-oscillation), picks the truncation radius p_max by extending until the
-captured norm stabilizes, and returns a sampled profile densified around the
-density peak.
+`build_profile` evaluates phi with a fixed composite Gauss-Legendre rule in r
+and integrates the density with one fixed rule per state. On [0, p_max],
+p_max = 10 (Theta + 20) / r0, one batch of Gauss-Legendre p-nodes, split at
+the amplitude's sign changes, gives the captured norm and the transverse
+entropy. Past p_max, phi follows its two-term asymptotic form (L = |l|)
+
+    phi(p) ~ C0 p^-(nu+2) + R'(r0) r0 sqrt(2 / (pi p r0)) cos(p r0 - L pi/2 - pi/4) / p^2.
+
+The first term is the r^nu behaviour of R at the origin, through the
+Weber-Schafheitlin integral of r^(nu+1) J_L(p r) (Watson, Treatise on the
+Theory of Bessel Functions, sec. 13.24):
+
+    C0 = a0 (Theta / 2 r0)^nu / Gamma(nu + 1) * 2^(nu+1) Gamma((L + nu + 2) / 2) / Gamma((L - nu) / 2),
+
+which vanishes at beta = 0, where nu = L. The second is the hard wall's
+endpoint contribution, from integration by parts (Wong, Asymptotic
+Approximations of Integrals, ch. II), with R'(r0) = -a0 (Theta / r0)
+J_{nu+1}(Theta). The norm and entropy of that model are integrated past p_max
+and carried by the profile.
 """
 
 from __future__ import annotations
@@ -30,29 +43,28 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .eigen import Eigenstate
-from .quadrature import integrate_adaptive, integrate_oscillatory
-from .specfun import bessel_j, bessel_zero
+from .quadrature import smoothed_gauss_legendre
+from .specfun import bessel_j, bessel_zero, gamma
 
-__all__ = ["MomentumProfile", "radial_amplitude", "momentum_density", "build_profile"]
+__all__ = ["MomentumProfile", "build_profile"]
 
 _GL_POINTS = 10
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
+_SCAN_POINTS = 2048
+# the modelled tail is integrated to _TAIL_REACH * p_max; what lies beyond
+# changes S_p of the grid states by less than 4e-9 (most at small nu, whose
+# origin term decays slowest)
+_TAIL_REACH = 200.0
+_TAIL_CHUNK = 4096  # tail panels per batch, which bounds the memory used
+_DENSITY_FLOOR = 1e-300  # 0 ln 0 := 0 guard
 
 
-def _kernel_zeros_inside(order: int, p: float, r0: float) -> list[float]:
-    """Radii in (0, r0) where J_order(p r) changes sign."""
-    zeros = []
-    i = 1
-    limit = p * r0 * (1.0 - 1e-12)
-    while True:
-        z = bessel_zero(float(order), i)
-        if z >= limit:
-            break
-        zeros.append(z / p)
-        i += 1
-    return zeros
+def _xlnx(rho):
+    rho = np.asarray(rho, dtype=float)
+    safe = np.maximum(rho, _DENSITY_FLOOR)
+    return np.where(rho > _DENSITY_FLOOR, rho * np.log(safe), 0.0)
 
 
 def _radial_factor_zeros_inside(state: Eigenstate) -> list[float]:
@@ -63,35 +75,13 @@ def _radial_factor_zeros_inside(state: Eigenstate) -> list[float]:
     ]
 
 
-def radial_amplitude(state: Eigenstate, p_r: float, tol: float = 1e-11) -> float:
-    """Transverse amplitude phi(p_r), via oscillatory adaptive quadrature."""
-    p_r = float(p_r)
-    if not math.isfinite(p_r) or p_r < 0.0:
-        raise DomainError(f"p_r must be finite and >= 0, got {p_r!r}")
-    order = abs(state.qn.l)
-    r0 = state.params.r0
-    if p_r == 0.0:
-        if order != 0:
-            return 0.0  # J_l(0) = 0 for l != 0
-        res = integrate_adaptive(
-            lambda r: state.radial_wavefunction(r) * r, 0.0, r0, tol
-        )
-        return res.value
-
-    def f(r):
-        return state.radial_wavefunction(r) * bessel_j(order, p_r * r) * r
-
-    pts = sorted(set(_radial_factor_zeros_inside(state)) | set(_kernel_zeros_inside(order, p_r, r0)))
-    pts = [q for q in pts if 0.0 < q < r0]
-    if pts:
-        return integrate_oscillatory(f, 0.0, r0, pts, tol).value
-    return integrate_adaptive(f, 0.0, r0, tol).value
-
-
-def momentum_density(state: Eigenstate, p_r: float) -> float:
-    """Transverse momentum density rho(p_r) = Lz * phi(p_r)^2."""
-    amp = radial_amplitude(state, p_r)
-    return state.params.lz * amp * amp
+def _subdivide(edges, width: float, min_parts: int = 1) -> np.ndarray:
+    """Cut each panel between consecutive edges into equal parts no wider than width."""
+    out = [edges[0]]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        parts = max(min_parts, int(math.ceil((hi - lo) / width)))
+        out.extend(np.linspace(lo, hi, parts + 1)[1:])
+    return np.asarray(out)
 
 
 class _AmplitudeEvaluator:
@@ -103,14 +93,8 @@ class _AmplitudeEvaluator:
 
     def __init__(self, state: Eigenstate, p_cap: float):
         r0 = state.params.r0
-        self.state = state
-        self.p_cap = float(p_cap)
         edges = sorted({0.0, r0, *_radial_factor_zeros_inside(state)})
-        delta = math.pi / max(self.p_cap, math.pi / r0)
-        refined = [0.0]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            parts = max(2, int(math.ceil((hi - lo) / delta)))
-            refined.extend(np.linspace(lo, hi, parts + 1)[1:])
+        refined = _subdivide(edges, math.pi / max(p_cap, math.pi / r0), min_parts=2)
         # R(r) ~ r^nu is algebraic at the origin for fractional nu; grade the
         # innermost panel geometrically so Gauss-Legendre stays accurate there
         first = refined[1]
@@ -138,44 +122,102 @@ class _AmplitudeEvaluator:
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
+def _p_max(state: Eigenstate) -> float:
+    """Edge of the sampled profile, far enough out for the tail model to hold."""
+    return 10.0 * (state.theta + 20.0) / state.params.r0
+
+
+def _rgamma(x: float) -> float:
+    """1 / Gamma(x) for real x; zero at the poles 0, -1, -2, ..."""
+    if x > 0.0:
+        return 1.0 / gamma(x)
+    return math.sin(math.pi * x) * gamma(1.0 - x) / math.pi
+
+
+def _tail_coefficients(state: Eigenstate) -> tuple[float, float]:
+    """(C0, A) of the tail model C0 p^-(nu+2) + A cos(p r0 - (2L+1) pi/4) p^-5/2."""
+    r0, nu, theta = state.params.r0, state.nu, state.theta
+    order = abs(state.qn.l)
+    c0 = (
+        state.a0 * (0.5 * theta / r0) ** nu / gamma(nu + 1.0) * 2.0 ** (nu + 1.0)
+        * gamma(0.5 * (order + nu) + 1.0) * _rgamma(0.5 * (order - nu))
+    )
+    wall_slope = -state.a0 * theta / r0 * bessel_j(nu + 1.0, theta)
+    return c0, wall_slope * r0 * math.sqrt(2.0 / (math.pi * r0))
+
+
+def _tail_amplitude(state: Eigenstate, p):
+    """The two-term asymptotic amplitude; accurate only well past p_max / 2."""
+    c0, wall = _tail_coefficients(state)
+    phase = p * state.params.r0 - (2 * abs(state.qn.l) + 1) * math.pi / 4.0
+    return c0 * p ** -(state.nu + 2.0) + wall * np.cos(phase) * p**-2.5
+
+
+def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:
+    """Norm and transverse entropy of the tail model from p_max on.
+
+    Panels run between the zeros of the wall term's cosine, where rho ln rho
+    has its cusps once the wall term dominates.
+    """
+    r0, lz = state.params.r0, state.params.lz
+    # cos(p r0 - (2L+1) pi/4) vanishes at p r0 = (2L+3) pi/4 + m pi
+    phase = (2 * abs(state.qn.l) + 3) * math.pi / 4.0
+    first = math.floor((p_max * r0 - phase) / math.pi) + 1
+    last = math.ceil((_TAIL_REACH * p_max * r0 - phase) / math.pi)
+    edges = np.concatenate([[p_max], (phase + math.pi * np.arange(first, last + 1)) / r0])
+    norm = entropy = 0.0
+    for start in range(0, edges.size - 1, _TAIL_CHUNK):
+        p, w = smoothed_gauss_legendre(edges[start:start + _TAIL_CHUNK + 1])
+        rho = lz * _tail_amplitude(state, p) ** 2
+        norm += 2.0 * math.pi * float(np.sum(w * rho * p))
+        entropy -= 2.0 * math.pi * float(np.sum(w * _xlnx(rho) * p))
+    return norm, entropy
+
+
+def _amplitude_breakpoints(scan: np.ndarray) -> list[float]:
+    """Approximate sign changes of phi in a (p, amplitude, density) scan.
+
+    Located by linear interpolation of the scan; crossings where the
+    neighbouring density is below 1e-12 * peak are dropped (they no longer
+    matter to any integral).
+    """
+    ps, amps, dens = scan[:, 0], scan[:, 1], scan[:, 2]
+    peak = float(np.max(dens))
+    flips = np.where(np.sign(amps[:-1]) * np.sign(amps[1:]) < 0)[0]
+    points = []
+    for i in flips:
+        if max(dens[max(i - 1, 0)], dens[min(i + 2, len(ps) - 1)]) < 1e-12 * peak:
+            continue
+        frac = amps[i] / (amps[i] - amps[i + 1])
+        points.append(float(ps[i] + frac * (ps[i + 1] - ps[i])))
+    return points
+
+
 @dataclass(frozen=True, eq=False)
 class MomentumProfile:
-    """Sampled transverse momentum profile with truncation metadata.
+    """Sampled transverse momentum profile with its integrals.
 
     `samples` has one row (p_r, amplitude, density) per grid point, sorted by
     p_r; `amplitude` is the profile's vectorized amplitude function (the same
     function the samples were drawn from), valid on [0, p_max].
+    `captured_norm` and `inner_entropy` are the norm and the transverse
+    entropy -2 pi int rho ln rho p dp on [0, p_max]; `tail_norm` and
+    `tail_entropy` are those of the tail model past p_max.
     """
 
     state: Eigenstate
     p_max: float
     samples: np.ndarray
     captured_norm: float
-    tail_norm_bound: float
+    tail_norm: float
+    inner_entropy: float
+    tail_entropy: float
     amplitude: Callable = field(repr=False)
     _scan: np.ndarray = field(repr=False)
 
     def density(self, p):
         amp = self.amplitude(p)
         return self.state.params.lz * amp * amp
-
-    def amplitude_breakpoints(self, rel_density_floor: float = 1e-12) -> list[float]:
-        """Approximate sign changes of phi on (0, p_max), for quadrature splits.
-
-        Located by linear interpolation of the dense scan; crossings where the
-        neighbouring density is below rel_density_floor * peak are dropped
-        (they no longer matter to any integral).
-        """
-        ps, amps, dens = self._scan[:, 0], self._scan[:, 1], self._scan[:, 2]
-        peak = float(np.max(dens))
-        flips = np.where(np.sign(amps[:-1]) * np.sign(amps[1:]) < 0)[0]
-        points = []
-        for i in flips:
-            if max(dens[max(i - 1, 0)], dens[min(i + 2, len(ps) - 1)]) < rel_density_floor * peak:
-                continue
-            frac = amps[i] / (amps[i] - amps[i + 1])
-            points.append(float(ps[i] + frac * (ps[i + 1] - ps[i])))
-        return points
 
     def principal_maxima(self, rel_height: float = 0.05) -> list[float]:
         """Locations of local density maxima above rel_height * peak.
@@ -195,75 +237,30 @@ class MomentumProfile:
         return out
 
 
-def _norm_window(profile_amp, lz: float, a: float, b: float, tol: float) -> float:
-    res = integrate_adaptive(
-        lambda pp: 2.0 * math.pi * lz * profile_amp(pp) ** 2 * pp, a, b, tol
-    )
-    return res.value
+def build_profile(state: Eigenstate, samples: int = 512) -> MomentumProfile:
+    """Sample the transverse momentum profile of `state` and integrate it.
 
-
-def build_profile(
-    state: Eigenstate,
-    samples: int = 512,
-    norm_tol: float = 1e-6,
-) -> MomentumProfile:
-    """Sample the transverse momentum profile of `state`.
-
-    p_max is extended geometrically until the captured norm stabilizes to
-    norm_tol; the dense sample grid is clustered around the density peak.
+    One batch of composite Gauss-Legendre nodes on [0, p_max], split at the
+    amplitude's sign changes and cut to panels no wider than pi / r0, gives
+    the captured norm and transverse entropy; the tail model gives both past
+    p_max. The dense sample grid is clustered around the density peak.
     """
     if samples < 64:
         raise DomainError(f"samples must be >= 64, got {samples!r}")
-    if not (norm_tol > 0.0):
-        raise DomainError(f"norm_tol must be > 0, got {norm_tol!r}")
     r0 = state.params.r0
     lz = state.params.lz
-    grow = 1.5
-    # slowest admissible tail: the r^nu origin behaviour gives a norm tail
-    # ~ p^-(2+2 frac), the hard wall gives ~ p^-3; windows then shrink by
-    # grow^-q per step, which floors the measured window-to-window ratio
-    frac = state.nu - math.floor(state.nu)
-    q_slow = min(2.0 + 2.0 * frac if frac > 0.0 else 3.0, 3.0)
-    kappa = grow**-q_slow
-    p_hi = (state.theta + 20.0) / r0
-    p_ceiling = (400.0 + 250.0 * state.theta) / r0
-    quad_tol = max(min(1e-9, 0.01 * norm_tol), 1e-12)
-
-    captured = 0.0
-    p_lo = 0.0
-    prev_inc = None
-    tail_bound = math.inf
-    evaluator = None
-    while True:
-        evaluator = _AmplitudeEvaluator(state, p_hi)
-        inc = _norm_window(evaluator, lz, p_lo, p_hi, quad_tol)
-        captured += inc
-        if prev_inc is not None and prev_inc > 0.0:
-            ratio = min(max(inc / prev_inc, kappa), 0.75)
-            tail_bound = inc * ratio / (1.0 - ratio)
-            # the geometric extrapolation is good to ~20%; stopping once the
-            # tail estimate is below 2.5 * norm_tol keeps the corrected norm
-            # (captured + tail) within 0.5 * norm_tol of exact
-            if tail_bound < 2.5 * norm_tol and inc < 2.0 * norm_tol:
-                break
-        if p_hi >= p_ceiling:
-            raise ConvergenceError(
-                f"momentum truncation search exceeded p={p_ceiling:.3g} with "
-                f"captured norm {captured:.9f}",
-                best=captured,
-                stage="momentum-profile",
-            )
-        prev_inc = inc
-        p_lo = p_hi
-        p_hi = min(p_hi * grow, p_ceiling)
-
-    p_max = p_hi
-    # dense scan: used for the peak search, breakpoints and maxima counting
-    n_scan = max(4 * samples, 2048)
-    p_scan = np.linspace(0.0, p_max, n_scan)
+    p_max = _p_max(state)
+    evaluator = _AmplitudeEvaluator(state, p_max)
+    # dense scan: used for the sign changes, the peak search and maxima counting
+    p_scan = np.linspace(0.0, p_max, _SCAN_POINTS)
     amp_scan = evaluator(p_scan)
     dens_scan = lz * amp_scan**2
     scan = np.column_stack([p_scan, amp_scan, dens_scan])
+
+    edges = _subdivide([0.0, *_amplitude_breakpoints(scan), p_max], math.pi / r0)
+    p_nodes, weights = smoothed_gauss_legendre(edges)
+    rho = lz * evaluator(p_nodes) ** 2
+    tail_norm, tail_entropy = _tail_integrals(state, p_max)
 
     p_peak = float(p_scan[int(np.argmax(dens_scan))])
     p_knee = min(p_max, 2.5 * max(p_peak, state.theta / r0))
@@ -278,8 +275,10 @@ def build_profile(
         state=state,
         p_max=p_max,
         samples=np.column_stack([grid, amp, dens]),
-        captured_norm=captured,
-        tail_norm_bound=tail_bound,
+        captured_norm=2.0 * math.pi * float(np.sum(weights * rho * p_nodes)),
+        tail_norm=tail_norm,
+        inner_entropy=-2.0 * math.pi * float(np.sum(weights * _xlnx(rho) * p_nodes)),
+        tail_entropy=tail_entropy,
         amplitude=evaluator,
         _scan=scan,
     )

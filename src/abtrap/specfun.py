@@ -29,7 +29,6 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "gamma",
     "bessel_j",
-    "bessel_j_prime",
     "bessel_zero",
     "series_cutoff",
     "asymptotic_cutoff",

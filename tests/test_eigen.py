@@ -9,14 +9,13 @@ from abtrap.eigen import (
     SystemParams,
     effective_order,
     normalize,
-    position_density,
     solve,
 )
 from abtrap.errors import DomainError
 from abtrap.reference import TABLE_BETAS, default_grid_points
 from abtrap.specfun import bessel_zero
 
-from oracles import midpoint, zero_by_bisection
+from oracles import midpoint, radial_norm_adaptive, zero_by_bisection
 
 # ground-state constants frozen from the series/bisection oracle
 Z1 = 2.404825557695773
@@ -126,7 +125,7 @@ class TestNormalization:
     def test_closed_form_vs_adaptive(self):
         for (n, l, beta) in ((0, 0, 0.2), (1, -1, 0.4), (2, 2, 0.8)):
             st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
-            assert st.radial_norm_adaptive(tol=1e-12) == pytest.approx(1.0, abs=1e-10)
+            assert radial_norm_adaptive(st, tol=1e-12) == pytest.approx(1.0, abs=1e-10)
 
     def test_doubling_lz_scales_a0(self):
         a1 = normalize(SystemParams(lz=1.0), 0.3, bessel_zero(0.3, 1))
@@ -137,24 +136,24 @@ class TestNormalization:
         for n, l in default_grid_points():
             for beta in TABLE_BETAS:
                 st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
-                assert st.radial_norm_adaptive() == pytest.approx(1.0, abs=1e-8), (n, l, beta)
+                assert radial_norm_adaptive(st) == pytest.approx(1.0, abs=1e-8), (n, l, beta)
 
 
 class TestPositionDensity:
     def test_zero_at_wall(self):
         st = solve(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
-        assert position_density(st, st.params.r0) == 0.0
+        assert st.position_density(st.params.r0) == 0.0
         assert abs(st.radial_wavefunction(st.params.r0)) <= 1e-12 * abs(st.a0)
         # just inside the wall the residual is set by the zero-finder accuracy
         assert abs(st.radial_wavefunction(st.params.r0 * (1.0 - 1e-14))) <= 1e-12 * abs(st.a0)
 
     def test_zero_outside_wall(self):
         st = solve(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
-        assert position_density(st, 1.7) == 0.0
+        assert st.position_density(1.7) == 0.0
 
     def test_zero_at_origin_for_nonzero_order(self):
         st = solve(SystemParams(beta=0.2), QuantumNumbers(0, 1, 1.0))
-        assert position_density(st, 0.0) == 0.0
+        assert st.position_density(0.0) == 0.0
 
     def test_interior_maximum_matches_sampled_argmax(self):
         # ground state with nu = 0.2: density peaks strictly inside (0, r0)

@@ -12,12 +12,13 @@ from abtrap.entropy import (
     longitudinal_momentum_entropy,
     report,
     shannon_momentum,
-    shannon_momentum_radial,
     shannon_position,
 )
 from abtrap.errors import ConvergenceError
 from abtrap.momentum import build_profile
-from abtrap.quadrature import integrate_adaptive, riemann_oracle
+from abtrap.quadrature import integrate_adaptive
+
+from oracles import lommel_momentum_entropy, midpoint
 
 
 class UniformCylinderState:
@@ -30,20 +31,6 @@ class UniformCylinderState:
     def position_density(self, r):
         rr = np.asarray(r, dtype=float)
         return np.where(rr <= self.params.r0, self._rho, 0.0)
-
-
-class UniformDiskProfile:
-    """Synthetic stub: uniform transverse momentum density over |p| <= P."""
-
-    def __init__(self, p_max):
-        self.p_max = p_max
-        self._rho = 1.0 / (math.pi * p_max * p_max)
-
-    def density(self, p):
-        return np.full_like(np.asarray(p, dtype=float), self._rho)
-
-    def amplitude_breakpoints(self):
-        return []
 
 
 class TestShannonPosition:
@@ -74,16 +61,16 @@ class TestShannonPosition:
             rho = st.position_density(r)
             return np.where(rho > 1e-300, rho * np.log(np.maximum(rho, 1e-300)), 0.0) * r
 
-        brute = -2.0 * math.pi * lz * riemann_oracle(integrand, 0.0, 1.0, 10**6, vectorized=True)
+        brute = -2.0 * math.pi * lz * midpoint(integrand, 0.0, 1.0, 10**6)
         assert pl.s_r == pytest.approx(brute, abs=1e-5)
 
 
 class TestShannonMomentum:
-    def test_uniform_disk(self):
-        for p_max in (1.0, 5.0):
-            prof = UniformDiskProfile(p_max)
-            expect = math.log(math.pi * p_max * p_max)
-            assert shannon_momentum_radial(prof) == pytest.approx(expect, abs=1e-9)
+    def test_defect_free_vs_lommel_closed_form(self):
+        for n, l in ((0, 0), (1, 1), (2, -2), (2, 0)):
+            st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
+            exact = lommel_momentum_entropy(abs(l), st.theta)
+            assert shannon_momentum(build_profile(st)) == pytest.approx(exact, abs=1e-7), (n, l)
 
     def test_longitudinal_term(self):
         params = SystemParams()
@@ -120,8 +107,9 @@ class TestShannonMomentum:
         assert sp2 - sp1 == pytest.approx(-2.0 * math.log(s), abs=1e-6)
 
     def test_ground_state_vs_riemann_oracle(self, ground_pipeline):
-        # midpoint recomputation of the transverse part over the same domain,
-        # with the amplitude tabulated on a dense grid and spline-interpolated
+        # midpoint recomputation of the transverse part over [0, p_max], with
+        # the amplitude tabulated on a dense grid and spline-interpolated; the
+        # modelled tail past p_max is taken from the profile
         from scipy.interpolate import CubicSpline
 
         pl = ground_pipeline
@@ -134,14 +122,9 @@ class TestShannonMomentum:
             rho = lz * spline(p) ** 2
             return np.where(rho > 1e-300, rho * np.log(np.maximum(rho, 1e-300)), 0.0) * p
 
-        brute = -2.0 * math.pi * riemann_oracle(integrand, 0.0, prof.p_max, 10**6, vectorized=True)
-        brute += longitudinal_momentum_entropy(prof.state.params)
+        brute = -2.0 * math.pi * midpoint(integrand, 0.0, prof.p_max, 10**6)
+        brute += prof.tail_entropy + longitudinal_momentum_entropy(prof.state.params)
         assert pl.s_p == pytest.approx(brute, abs=1e-5)
-
-    def test_truncation_warning_fires(self, ground_pipeline):
-        prof = dataclasses.replace(ground_pipeline.profile, tail_norm_bound=1e-3)
-        with pytest.warns(RuntimeWarning, match="truncated momentum tail"):
-            shannon_momentum(prof, tol=1e-7)
 
 
 class TestBBMCheck:

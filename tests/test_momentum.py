@@ -5,8 +5,16 @@ import pytest
 
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
 from abtrap.errors import DomainError
-from abtrap.momentum import build_profile, momentum_density, radial_amplitude
-from abtrap.quadrature import integrate_adaptive, riemann_oracle
+from abtrap.momentum import (
+    _AmplitudeEvaluator,
+    _p_max,
+    _tail_amplitude,
+    _tail_coefficients,
+    build_profile,
+)
+from abtrap.quadrature import integrate_adaptive
+
+from oracles import midpoint, momentum_density, radial_amplitude
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +43,7 @@ class TestRadialAmplitude:
             f = lambda r: st.radial_wavefunction(r) * np.where(  # noqa: E731
                 r > 0, _j0(p * r), 1.0
             ) * r
-            brute = riemann_oracle(f, 0.0, 1.0, 10**6, vectorized=True)
+            brute = midpoint(f, 0.0, 1.0, 10**6)
             assert radial_amplitude(st, p) == pytest.approx(brute, abs=1e-6)
 
     def test_negative_momentum_rejected(self, ground_beta0):
@@ -68,7 +76,7 @@ class TestProfile:
 
     def test_captured_norm_with_tail_correction(self, ground_beta0):
         _, prof = ground_beta0
-        assert prof.captured_norm + prof.tail_norm_bound == pytest.approx(1.0, abs=1e-6)
+        assert prof.captured_norm + prof.tail_norm == pytest.approx(1.0, abs=1e-6)
         # the ground profile captures essentially everything even uncorrected
         assert prof.captured_norm >= 1.0 - 1e-6
 
@@ -89,15 +97,6 @@ class TestProfile:
         st, _ = ground_beta0
         with pytest.raises(DomainError):
             build_profile(st, samples=32)
-        with pytest.raises(DomainError):
-            build_profile(st, norm_tol=0.0)
-
-    def test_unreachable_norm_tol_raises_convergence_error(self, ground_beta0):
-        from abtrap.errors import ConvergenceError
-
-        st, _ = ground_beta0
-        with pytest.raises(ConvergenceError, match="truncation search"):
-            build_profile(st, norm_tol=1e-14)
 
     def test_scaling_contracts_profile(self, ground_beta0):
         st1, prof1 = ground_beta0
@@ -139,6 +138,36 @@ class TestProfile:
             if dens[i] > dens[i - 1] and dens[i] >= dens[i + 1] and dens[i] >= 0.05 * peak
         )
         assert count == len(prof.principal_maxima()) == 3
+
+
+class TestTailModel:
+    def test_origin_term_vanishes_without_defect(self):
+        # nu = |l| at beta = 0, so 1 / Gamma((|l| - nu) / 2) sits on a pole
+        for n, l in ((0, 0), (1, 1), (2, -2)):
+            st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
+            assert _tail_coefficients(st)[0] == 0.0
+
+    def test_origin_term_past_gamma_pole(self):
+        # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 = -0.4
+        import mpmath as mp
+
+        st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
+        nu, order = st.nu, 1
+        expect = (
+            st.a0 * (st.theta / 2.0) ** nu / mp.gamma(nu + 1) * 2 ** (nu + 1)
+            * mp.gamma((order + nu + 2) / 2) * mp.rgamma((order - nu) / 2)
+        )
+        assert _tail_coefficients(st)[0] == pytest.approx(float(expect), rel=1e-12)
+
+    def test_residual_shrinks_with_p_max(self):
+        st = solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0))
+        residuals = []
+        for scale in (1.0, 2.0):
+            p_max = scale * _p_max(st)
+            ps = np.linspace(0.7 * p_max, p_max, 200)
+            exact = _AmplitudeEvaluator(st, p_max)(ps)
+            residuals.append(np.max(np.abs(exact - _tail_amplitude(st, ps))))
+        assert residuals[1] < residuals[0]
 
 
 class TestPhaseIndependence:
