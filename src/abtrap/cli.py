@@ -37,12 +37,11 @@ class RunConfig:
     grid: list[tuple[int, int]] = field(default_factory=default_grid_points)
     betas: list[float] = field(default_factory=lambda: list(TABLE_BETAS))
     k: float = _DEFAULT_K
-    tol: float = 1e-7
     fmt: str = "csv"
     out: str | None = None
 
 
-_CONFIG_KEYS = {"params", "grid", "betas", "tol", "output"}
+_CONFIG_KEYS = {"params", "grid", "betas", "output"}
 _PARAM_KEYS = {"m", "beta", "r0", "lz", "k"}
 
 
@@ -108,8 +107,6 @@ def load_config(path: str | None) -> RunConfig:
         if not (0.0 <= b < 1.0):
             raise DomainError(f"--config: every beta must satisfy 0<beta<1 (or 0), got {b}")
 
-    if "tol" in raw:
-        cfg.tol = float(raw["tol"])
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise DomainError("--config: 'output' must be an object")
@@ -135,8 +132,6 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
             raise DomainError(f"--{flag}: {exc}") from exc
     if getattr(args, "k", None) is not None:
         cfg.k = float(args.k)
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = float(args.tol)
     if getattr(args, "betas", None) is not None:
         betas = [float(b) for b in args.betas]
         for b in betas:
@@ -196,7 +191,7 @@ def cmd_state(args) -> int:
     if args.l is None:
         raise DomainError("--l is required")
     qn = _quantum_numbers(args.n, args.l, cfg.k)
-    rep = report(cfg.params, qn, tol=cfg.tol)
+    rep = report(cfg.params, qn)
     _emit(json.dumps(_report_payload(rep)) + "\n", cfg.out)
     return 0
 
@@ -210,7 +205,7 @@ def cmd_table(args) -> int:
             params = replace(cfg.params, beta=beta)
             qn = QuantumNumbers(n, l, cfg.k)
             try:
-                rows.append((n, l, beta, report(params, qn, tol=cfg.tol)))
+                rows.append((n, l, beta, report(params, qn)))
             except (ConvergenceError, EvaluationError) as exc:
                 rows.append((n, l, beta, exc))
                 failed = True
@@ -286,9 +281,9 @@ def cmd_density(args) -> int:
         for r, d in zip(rr, dens):
             lines.append(f"{_fmt(r)},{_fmt(d)}")
     else:
-        profile = build_profile(state, samples=args.samples)
-        ps = profile.samples[:, 0]
-        dens = 2.0 * math.pi * profile.samples[:, 2] * ps
+        rows = build_profile(state).sample(args.samples)
+        ps = rows[:, 0]
+        dens = 2.0 * math.pi * rows[:, 2] * ps
         for p, d in zip(ps, dens):
             lines.append(f"{_fmt(p)},{_fmt(d)}")
     _emit("\n".join(lines) + "\n", cfg.out)
@@ -298,7 +293,6 @@ def cmd_density(args) -> int:
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--tol", type=float, help="quadrature tolerance for S_r")
     sub.add_argument("--m", type=float, help="mass (default 1)")
     sub.add_argument("--r0", type=float, help="hard-wall radius (default 1)")
     sub.add_argument("--lz", type=float, help="z-box length (default 1)")

@@ -5,6 +5,13 @@ Position space (density rho = |psi|^2, independent of theta and z):
 
     S_r = -2 pi Lz int_0^r0 rho ln(rho) r dr.
 
+The integral has one fixed rule. [0, r0] is split at the radial nodes (the
+zeros of J_nu(Theta r / r0)), every lobe between them is cut into 4 equal
+panels, and each panel gets 20 Gauss-Legendre points after the smoothing map
+u = 3 s^2 - 2 s^3, which flattens the log cusps of rho ln rho at the nodes
+and at the wall. Against 25-digit mpmath the rule is within 5e-11 on sampled
+states with nu <= 40, n <= 15 and |k| <= 20, and within 1e-11 for nu < 0.05.
+
 Momentum space splits into a transverse part, integrated by the momentum
 profile (see the momentum module), and a longitudinal part with a closed form.
 The z plane wave lives on a box of length Lz, so its momentum density is the
@@ -27,8 +34,14 @@ import numpy as np
 
 from .eigen import Eigenstate, QuantumNumbers, SystemParams, solve
 from .errors import ConvergenceError
-from .momentum import MomentumProfile, build_profile, _radial_factor_zeros_inside, _xlnx
-from .quadrature import integrate_adaptive, integrate_oscillatory
+from .momentum import (
+    MomentumProfile,
+    build_profile,
+    _radial_factor_zeros_inside,
+    _subdivide,
+    _xlnx,
+)
+from .quadrature import smoothed_gauss_legendre
 
 __all__ = [
     "EntropyReport",
@@ -49,20 +62,23 @@ def longitudinal_momentum_entropy(params: SystemParams) -> float:
     return math.log(2.0 * math.pi / params.lz) + SINC_ENTROPY_CONST
 
 
-def shannon_position(state, tol: float = 1e-7) -> float:
-    """Position-space entropy S_r of a normalized state."""
-    params = state.params
-    r0, lz = params.r0, params.lz
+# Gauss-Legendre panels per lobe of the radial density; on the sampled states
+# above, 3 leave errors up to 7e-10 and 4 stay below 5e-11
+_LOBE_PANELS = 4
 
-    def integrand(r):
-        return _xlnx(state.position_density(r)) * r
 
-    pts = _radial_factor_zeros_inside(state) if isinstance(state, Eigenstate) else []
-    if pts:
-        res = integrate_oscillatory(integrand, 0.0, r0, pts, tol)
-    else:
-        res = integrate_adaptive(integrand, 0.0, r0, tol)
-    return -2.0 * math.pi * lz * res.value
+def shannon_position(state) -> float:
+    """Position-space entropy S_r of a normalized state, by one fixed rule.
+
+    Eigenstates are split at their radial nodes; any other state (it needs
+    `params` and a vectorized `position_density`) is treated as one lobe.
+    """
+    r0, lz = state.params.r0, state.params.lz
+    nodes = _radial_factor_zeros_inside(state) if isinstance(state, Eigenstate) else []
+    edges = _subdivide([0.0, *nodes, r0], r0, min_parts=_LOBE_PANELS)
+    r, weights = smoothed_gauss_legendre(edges)
+    rho = state.position_density(r)
+    return -2.0 * math.pi * lz * float(np.sum(weights * _xlnx(rho) * r))
 
 
 def shannon_momentum(profile: MomentumProfile) -> float:
@@ -95,15 +111,10 @@ class EntropyReport:
     satisfied: bool
 
 
-def report(
-    params: SystemParams,
-    qn: QuantumNumbers,
-    tol: float = 1e-7,
-) -> EntropyReport:
+def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
     """solve -> momentum profile -> entropies -> BBM check, deterministically.
 
-    `tol` is the quadrature tolerance of S_r; S_p comes from the profile's
-    fixed momentum rule.
+    S_r and S_p each come from one fixed rule, so there is no tolerance.
     """
 
     def _staged(stage, fn, *args, **kwargs):
@@ -116,7 +127,7 @@ def report(
 
     state = solve(params, qn)
     profile = _staged("momentum-profile", build_profile, state)
-    s_r = _staged("position-entropy", shannon_position, state, tol)
+    s_r = _staged("position-entropy", shannon_position, state)
     s_p = shannon_momentum(profile)
     bound, ok = bbm_check(s_r, s_p)
     return EntropyReport(

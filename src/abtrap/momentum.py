@@ -195,11 +195,10 @@ def _amplitude_breakpoints(scan: np.ndarray) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class MomentumProfile:
-    """Sampled transverse momentum profile with its integrals.
+    """Transverse momentum profile with its integrals.
 
-    `samples` has one row (p_r, amplitude, density) per grid point, sorted by
-    p_r; `amplitude` is the profile's vectorized amplitude function (the same
-    function the samples were drawn from), valid on [0, p_max].
+    `amplitude` is the profile's vectorized amplitude function, valid on
+    [0, p_max]; `sample` tabulates it.
     `captured_norm` and `inner_entropy` are the norm and the transverse
     entropy -2 pi int rho ln rho p dp on [0, p_max]; `tail_norm` and
     `tail_entropy` are those of the tail model past p_max.
@@ -207,7 +206,6 @@ class MomentumProfile:
 
     state: Eigenstate
     p_max: float
-    samples: np.ndarray
     captured_norm: float
     tail_norm: float
     inner_entropy: float
@@ -218,6 +216,25 @@ class MomentumProfile:
     def density(self, p):
         amp = self.amplitude(p)
         return self.state.params.lz * amp * amp
+
+    def sample(self, count: int) -> np.ndarray:
+        """Rows (p_r, amplitude, density) on at most `count` grid points, sorted by p_r.
+
+        The grid is clustered around the density peak: 70% of the points lie
+        below the knee 2.5 max(p_peak, Theta / r0).
+        """
+        if count < 64:
+            raise DomainError(f"samples must be >= 64, got {count!r}")
+        ps, dens = self._scan[:, 0], self._scan[:, 2]
+        p_peak = float(ps[int(np.argmax(dens))])
+        p_knee = min(self.p_max, 2.5 * max(p_peak, self.state.theta / self.state.params.r0))
+        n_near = int(0.7 * count)
+        grid = np.unique(np.concatenate([
+            np.linspace(0.0, p_knee, n_near),
+            np.linspace(p_knee, self.p_max, count - n_near + 1),
+        ]))
+        amp = self.amplitude(grid)
+        return np.column_stack([grid, amp, self.state.params.lz * amp**2])
 
     def principal_maxima(self, rel_height: float = 0.05) -> list[float]:
         """Locations of local density maxima above rel_height * peak.
@@ -237,16 +254,14 @@ class MomentumProfile:
         return out
 
 
-def build_profile(state: Eigenstate, samples: int = 512) -> MomentumProfile:
-    """Sample the transverse momentum profile of `state` and integrate it.
+def build_profile(state: Eigenstate) -> MomentumProfile:
+    """The transverse momentum profile of `state` and its integrals.
 
     One batch of composite Gauss-Legendre nodes on [0, p_max], split at the
     amplitude's sign changes and cut to panels no wider than pi / r0, gives
     the captured norm and transverse entropy; the tail model gives both past
-    p_max. The dense sample grid is clustered around the density peak.
+    p_max.
     """
-    if samples < 64:
-        raise DomainError(f"samples must be >= 64, got {samples!r}")
     r0 = state.params.r0
     lz = state.params.lz
     p_max = _p_max(state)
@@ -254,27 +269,15 @@ def build_profile(state: Eigenstate, samples: int = 512) -> MomentumProfile:
     # dense scan: used for the sign changes, the peak search and maxima counting
     p_scan = np.linspace(0.0, p_max, _SCAN_POINTS)
     amp_scan = evaluator(p_scan)
-    dens_scan = lz * amp_scan**2
-    scan = np.column_stack([p_scan, amp_scan, dens_scan])
+    scan = np.column_stack([p_scan, amp_scan, lz * amp_scan**2])
 
     edges = _subdivide([0.0, *_amplitude_breakpoints(scan), p_max], math.pi / r0)
     p_nodes, weights = smoothed_gauss_legendre(edges)
     rho = lz * evaluator(p_nodes) ** 2
     tail_norm, tail_entropy = _tail_integrals(state, p_max)
-
-    p_peak = float(p_scan[int(np.argmax(dens_scan))])
-    p_knee = min(p_max, 2.5 * max(p_peak, state.theta / r0))
-    n_near = int(0.7 * samples)
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, p_knee, n_near),
-        np.linspace(p_knee, p_max, samples - n_near + 1),
-    ]))
-    amp = evaluator(grid)
-    dens = lz * amp**2
     return MomentumProfile(
         state=state,
         p_max=p_max,
-        samples=np.column_stack([grid, amp, dens]),
         captured_norm=2.0 * math.pi * float(np.sum(weights * rho * p_nodes)),
         tail_norm=tail_norm,
         inner_entropy=-2.0 * math.pi * float(np.sum(weights * _xlnx(rho) * p_nodes)),

@@ -1,13 +1,17 @@
 """Integration engines.
 
-`integrate_adaptive` is the production engine: globally adaptive bisection
-with a Gauss-Kronrod 7-15 rule per interval and the usual QUADPACK-style
-error estimate. Integrands are called with numpy arrays of abscissae and must
-return arrays of the same shape. `smoothed_gauss_legendre` is a fixed
-composite rule for integrands with log cusps at known panel edges.
+`smoothed_gauss_legendre` is the package's rule: a fixed composite rule for
+integrands with log cusps at known panel edges, used for S_r, for the
+momentum norm and S_p, and for the modelled momentum tail.
 
-Subdivision order is deterministic, so results are bit-reproducible for a
-given tolerance.
+`integrate_adaptive` (with `integrate_oscillatory` and `QuadResult`) is no
+longer called by the package; it is kept as the independent reference path
+of the test oracles and as a layer the benchmark tracer wraps by name. It is
+globally adaptive bisection with a Gauss-Kronrod 7-15 rule per interval and
+the usual QUADPACK-style error estimate. Integrands are called with numpy
+arrays of abscissae and must return arrays of the same shape. Subdivision
+order is deterministic, so results are bit-reproducible for a given
+tolerance.
 """
 
 from __future__ import annotations

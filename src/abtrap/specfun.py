@@ -1,5 +1,5 @@
-"""Self-contained special functions: Gamma, Bessel J of real order, its
-derivative, and its positive zeros.
+"""Self-contained special functions: Gamma, Bessel J of real order and its
+positive zeros.
 
 Only non-negative orders are supported; the physics of this package never
 produces a negative order (nu = |l - beta*k| >= 0) and the irregular branch is
@@ -219,23 +219,6 @@ def bessel_j(nu: float, x):
     return float(vals[0]) if scalar else vals.reshape(arr.shape)
 
 
-def bessel_j_prime(nu: float, x):
-    """Derivative dJ_nu/dx for x > 0.
-
-    Uses (J_{nu-1} - J_{nu+1})/2 when nu >= 1 and the equivalent recurrence
-    form (nu/x) J_nu - J_{nu+1} when nu < 1 (avoids negative orders).
-    """
-    nu = _check_order(nu)
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("bessel_j_prime requires finite x > 0")
-    if nu >= 1.0:
-        val = 0.5 * (bessel_j(nu - 1.0, arr) - bessel_j(nu + 1.0, arr))
-    else:
-        val = (nu / arr) * bessel_j(nu, arr) - bessel_j(nu + 1.0, arr)
-    return float(val) if np.asarray(x).ndim == 0 else val
-
-
 def _mcmahon_guess(nu: float, j: int) -> float:
     """McMahon asymptotic estimate of the j-th positive zero of J_nu."""
     mu = 4.0 * nu * nu
@@ -254,22 +237,28 @@ def _mcmahon_guess(nu: float, j: int) -> float:
 
 
 def _bracket_by_scan(nu: float, j: int) -> tuple[float, float]:
-    """Fallback bracket: walk up from the order line counting sign changes."""
-    x = max(nu, 1e-6) + 1e-3
+    """Fallback bracket: the j-th sign change of J_nu on a pi/8 grid.
+
+    The grid runs from just above the order line to nu + (j + nu/2 + 1) pi,
+    past McMahon's (j + nu/2 - 1/4) pi, which bounds the zero from above for
+    nu >= 1/2 and falls short of it by less than 0.05 below that. All grid
+    points go to bessel_j in one batch; no sign change by the end of the grid
+    raises ConvergenceError.
+    """
     step = math.pi / 8.0
-    f_prev = bessel_j(nu, x)
-    crossings = 0
-    for _ in range(200000):
-        x_next = x + step
-        f_next = bessel_j(nu, x_next)
-        if f_prev == 0.0:
-            f_prev = -f_next  # landed on a zero: count it
-        if f_prev * f_next < 0.0:
-            crossings += 1
-            if crossings == j:
-                return x, x_next
-        x, f_prev = x_next, f_next
-    raise ConvergenceError(f"zero scan failed for nu={nu}, j={j}")
+    x0 = max(nu, 1e-6) + 1e-3
+    x_stop = nu + (j + 0.5 * nu + 1.0) * math.pi
+    xs = x0 + step * np.arange(int(math.ceil((x_stop - x0) / step)) + 1)
+    f = np.asarray(bessel_j(nu, xs))
+    # a grid point exactly on a zero counts as the crossing that starts there
+    crossings = np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0))
+    if crossings.size < j:
+        raise ConvergenceError(
+            f"zero scan failed for nu={nu}, j={j}: {crossings.size} sign changes "
+            f"up to x={float(xs[-1]):.6g}"
+        )
+    i = int(crossings[j - 1])
+    return float(xs[i]), float(xs[i + 1])
 
 
 @lru_cache(maxsize=200000)
@@ -278,7 +267,9 @@ def bessel_zero(nu: float, j: int) -> float:
 
     McMahon initial guesses bracket the zero between midpoints to the
     neighbouring guesses; a safeguarded Newton iteration (bisection fallback)
-    refines it.
+    refines it, with J_nu' = (nu/x) J_nu - J_{nu+1} so that each step costs
+    two Bessel evaluations. It stops as soon as the Newton step falls below
+    1e-15 max(1, x).
     """
     nu = _check_order(nu)
     if not isinstance(j, (int, np.integer)) or j < 1:
@@ -309,15 +300,19 @@ def bessel_zero(nu: float, j: int) -> float:
         else:
             lo = x
             f_lo = f
-        df = bessel_j_prime(nu, x)
-        step_ok = False
+        tiny = 1e-15 * max(1.0, abs(x))
+        df = (nu / x) * f - bessel_j(nu + 1.0, x)
         if df != 0.0:
-            x_new = x - f / df
-            if lo < x_new < hi:
-                step_ok = True
-        if not step_ok:
+            step = f / df
+            # converged: x already sits on a bracket end, so test before the bracket
+            if abs(step) <= tiny:
+                return x - step
+            x_new = x - step
+            if not (lo < x_new < hi):
+                x_new = 0.5 * (lo + hi)
+        else:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
+        if abs(x_new - x) <= tiny:
             return x_new
         x = x_new
     return x

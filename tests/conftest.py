@@ -14,11 +14,11 @@ from abtrap.reference import TABLE_BETAS, default_grid_points
 class Pipeline:
     """One fully-solved state: eigenstate, momentum profile, entropies."""
 
-    def __init__(self, n, l, beta, k=1.0, r0=1.0, lz=1.0, m=1.0, samples=512):
+    def __init__(self, n, l, beta, k=1.0, r0=1.0, lz=1.0, m=1.0):
         self.params = SystemParams(m=m, beta=beta, r0=r0, lz=lz)
         self.qn = QuantumNumbers(n, l, k)
         self.state = solve(self.params, self.qn)
-        self.profile = build_profile(self.state, samples=samples)
+        self.profile = build_profile(self.state)
         self.s_r = shannon_position(self.state)
         self.s_p = shannon_momentum(self.profile)
         self.total = self.s_r + self.s_p

@@ -4,12 +4,13 @@ The oracles deliberately avoid the package's own evaluation paths: Bessel
 values come from a high-precision power series evaluated with mpmath
 arbitrary precision arithmetic (and zeros from bisection on that series),
 reference gamma values from mpmath, brute-force integrals from a plain
-midpoint rule on numpy arrays, and the exact beta = 0 momentum entropy from
-the Lommel closed form with scipy Bessel values.
+midpoint rule on numpy arrays, the exact beta = 0 momentum entropy from the
+Lommel closed form with scipy Bessel values, and the position entropy from
+mpmath zeros, Bessel values and quadrature.
 
 The reference paths reuse the package's special functions and adaptive
-quadrature, but not its fixed-grid momentum rule: the scalar adaptive Hankel
-transform and the adaptive radial norm.
+quadrature, but not its fixed-grid rules: the Bessel derivative, the scalar
+adaptive Hankel transform and the adaptive radial norm.
 """
 
 from __future__ import annotations
@@ -80,6 +81,50 @@ def zero_by_bisection(nu: float, j: int, dps: int = 40) -> float:
             if hi - lo < mp.mpf(10) ** (-25):
                 break
         return float((lo + hi) / 2)
+
+
+def position_entropy_ref(
+    n: int, l: int, beta: float, k: float, r0: float = 1.0, lz: float = 1.0
+) -> float:
+    """S_r of the hard-wall state (n, l) at 25 digits, from mpmath alone.
+
+    Theta is mpmath's (n+1)-th zero of J_nu, nu = |l - beta k|, and the
+    Lommel identity fixes a0^2 = 1 / (pi lz r0^2 J_{nu+1}(Theta)^2). In
+    x = Theta r / r0 the entropy is
+    -2 pi lz (r0 / Theta)^2 int_0^Theta rho ln rho x dx, integrated by
+    tanh-sinh quadrature split at the radial nodes.
+    """
+    with mp.workdps(25):
+        nu = abs(mp.mpf(l) - mp.mpf(beta) * mp.mpf(k))
+        zeros = [mp.besseljzero(nu, j) for j in range(1, n + 2)]
+        theta = zeros[-1]
+        a0_sq = 1 / (mp.pi * lz * r0**2 * mp.besselj(nu + 1, theta) ** 2)
+
+        def integrand(x):
+            rho = a0_sq * mp.besselj(nu, x) ** 2
+            return rho * mp.log(rho) * x if rho > 0 else mp.mpf(0)
+
+        total = mp.quad(integrand, [0, *zeros])
+        return float(-2 * mp.pi * lz * (r0 / theta) ** 2 * total)
+
+
+def bessel_j_prime(nu: float, x):
+    """Derivative dJ_nu/dx for x > 0, from the package's bessel_j.
+
+    Uses (J_{nu-1} - J_{nu+1})/2 when nu >= 1 and the equivalent recurrence
+    form (nu/x) J_nu - J_{nu+1} when nu < 1 (avoids negative orders).
+    """
+    nu = float(nu)
+    if not math.isfinite(nu) or nu < 0.0:
+        raise DomainError(f"order must be finite and >= 0, got {nu!r}")
+    arr = np.asarray(x, dtype=float)
+    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise DomainError("bessel_j_prime requires finite x > 0")
+    if nu >= 1.0:
+        val = 0.5 * (bessel_j(nu - 1.0, arr) - bessel_j(nu + 1.0, arr))
+    else:
+        val = (nu / arr) * bessel_j(nu, arr) - bessel_j(nu + 1.0, arr)
+    return float(val) if np.asarray(x).ndim == 0 else val
 
 
 def gamma_ref(x: float) -> float:

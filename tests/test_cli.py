@@ -49,6 +49,14 @@ class TestStateCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_tol_flag_is_rejected(self, capsys):
+        # S_r has a fixed rule, so there is no tolerance to set
+        code, _, err = run_cli(
+            capsys, ["state", "--n", "0", "--l", "0", "--beta", "0.2", "--tol", "1e-7"]
+        )
+        assert code == 2
+        assert "--tol" in err
+
 
 class TestTableCommand:
     def test_single_beta_sweep(self, capsys, tmp_path):
@@ -206,6 +214,13 @@ class TestConfig:
         path.write_text('{"betaz": [0.2]}')
         with pytest.raises(DomainError, match="betaz"):
             load_config(str(path))
+
+    def test_tol_key_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"tol": 1e-7}')
+        code, _, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--config", str(path)])
+        assert code == 2
+        assert "unknown field" in err and "tol" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["table", "--config", "/nonexistent/cfg.json"])

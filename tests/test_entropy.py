@@ -18,7 +18,7 @@ from abtrap.errors import ConvergenceError
 from abtrap.momentum import build_profile
 from abtrap.quadrature import integrate_adaptive
 
-from oracles import lommel_momentum_entropy, midpoint
+from oracles import lommel_momentum_entropy, midpoint, position_entropy_ref
 
 
 class UniformCylinderState:
@@ -63,6 +63,14 @@ class TestShannonPosition:
 
         brute = -2.0 * math.pi * lz * midpoint(integrand, 0.0, 1.0, 10**6)
         assert pl.s_r == pytest.approx(brute, abs=1e-5)
+
+    def test_against_mpmath_oracle(self):
+        # high order, many nodes, and nu -> 0 (nu = 0.01 and 0.0475)
+        cases = ((3, 30, 0.0, 1.0), (0, 40, 0.0, 1.0), (0, 1, 0.99, 1.0), (12, 0, 0.95, 0.05))
+        for n, l, beta, k in cases:
+            st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, k))
+            exact = position_entropy_ref(n, l, beta, k)
+            assert shannon_position(st) == pytest.approx(exact, abs=1e-9), (n, l, beta, k)
 
 
 class TestShannonMomentum:

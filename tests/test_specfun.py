@@ -1,22 +1,24 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from abtrap.errors import DomainError
+import abtrap.specfun as specfun_mod
+from abtrap.errors import ConvergenceError, DomainError
 from abtrap.specfun import (
     asymptotic_cutoff,
     bessel_j,
-    bessel_j_prime,
     bessel_zero,
     gamma,
     series_cutoff,
+    _bracket_by_scan,
     _j_asymptotic,
     _j_miller,
     _j_series,
 )
 
-from oracles import besselj_ref, gamma_ref, series_j, zero_by_bisection
+from oracles import bessel_j_prime, besselj_ref, gamma_ref, series_j, zero_by_bisection
 
 # frozen from the independent series/bisection oracle (tests below recompute them)
 J0_ZERO_1 = 2.404825557695773
@@ -170,6 +172,53 @@ class TestBesselZero:
         for j in range(1, 6):
             zs = [bessel_zero(nu, j) for nu in grid]
             assert all(z2 > z1 for z1, z2 in zip(zs, zs[1:])), j
+
+    def test_newton_stops_at_the_root(self, monkeypatch):
+        # Newton reaches this root at its first iteration; a loop that then
+        # bisects away from it made 143 Bessel calls here
+        calls = []
+
+        def counted(nu, x):
+            calls.append(nu)
+            return bessel_j(nu, x)
+
+        bessel_zero.cache_clear()
+        monkeypatch.setattr(specfun_mod, "bessel_j", counted)
+        theta = bessel_zero(0.25610151875433385, 9)
+        assert len(calls) <= 12
+        with mp.workdps(30):
+            exact = float(mp.besseljzero(mp.mpf(0.25610151875433385), 9))
+        assert theta == pytest.approx(exact, rel=1e-14)
+
+    def test_against_mpmath_zeros(self):
+        bessel_zero.cache_clear()
+        for nu in (0.0, 0.2561, 6.397, 12.653, 19.5):
+            for j in range(1, 12):
+                with mp.workdps(30):
+                    exact = float(mp.besseljzero(mp.mpf(nu), j))
+                assert bessel_zero(nu, j) == pytest.approx(exact, rel=1e-14), (nu, j)
+
+    def test_bracket_by_scan_brackets_the_zero(self):
+        for nu, j in ((0.0, 1), (0.2561, 9), (12.653, 3), (40.0, 15)):
+            lo, hi = _bracket_by_scan(nu, j)
+            with mp.workdps(30):
+                exact = float(mp.besseljzero(mp.mpf(nu), j))
+            assert lo < exact < hi, (nu, j)
+            assert hi - lo == pytest.approx(math.pi / 8.0)
+
+    def test_bracket_by_scan_is_bounded(self, monkeypatch):
+        points = []
+
+        def no_sign_change(nu, x):
+            x = np.asarray(x, dtype=float)
+            points.append(x.size)
+            return np.ones_like(x)
+
+        monkeypatch.setattr(specfun_mod, "bessel_j", no_sign_change)
+        with pytest.raises(ConvergenceError, match="zero scan failed"):
+            _bracket_by_scan(3.5, 4)
+        # pi/8 steps from the order line to nu + (j + nu/2 + 1) pi
+        assert sum(points) <= 8 * (4 + 1.75 + 1) + 2
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
