@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .eigen import QuantumNumbers, SystemParams, solve
-from .entropy import report
+from .entropy import BBM_BOUND, report
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .momentum import build_profile
 from .reference import TABLE_BETAS, default_grid_points, reference_row
@@ -63,6 +63,18 @@ def _read_config(path: str) -> dict:
     return raw
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"--config: {name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"--config: {name} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str | None) -> RunConfig:
     """Parse a JSON config file into a RunConfig with defaults filled in.
 
@@ -80,13 +92,10 @@ def load_config(path: str | None) -> RunConfig:
     bad = set(params_raw) - _PARAM_KEYS
     if bad:
         raise DomainError(f"--config: unknown params field(s) {sorted(bad)}")
-    cfg.params = SystemParams(
-        m=float(params_raw.get("m", 1.0)),
-        beta=float(params_raw.get("beta", 0.0)),
-        r0=float(params_raw.get("r0", 1.0)),
-        lz=float(params_raw.get("lz", 1.0)),
-    )
-    cfg.k = float(params_raw.get("k", _DEFAULT_K))
+    defaults = {"m": 1.0, "beta": 0.0, "r0": 1.0, "lz": 1.0, "k": _DEFAULT_K}
+    values = {key: _number(params_raw.get(key, v), f"params.{key}") for key, v in defaults.items()}
+    cfg.k = values.pop("k")
+    cfg.params = SystemParams(**values)
 
     if "grid" in raw:
         if not isinstance(raw["grid"], list) or not raw["grid"]:
@@ -95,14 +104,15 @@ def load_config(path: str | None) -> RunConfig:
         for item in raw["grid"]:
             if not isinstance(item, dict) or not {"n", "l"} <= set(item):
                 raise DomainError(f"--config: grid entries need 'n' and 'l', got {item!r}")
-            QuantumNumbers(int(item["n"]), int(item["l"]), float(item.get("k", cfg.k)))
-            grid.append((int(item["n"]), int(item["l"])))
+            n, l = _integer(item["n"], "grid n"), _integer(item["l"], "grid l")
+            QuantumNumbers(n, l, _number(item.get("k", cfg.k), "grid k"))
+            grid.append((n, l))
         cfg.grid = grid
 
     if "betas" in raw:
         if not isinstance(raw["betas"], list) or not raw["betas"]:
             raise DomainError("--config: 'betas' must be a non-empty list")
-        cfg.betas = [float(b) for b in raw["betas"]]
+        cfg.betas = [_number(b, "betas") for b in raw["betas"]]
     for b in cfg.betas:
         if not (0.0 <= b < 1.0):
             raise DomainError(f"--config: every beta must satisfy 0<beta<1 (or 0), got {b}")
@@ -114,6 +124,8 @@ def load_config(path: str | None) -> RunConfig:
     if cfg.fmt not in ("csv", "json"):
         raise DomainError(f"--config: output format must be csv or json, got {cfg.fmt!r}")
     cfg.out = output.get("path", cfg.out)
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise DomainError(f"--config: output.path must be a string, got {cfg.out!r}")
     return cfg
 
 
@@ -160,8 +172,11 @@ def _fmt(x: float) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"--out: cannot write {out_path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -230,10 +245,9 @@ def cmd_table(args) -> int:
         header += ",ref_S_r,ref_S_p,ref_total,trend_agree"
     lines = [header]
     prev: dict[tuple[int, int], tuple] = {}
-    bbm = 3.0 * (1.0 + math.log(math.pi))
     for n, l, beta, rep in rows:
         if isinstance(rep, Exception):
-            line = f"{n},{l},{_fmt(beta)},,,,{_fmt(bbm)},failed"
+            line = f"{n},{l},{_fmt(beta)},,,,{_fmt(BBM_BOUND)},failed"
             if args.compare_reference:
                 line += ",,,,"
             lines.append(line)

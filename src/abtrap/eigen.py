@@ -118,6 +118,11 @@ class Eigenstate:
             out[inside] = self.a0 * bessel_j(self.nu, self.theta * rr[inside] / self.params.r0)
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
+    def radial_nodes(self) -> list[float]:
+        """Radii in (0, r0) where R(r) changes sign: the first n zeros of J_nu, scaled."""
+        r0, theta = self.params.r0, self.theta
+        return [r0 * bessel_zero(self.nu, i) / theta for i in range(1, self.qn.n + 1)]
+
     def position_density(self, r):
         """Full 3-D probability density |psi|^2; independent of theta and z."""
         w = self.radial_wavefunction(r)

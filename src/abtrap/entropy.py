@@ -34,16 +34,11 @@ import numpy as np
 
 from .eigen import Eigenstate, QuantumNumbers, SystemParams, solve
 from .errors import ConvergenceError
-from .momentum import (
-    MomentumProfile,
-    build_profile,
-    _radial_factor_zeros_inside,
-    _subdivide,
-    _xlnx,
-)
-from .quadrature import smoothed_gauss_legendre
+from .momentum import MomentumProfile, build_profile
+from .quadrature import density_integrals, subdivide
 
 __all__ = [
+    "BBM_BOUND",
     "EntropyReport",
     "SINC_ENTROPY_CONST",
     "longitudinal_momentum_entropy",
@@ -55,6 +50,8 @@ __all__ = [
 
 # entropy of the unit-scale sinc^2 density: 2 (1 - euler_gamma)
 SINC_ENTROPY_CONST = 2.0 * (1.0 - float(np.euler_gamma))
+# the three-dimensional BBM bound 3 (1 + ln pi) on S_r + S_p
+BBM_BOUND = 3.0 * (1.0 + math.log(math.pi))
 
 
 def longitudinal_momentum_entropy(params: SystemParams) -> float:
@@ -74,11 +71,9 @@ def shannon_position(state) -> float:
     `params` and a vectorized `position_density`) is treated as one lobe.
     """
     r0, lz = state.params.r0, state.params.lz
-    nodes = _radial_factor_zeros_inside(state) if isinstance(state, Eigenstate) else []
-    edges = _subdivide([0.0, *nodes, r0], r0, min_parts=_LOBE_PANELS)
-    r, weights = smoothed_gauss_legendre(edges)
-    rho = state.position_density(r)
-    return -2.0 * math.pi * lz * float(np.sum(weights * _xlnx(rho) * r))
+    nodes = state.radial_nodes() if isinstance(state, Eigenstate) else []
+    edges = subdivide([0.0, *nodes, r0], r0, _LOBE_PANELS)
+    return lz * density_integrals(edges, state.position_density)[1]
 
 
 def shannon_momentum(profile: MomentumProfile) -> float:
@@ -90,12 +85,9 @@ def shannon_momentum(profile: MomentumProfile) -> float:
     )
 
 
-def bbm_check(s_r: float, s_p: float, dimension: int = 3) -> tuple[float, bool]:
-    """BBM entropic uncertainty bound D(1 + ln pi) and whether it is met."""
-    if dimension < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-    bound = dimension * (1.0 + math.log(math.pi))
-    return bound, (s_r + s_p) >= bound - 1e-9
+def bbm_check(s_r: float, s_p: float) -> tuple[float, bool]:
+    """The BBM entropic uncertainty bound and whether S_r + S_p meets it."""
+    return BBM_BOUND, (s_r + s_p) >= BBM_BOUND - 1e-9
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,14 @@ density per p dp dp_theta is uniform in the momentum angle and equals
 
 The longitudinal factor is handled analytically in the entropy module.
 
-`build_profile` evaluates phi with a fixed composite Gauss-Legendre rule in r
-and integrates the density with one fixed rule per state. On [0, p_max],
-p_max = 10 (Theta + 20) / r0, one batch of Gauss-Legendre p-nodes, split at
-the amplitude's sign changes, gives the captured norm and the transverse
-entropy. Past p_max, phi follows its two-term asymptotic form (L = |l|)
+`build_profile` uses the package's one rule, `smoothed_gauss_legendre`, in
+both variables. In r it builds phi as one weighted sum over fixed nodes; its
+smoothing map u = 3 s^2 - 2 s^3 turns the r^(nu+L+1) behaviour of the
+integrand at the origin into s^(2 nu+2 L+3), which Gauss-Legendre integrates
+without grading. On [0, p_max], p_max = 10 (Theta + 20) / r0, one batch of
+p-nodes, split at the amplitude's sign changes, gives the captured norm and
+the transverse entropy through `density_integrals`. Past p_max, phi follows
+its two-term asymptotic form (L = |l|)
 
     phi(p) ~ C0 p^-(nu+2) + R'(r0) r0 sqrt(2 / (pi p r0)) cos(p r0 - L pi/2 - pi/4) / p^2.
 
@@ -45,65 +48,33 @@ import numpy as np
 
 from .errors import DomainError
 from .eigen import Eigenstate
-from .quadrature import smoothed_gauss_legendre
-from .specfun import bessel_j, bessel_zero, gamma
+from .quadrature import density_integrals, smoothed_gauss_legendre, subdivide
+from .specfun import bessel_j, gamma
 
 __all__ = ["MomentumProfile", "build_profile"]
 
-_GL_POINTS = 10
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
 _SCAN_POINTS = 2048
 # the modelled tail is integrated to _TAIL_REACH * p_max; what lies beyond
 # changes S_p of the grid states by less than 4e-9 (most at small nu, whose
 # origin term decays slowest)
 _TAIL_REACH = 200.0
 _TAIL_CHUNK = 4096  # tail panels per batch, which bounds the memory used
-_DENSITY_FLOOR = 1e-300  # 0 ln 0 := 0 guard
-
-
-def _xlnx(rho):
-    rho = np.asarray(rho, dtype=float)
-    safe = np.maximum(rho, _DENSITY_FLOOR)
-    return np.where(rho > _DENSITY_FLOOR, rho * np.log(safe), 0.0)
-
-
-def _radial_factor_zeros_inside(state: Eigenstate) -> list[float]:
-    """Radii in (0, r0) where J_nu(Theta r / r0) changes sign."""
-    return [
-        state.params.r0 * bessel_zero(state.nu, i) / state.theta
-        for i in range(1, state.qn.n + 1)
-    ]
-
-
-def _subdivide(edges, width: float, min_parts: int = 1) -> np.ndarray:
-    """Cut each panel between consecutive edges into equal parts no wider than width."""
-    out = [edges[0]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        parts = max(min_parts, int(math.ceil((hi - lo) / width)))
-        out.extend(np.linspace(lo, hi, parts + 1)[1:])
-    return np.asarray(out)
 
 
 class _AmplitudeEvaluator:
-    """Vectorized phi(p) on a fixed composite Gauss-Legendre radial grid.
+    """Vectorized phi(p) by `smoothed_gauss_legendre` on a fixed radial grid.
 
-    Panels are no wider than half an oscillation of the kernel at p_cap, so
-    the rule stays at quadrature-limited accuracy for every p <= p_cap.
+    [0, r0] is split at the radial nodes and cut to panels no wider than one
+    oscillation of the kernel at p_cap, so the rule stays at
+    quadrature-limited accuracy for every p <= p_cap.
     """
 
     def __init__(self, state: Eigenstate, p_cap: float):
         r0 = state.params.r0
-        edges = sorted({0.0, r0, *_radial_factor_zeros_inside(state)})
-        refined = _subdivide(edges, math.pi / max(p_cap, math.pi / r0), min_parts=2)
-        # R(r) ~ r^nu is algebraic at the origin for fractional nu; grade the
-        # innermost panel geometrically so Gauss-Legendre stays accurate there
-        first = refined[1]
-        grading = [first * 0.5**m for m in range(24, 0, -1)]
-        refined = np.asarray([0.0, *grading, *refined[1:]])
-        half = 0.5 * np.diff(refined)
-        mids = 0.5 * (refined[:-1] + refined[1:])
-        nodes = (mids[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-        weights = (half[:, None] * _GL_W[None, :]).ravel()
+        edges = [0.0, *state.radial_nodes(), r0]
+        nodes, weights = smoothed_gauss_legendre(
+            subdivide(edges, 2.0 * math.pi / max(p_cap, math.pi / r0), 1)
+        )
         self._nodes = nodes
         self._weighted = weights * state.radial_wavefunction(nodes) * nodes
         self._order = abs(state.qn.l)
@@ -167,21 +138,22 @@ def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:
     edges = np.concatenate([[p_max], (phase + math.pi * np.arange(first, last + 1)) / r0])
     norm = entropy = 0.0
     for start in range(0, edges.size - 1, _TAIL_CHUNK):
-        p, w = smoothed_gauss_legendre(edges[start:start + _TAIL_CHUNK + 1])
-        rho = lz * _tail_amplitude(state, p) ** 2
-        norm += 2.0 * math.pi * float(np.sum(w * rho * p))
-        entropy -= 2.0 * math.pi * float(np.sum(w * _xlnx(rho) * p))
+        chunk_norm, chunk_entropy = density_integrals(
+            edges[start:start + _TAIL_CHUNK + 1], lambda p: lz * _tail_amplitude(state, p) ** 2
+        )
+        norm += chunk_norm
+        entropy += chunk_entropy
     return norm, entropy
 
 
-def _amplitude_breakpoints(scan: np.ndarray) -> list[float]:
-    """Approximate sign changes of phi in a (p, amplitude, density) scan.
+def _amplitude_breakpoints(ps: np.ndarray, amps: np.ndarray) -> list[float]:
+    """Approximate sign changes of phi in a scan of amplitudes `amps` at `ps`.
 
     Located by linear interpolation of the scan; crossings where the
     neighbouring density is below 1e-12 * peak are dropped (they no longer
     matter to any integral).
     """
-    ps, amps, dens = scan[:, 0], scan[:, 1], scan[:, 2]
+    dens = amps * amps
     peak = float(np.max(dens))
     flips = np.where(np.sign(amps[:-1]) * np.sign(amps[1:]) < 0)[0]
     points = []
@@ -198,7 +170,8 @@ class MomentumProfile:
     """Transverse momentum profile with its integrals.
 
     `amplitude` is the profile's vectorized amplitude function, valid on
-    [0, p_max]; `sample` tabulates it.
+    [0, p_max]; `sample` tabulates it, clustered below the density peak at
+    `p_peak`.
     `captured_norm` and `inner_entropy` are the norm and the transverse
     entropy -2 pi int rho ln rho p dp on [0, p_max]; `tail_norm` and
     `tail_entropy` are those of the tail model past p_max.
@@ -210,12 +183,8 @@ class MomentumProfile:
     tail_norm: float
     inner_entropy: float
     tail_entropy: float
+    p_peak: float
     amplitude: Callable = field(repr=False)
-    _scan: np.ndarray = field(repr=False)
-
-    def density(self, p):
-        amp = self.amplitude(p)
-        return self.state.params.lz * amp * amp
 
     def sample(self, count: int) -> np.ndarray:
         """Rows (p_r, amplitude, density) on at most `count` grid points, sorted by p_r.
@@ -225,9 +194,7 @@ class MomentumProfile:
         """
         if count < 64:
             raise DomainError(f"samples must be >= 64, got {count!r}")
-        ps, dens = self._scan[:, 0], self._scan[:, 2]
-        p_peak = float(ps[int(np.argmax(dens))])
-        p_knee = min(self.p_max, 2.5 * max(p_peak, self.state.theta / self.state.params.r0))
+        p_knee = min(self.p_max, 2.5 * max(self.p_peak, self.state.theta / self.state.params.r0))
         n_near = int(0.7 * count)
         grid = np.unique(np.concatenate([
             np.linspace(0.0, p_knee, n_near),
@@ -235,23 +202,6 @@ class MomentumProfile:
         ]))
         amp = self.amplitude(grid)
         return np.column_stack([grid, amp, self.state.params.lz * amp**2])
-
-    def principal_maxima(self, rel_height: float = 0.05) -> list[float]:
-        """Locations of local density maxima above rel_height * peak.
-
-        The default threshold keeps the principal ridges and drops the much
-        weaker diffraction sidelobes shed by the hard wall. A maximum at
-        p = 0 (the l = 0 ground profile) counts.
-        """
-        ps, dens = self._scan[:, 0], self._scan[:, 2]
-        peak = float(np.max(dens))
-        out = []
-        if dens[0] >= dens[1] and dens[0] >= rel_height * peak:
-            out.append(float(ps[0]))
-        for i in range(1, len(ps) - 1):
-            if dens[i] > dens[i - 1] and dens[i] >= dens[i + 1] and dens[i] >= rel_height * peak:
-                out.append(float(ps[i]))
-        return out
 
 
 def build_profile(state: Eigenstate) -> MomentumProfile:
@@ -262,26 +212,22 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
     the captured norm and transverse entropy; the tail model gives both past
     p_max.
     """
-    r0 = state.params.r0
-    lz = state.params.lz
+    r0, lz = state.params.r0, state.params.lz
     p_max = _p_max(state)
     evaluator = _AmplitudeEvaluator(state, p_max)
-    # dense scan: used for the sign changes, the peak search and maxima counting
+    # dense scan: places the breakpoints and the density peak
     p_scan = np.linspace(0.0, p_max, _SCAN_POINTS)
     amp_scan = evaluator(p_scan)
-    scan = np.column_stack([p_scan, amp_scan, lz * amp_scan**2])
-
-    edges = _subdivide([0.0, *_amplitude_breakpoints(scan), p_max], math.pi / r0)
-    p_nodes, weights = smoothed_gauss_legendre(edges)
-    rho = lz * evaluator(p_nodes) ** 2
+    edges = subdivide([0.0, *_amplitude_breakpoints(p_scan, amp_scan), p_max], math.pi / r0, 1)
+    captured_norm, inner_entropy = density_integrals(edges, lambda p: lz * evaluator(p) ** 2)
     tail_norm, tail_entropy = _tail_integrals(state, p_max)
     return MomentumProfile(
         state=state,
         p_max=p_max,
-        captured_norm=2.0 * math.pi * float(np.sum(weights * rho * p_nodes)),
+        captured_norm=captured_norm,
         tail_norm=tail_norm,
-        inner_entropy=-2.0 * math.pi * float(np.sum(weights * _xlnx(rho) * p_nodes)),
+        inner_entropy=inner_entropy,
         tail_entropy=tail_entropy,
+        p_peak=float(p_scan[int(np.argmax(lz * amp_scan**2))]),
         amplitude=evaluator,
-        _scan=scan,
     )

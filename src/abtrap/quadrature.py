@@ -1,8 +1,10 @@
 """Integration engines.
 
-`smoothed_gauss_legendre` is the package's rule: a fixed composite rule for
-integrands with log cusps at known panel edges, used for S_r, for the
-momentum norm and S_p, and for the modelled momentum tail.
+`smoothed_gauss_legendre` is the package's one rule: a fixed composite rule
+for integrands with endpoint singularities at known panel edges. It builds the
+Hankel transform's radial grid, and `density_integrals` sums the norm and the
+entropy of a density with it, for S_r, for the momentum norm and S_p on
+[0, p_max], and for the modelled momentum tail. `subdivide` cuts panels.
 
 `integrate_adaptive` (with `integrate_oscillatory` and `QuadResult`) is no
 longer called by the package; it is kept as the independent reference path
@@ -25,7 +27,14 @@ import numpy as np
 
 from .errors import ConvergenceError, EvaluationError
 
-__all__ = ["QuadResult", "integrate_adaptive", "integrate_oscillatory", "smoothed_gauss_legendre"]
+__all__ = [
+    "QuadResult",
+    "density_integrals",
+    "integrate_adaptive",
+    "integrate_oscillatory",
+    "smoothed_gauss_legendre",
+    "subdivide",
+]
 
 
 # 15-point Kronrod abscissae/weights on [-1, 1] and the embedded 7-point
@@ -200,3 +209,31 @@ def smoothed_gauss_legendre(edges) -> tuple[np.ndarray, np.ndarray]:
     edges = np.asarray(edges, dtype=float)
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
     return (lo + width * _SGL_U).ravel(), (width * _SGL_DU).ravel()
+
+
+def subdivide(edges, width: float, min_parts: int) -> np.ndarray:
+    """Cut each panel between consecutive edges into equal parts no wider than
+    width, and into at least min_parts."""
+    out = [edges[0]]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        parts = max(min_parts, int(math.ceil((hi - lo) / width)))
+        out.extend(np.linspace(lo, hi, parts + 1)[1:])
+    return np.asarray(out)
+
+
+_DENSITY_FLOOR = 1e-300  # 0 ln 0 := 0 guard
+
+
+def density_integrals(edges, density: Callable) -> tuple[float, float]:
+    """(2 pi int rho x dx, -2 pi int rho ln rho x dx) over the panels between edges.
+
+    `density` is called once with all nodes of `smoothed_gauss_legendre`;
+    panels should be cut at the zeros of rho, where rho ln rho has its cusps.
+    """
+    x, weights = smoothed_gauss_legendre(edges)
+    rho = np.asarray(density(x), dtype=float)
+    xlnx = np.where(rho > _DENSITY_FLOOR, rho * np.log(np.maximum(rho, _DENSITY_FLOOR)), 0.0)
+    return (
+        2.0 * math.pi * float(np.sum(weights * rho * x)),
+        -2.0 * math.pi * float(np.sum(weights * xlnx * x)),
+    )

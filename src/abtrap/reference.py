@@ -9,7 +9,7 @@ never for absolute assertions.
 
 from __future__ import annotations
 
-__all__ = ["TABLE_GRID", "TABLE_BETAS", "REFERENCE_ROWS", "reference_row", "BBM_BOUND_3D"]
+__all__ = ["TABLE_GRID", "TABLE_BETAS", "REFERENCE_ROWS", "reference_row"]
 
 # (n, [l choices]) of the default sweep
 TABLE_GRID: tuple[tuple[int, tuple[int, ...]], ...] = (
@@ -19,8 +19,6 @@ TABLE_GRID: tuple[tuple[int, tuple[int, ...]], ...] = (
 )
 
 TABLE_BETAS: tuple[float, ...] = (0.2, 0.4, 0.8)
-
-BBM_BOUND_3D = 6.43419  # 3 (1 + ln pi), printed at 5 decimals
 
 # (n, l, beta) -> (S_r, S_p, S_r + S_p), verbatim as published
 REFERENCE_ROWS: dict[tuple[int, int, float], tuple[float, float, float]] = {

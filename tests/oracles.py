@@ -8,9 +8,10 @@ midpoint rule on numpy arrays, the exact beta = 0 momentum entropy from the
 Lommel closed form with scipy Bessel values, and the position entropy from
 mpmath zeros, Bessel values and quadrature.
 
-The reference paths reuse the package's special functions and adaptive
-quadrature, but not its fixed-grid rules: the Bessel derivative, the scalar
-adaptive Hankel transform and the adaptive radial norm.
+The reference paths reuse the package's special functions, radial nodes and
+adaptive quadrature, but not its fixed-grid rules: the Bessel derivative, the
+scalar adaptive Hankel transform and the adaptive radial norm. Density maxima
+are counted on a uniform grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import mpmath as mp
 import numpy as np
 
 from abtrap.errors import DomainError
-from abtrap.momentum import _radial_factor_zeros_inside
 from abtrap.quadrature import integrate_adaptive, integrate_oscillatory
 from abtrap.specfun import bessel_j, bessel_zero
 
@@ -224,7 +224,7 @@ def radial_amplitude(state, p_r: float, tol: float = 1e-11) -> float:
     def f(r):
         return state.radial_wavefunction(r) * bessel_j(order, p_r * r) * r
 
-    pts = sorted(set(_radial_factor_zeros_inside(state)) | set(_kernel_zeros_inside(order, p_r, r0)))
+    pts = sorted(set(state.radial_nodes()) | set(_kernel_zeros_inside(order, p_r, r0)))
     pts = [q for q in pts if 0.0 < q < r0]
     if pts:
         return integrate_oscillatory(f, 0.0, r0, pts, tol).value
@@ -235,3 +235,20 @@ def momentum_density(state, p_r: float) -> float:
     """Transverse momentum density rho(p_r) = Lz * phi(p_r)^2."""
     amp = radial_amplitude(state, p_r)
     return state.params.lz * amp * amp
+
+
+def principal_maxima(ps, dens) -> list[float]:
+    """Locations of local maxima of a sampled density above 5% of its peak.
+
+    The threshold keeps the principal ridges and drops the much weaker
+    diffraction sidelobes shed by the hard wall. A maximum at the first
+    sample (the l = 0 ground profile at p = 0) counts.
+    """
+    floor = 0.05 * float(np.max(dens))
+    out = []
+    if dens[0] >= dens[1] and dens[0] >= floor:
+        out.append(float(ps[0]))
+    for i in range(1, len(ps) - 1):
+        if dens[i] > dens[i - 1] and dens[i] >= dens[i + 1] and dens[i] >= floor:
+            out.append(float(ps[i]))
+    return out

@@ -226,3 +226,23 @@ class TestConfig:
         code, _, err = run_cli(capsys, ["table", "--config", "/nonexistent/cfg.json"])
         assert code == 2
         assert "--config" in err
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ('{"params": {"m": "abc"}}', "params.m"),
+            ('{"params": {"m": null}}', "params.m"),
+            ('{"grid": [{"n": "a", "l": 0}]}', "grid n"),
+            ('{"grid": [{"n": 1.7, "l": 0}]}', "grid n"),
+            ('{"betas": ["x"]}', "betas"),
+            ('{"output": {"path": 7}}', "output.path"),
+            ("{}", "--out"),  # written to a directory that does not exist
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_field(self, capsys, tmp_path, config, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv = ["state", "--n", "0", "--l", "0", "--config", str(path)]
+        code, _, err = run_cli(capsys, [*argv, "--out", str(tmp_path / "missing" / "x.json")])
+        assert code == 2
+        assert field in err

@@ -141,11 +141,6 @@ class TestBBMCheck:
         assert bound == pytest.approx(6.4341896575482005, rel=1e-15)
         assert f"{bound:.5f}" == "6.43419"
 
-    def test_one_dimensional_bound(self):
-        bound, _ = bbm_check(2.0, 2.0, dimension=1)
-        assert bound == pytest.approx(1.0 + math.log(math.pi), rel=1e-15)
-        assert bound == pytest.approx(2.14473, abs=1e-5)
-
     def test_reference_row_satisfied(self):
         bound, ok = bbm_check(9.74631, 0.06678)
         assert ok and 9.81309 >= bound

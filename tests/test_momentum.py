@@ -14,7 +14,7 @@ from abtrap.momentum import (
 )
 from abtrap.quadrature import integrate_adaptive
 
-from oracles import midpoint, momentum_density, radial_amplitude
+from oracles import midpoint, momentum_density, principal_maxima, radial_amplitude
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +58,23 @@ def _j0(x):
     return bessel_j(0.0, np.asarray(x, dtype=float))
 
 
+def _scan_maxima(prof):
+    """Principal maxima of the profile's density on 2048 uniform points of [0, p_max]."""
+    ps = np.linspace(0.0, prof.p_max, 2048)
+    return principal_maxima(ps, prof.state.params.lz * prof.amplitude(ps) ** 2)
+
+
 class TestProfile:
-    def test_fast_amplitude_matches_contract_path(self, ground_beta0):
-        st, prof = ground_beta0
-        for p in (0.0, 0.7, st.theta, 2.9 * st.theta, 25.0):
-            assert float(prof.amplitude(p)) == pytest.approx(
-                radial_amplitude(st, p, tol=1e-12), abs=1e-9
-            )
+    def test_fast_amplitude_matches_contract_path(self):
+        # nu = 0.01, 0.2 and 0.0475 test the r^nu behaviour of R at the origin
+        states = ((0, 0, 0.0, 1.0), (0, 1, 0.99, 1.0), (1, 1, 0.8, 1.0), (12, 0, 0.95, 0.05))
+        for n, l, beta, k in states:
+            st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, k))
+            prof = build_profile(st)
+            for p in (0.0, 0.7, st.theta, 2.9 * st.theta, 25.0):
+                assert float(prof.amplitude(p)) == pytest.approx(
+                    radial_amplitude(st, p, tol=1e-12), abs=1e-12
+                ), (n, l, beta, k, p)
 
     def test_samples_sorted_and_consistent(self, ground_beta0):
         _, prof = ground_beta0
@@ -121,8 +131,8 @@ class TestProfile:
         prof1 = build_profile(st1)
         prof2 = build_profile(st2)
         ps = np.linspace(0.0, prof2.p_max, 300)
-        d2 = prof2.density(ps)
-        d1 = prof1.density(s * ps)
+        d2 = prof2.amplitude(ps) ** 2
+        d1 = prof1.amplitude(s * ps) ** 2
         assert np.max(np.abs(d2 - s * s * d1)) <= 1e-6
 
     def test_principal_ridge_count(self):
@@ -130,7 +140,7 @@ class TestProfile:
         for n, l in ((0, 0), (1, -1), (2, -2)):
             st = solve(SystemParams(beta=0.2), QuantumNumbers(n, l, 1.0))
             prof = build_profile(st)
-            assert len(prof.principal_maxima()) == n + 1, (n, l)
+            assert len(_scan_maxima(prof)) == n + 1, (n, l)
 
     def test_ridge_count_against_contract_path_sampling(self):
         # independently sample the contract-path density on a uniform grid
@@ -138,13 +148,7 @@ class TestProfile:
         prof = build_profile(st)
         ps = np.linspace(0.0, 25.0, 513)
         dens = np.array([momentum_density(st, float(p)) for p in ps])
-        peak = dens.max()
-        count = sum(
-            1
-            for i in range(1, len(ps) - 1)
-            if dens[i] > dens[i - 1] and dens[i] >= dens[i + 1] and dens[i] >= 0.05 * peak
-        )
-        assert count == len(prof.principal_maxima()) == 3
+        assert len(principal_maxima(ps, dens)) == len(_scan_maxima(prof)) == 3
 
 
 class TestTailModel:

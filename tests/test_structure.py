@@ -1,0 +1,25 @@
+"""Module boundaries of the package."""
+
+import ast
+from pathlib import Path
+
+import abtrap
+
+PACKAGE = Path(abtrap.__file__).parent
+
+
+def _private_imports(path: Path) -> list[str]:
+    """`module.name` for each underscore name imported from a sibling module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        sibling = node.level > 0 or (node.module or "").split(".")[0] == "abtrap"
+        if sibling:
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    offenders = {p.name: _private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in offenders.items() if names} == {}
