@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -104,8 +105,12 @@ def load_config(path: str | None) -> RunConfig:
         for item in raw["grid"]:
             if not isinstance(item, dict) or not {"n", "l"} <= set(item):
                 raise DomainError(f"--config: grid entries need 'n' and 'l', got {item!r}")
+            extra = set(item) - {"n", "l"}
+            if extra:
+                # every row runs with params.k; a per-row key would be dropped
+                raise DomainError(f"--config: unknown grid field(s) {sorted(extra)} in {item!r}")
             n, l = _integer(item["n"], "grid n"), _integer(item["l"], "grid l")
-            QuantumNumbers(n, l, _number(item.get("k", cfg.k), "grid k"))
+            QuantumNumbers(n, l)
             grid.append((n, l))
         cfg.grid = grid
 
@@ -130,7 +135,7 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    """Command-line flags override the config-file values."""
+    """Command-line flags override the config-file values; --out is checked here."""
     kwargs = {}
     for name in ("m", "beta", "r0", "lz"):
         value = getattr(args, name, None)
@@ -154,7 +159,20 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
         cfg.fmt = args.format
     if getattr(args, "out", None) is not None:
         cfg.out = args.out
+    if cfg.out:
+        _check_writable(cfg.out)
     return cfg
+
+
+def _check_writable(out_path: str) -> None:
+    """Open `out_path` for appending and close it, leaving no new file behind."""
+    existed = os.path.exists(out_path)
+    try:
+        open(out_path, "a").close()
+    except OSError as exc:
+        raise DomainError(f"--out: cannot write {out_path!r}: {exc.strerror or exc}") from exc
+    if not existed:
+        os.remove(out_path)
 
 
 def _quantum_numbers(n, l, k) -> QuantumNumbers:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .specfun import bessel_j, bessel_zero
 
 __all__ = [
@@ -90,8 +90,9 @@ def normalize(params: SystemParams, nu: float, theta: float) -> float:
     a0 = [2 pi Lz (r0^2/2) J_{nu+1}(Theta)^2]^(-1/2).
     """
     j1 = bessel_j(nu + 1.0, theta)
-    # interlacing of zeros guarantees J_{nu+1}(Theta) != 0
-    assert j1 != 0.0, "J_{nu+1} cannot vanish at a zero of J_nu"
+    if j1 == 0.0:
+        # zeros of J_nu and J_{nu+1} interlace, so Theta is not a zero of J_nu
+        raise ConvergenceError(f"normalize: J_{{nu+1}}(Theta) = 0 at nu={nu}, Theta={theta!r}")
     radial = 0.5 * params.r0**2 * j1 * j1
     return 1.0 / math.sqrt(2.0 * math.pi * params.lz * radial)
 

@@ -222,6 +222,20 @@ class TestConfig:
         assert code == 2
         assert "unknown field" in err and "tol" in err
 
+    def test_unwritable_out_exits_2_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return report(*args)
+
+        monkeypatch.setattr("abtrap.cli.report", counted)
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, ["table", "--betas", "0.2", "--out", str(out)])
+        assert code == 2
+        assert "--out" in err
+        assert calls == []
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["table", "--config", "/nonexistent/cfg.json"])
         assert code == 2
@@ -236,6 +250,7 @@ class TestConfig:
             ('{"grid": [{"n": 1.7, "l": 0}]}', "grid n"),
             ('{"betas": ["x"]}', "betas"),
             ('{"output": {"path": 7}}', "output.path"),
+            ('{"grid": [{"n": 0, "l": 1, "k": 5}]}', "grid field(s) ['k']"),
             ("{}", "--out"),  # written to a directory that does not exist
         ],
     )

@@ -11,7 +11,7 @@ from abtrap.eigen import (
     normalize,
     solve,
 )
-from abtrap.errors import DomainError
+from abtrap.errors import ConvergenceError, DomainError
 from abtrap.reference import TABLE_BETAS, default_grid_points
 from abtrap.specfun import bessel_zero
 
@@ -126,6 +126,11 @@ class TestNormalization:
         for (n, l, beta) in ((0, 0, 0.2), (1, -1, 0.4), (2, 2, 0.8)):
             st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
             assert radial_norm_adaptive(st, tol=1e-12) == pytest.approx(1.0, abs=1e-10)
+
+    def test_vanishing_j_nu_plus_1_raises(self):
+        # J_1(0) = 0: Theta = 0 is no zero of J_0
+        with pytest.raises(ConvergenceError, match="normalize"):
+            normalize(SystemParams(), 0.0, 0.0)
 
     def test_doubling_lz_scales_a0(self):
         a1 = normalize(SystemParams(lz=1.0), 0.3, bessel_zero(0.3, 1))

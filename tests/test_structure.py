@@ -23,3 +23,14 @@ def _private_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_private_name_from_a_sibling():
     offenders = {p.name: _private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in offenders.items() if names} == {}
+
+
+def test_package_has_no_assert_statement():
+    # `python -O` strips assert, so a check that must hold raises instead
+    offenders = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
