@@ -19,6 +19,8 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .eigen import QuantumNumbers, SystemParams, solve
 from .entropy import BBM_BOUND, report
 from .errors import ConvergenceError, DomainError, EvaluationError
@@ -26,8 +28,6 @@ from .momentum import build_profile
 from .reference import TABLE_BETAS, default_grid_points, reference_row
 
 __all__ = ["RunConfig", "load_config", "main", "entrypoint"]
-
-_DEFAULT_K = 1.0
 
 
 @dataclass
@@ -37,7 +37,7 @@ class RunConfig:
     params: SystemParams = field(default_factory=SystemParams)
     grid: list[tuple[int, int]] = field(default_factory=default_grid_points)
     betas: list[float] = field(default_factory=lambda: list(TABLE_BETAS))
-    k: float = _DEFAULT_K
+    k: float = 1.0
     fmt: str = "csv"
     out: str | None = None
 
@@ -70,10 +70,12 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"--config: {name} must be an integer, got {value!r}")
-    return value
+def _named(source: str, build, *args, **kwargs):
+    """Call `build`; a DomainError it raises is re-raised prefixed with `source`."""
+    try:
+        return build(*args, **kwargs)
+    except DomainError as exc:
+        raise DomainError(f"{source}: {exc}") from exc
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -93,10 +95,13 @@ def load_config(path: str | None) -> RunConfig:
     bad = set(params_raw) - _PARAM_KEYS
     if bad:
         raise DomainError(f"--config: unknown params field(s) {sorted(bad)}")
-    defaults = {"m": 1.0, "beta": 0.0, "r0": 1.0, "lz": 1.0, "k": _DEFAULT_K}
-    values = {key: _number(params_raw.get(key, v), f"params.{key}") for key, v in defaults.items()}
-    cfg.k = values.pop("k")
-    cfg.params = SystemParams(**values)
+    for key, value in params_raw.items():
+        source = f"--config: params.{key}"
+        value = _number(value, f"params.{key}")
+        if key == "k":
+            cfg.k = _named(source, QuantumNumbers, 0, 0, value).k
+        else:
+            cfg.params = _named(source, replace, cfg.params, **{key: value})
 
     if "grid" in raw:
         if not isinstance(raw["grid"], list) or not raw["grid"]:
@@ -109,18 +114,16 @@ def load_config(path: str | None) -> RunConfig:
             if extra:
                 # every row runs with params.k; a per-row key would be dropped
                 raise DomainError(f"--config: unknown grid field(s) {sorted(extra)} in {item!r}")
-            n, l = _integer(item["n"], "grid n"), _integer(item["l"], "grid l")
-            QuantumNumbers(n, l)
+            n = _named("--config: grid n", QuantumNumbers, item["n"], 0).n
+            l = _named("--config: grid l", QuantumNumbers, 0, item["l"]).l
             grid.append((n, l))
         cfg.grid = grid
 
     if "betas" in raw:
         if not isinstance(raw["betas"], list) or not raw["betas"]:
             raise DomainError("--config: 'betas' must be a non-empty list")
-        cfg.betas = [_number(b, "betas") for b in raw["betas"]]
-    for b in cfg.betas:
-        if not (0.0 <= b < 1.0):
-            raise DomainError(f"--config: every beta must satisfy 0<beta<1 (or 0), got {b}")
+        betas = [_number(b, "betas") for b in raw["betas"]]
+        cfg.betas = [_named("--config: betas", replace, cfg.params, beta=b).beta for b in betas]
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -136,25 +139,14 @@ def load_config(path: str | None) -> RunConfig:
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
     """Command-line flags override the config-file values; --out is checked here."""
-    kwargs = {}
     for name in ("m", "beta", "r0", "lz"):
         value = getattr(args, name, None)
         if value is not None:
-            kwargs[name] = float(value)
-    if kwargs:
-        try:
-            cfg.params = replace(cfg.params, **kwargs)
-        except DomainError as exc:
-            flag = str(exc).split(" ", 1)[0]
-            raise DomainError(f"--{flag}: {exc}") from exc
-    if getattr(args, "k", None) is not None:
-        cfg.k = float(args.k)
+            cfg.params = _named(f"--{name}", replace, cfg.params, **{name: value})
+    if args.k is not None:
+        cfg.k = _named("--k", QuantumNumbers, 0, 0, args.k).k
     if getattr(args, "betas", None) is not None:
-        betas = [float(b) for b in args.betas]
-        for b in betas:
-            if not (0.0 <= b < 1.0):
-                raise DomainError(f"--betas: every beta must satisfy 0<beta<1 (or 0), got {b}")
-        cfg.betas = betas
+        cfg.betas = [_named("--betas", replace, cfg.params, beta=b).beta for b in args.betas]
     if getattr(args, "format", None) is not None:
         cfg.fmt = args.format
     if getattr(args, "out", None) is not None:
@@ -175,13 +167,11 @@ def _check_writable(out_path: str) -> None:
         os.remove(out_path)
 
 
-def _quantum_numbers(n, l, k) -> QuantumNumbers:
-    try:
-        return QuantumNumbers(n, l, k)
-    except DomainError as exc:
-        msg = str(exc)
-        flag = "--n" if msg.startswith("radial") else "--l" if msg.startswith("angular") else "--k"
-        raise DomainError(f"{flag}: {exc}") from exc
+def _one_state(args) -> tuple[RunConfig, QuantumNumbers]:
+    """Configuration and quantum numbers of `state` and `density`."""
+    cfg = _apply_flags(load_config(args.config), args)
+    # argparse makes --l an integer and k is already checked, so only --n can fail
+    return cfg, _named("--n", QuantumNumbers, args.n, args.l, cfg.k)
 
 
 def _fmt(x: float) -> str:
@@ -218,12 +208,7 @@ def _report_payload(rep) -> dict:
 
 
 def cmd_state(args) -> int:
-    cfg = _apply_flags(load_config(args.config), args)
-    if args.n is None:
-        raise DomainError("--n is required")
-    if args.l is None:
-        raise DomainError("--l is required")
-    qn = _quantum_numbers(args.n, args.l, cfg.k)
+    cfg, qn = _one_state(args)
     rep = report(cfg.params, qn)
     _emit(json.dumps(_report_payload(rep)) + "\n", cfg.out)
     return 0
@@ -294,14 +279,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_density(args) -> int:
-    import numpy as np
-
-    cfg = _apply_flags(load_config(args.config), args)
-    if args.n is None:
-        raise DomainError("--n is required")
-    if args.l is None:
-        raise DomainError("--l is required")
-    qn = _quantum_numbers(args.n, args.l, cfg.k)
+    cfg, qn = _one_state(args)
     if args.samples < 64:
         raise DomainError(f"--samples must be >= 64, got {args.samples}")
     state = solve(cfg.params, qn)
@@ -329,6 +307,11 @@ def _add_common(sub):
     sub.add_argument("--r0", type=float, help="hard-wall radius (default 1)")
     sub.add_argument("--lz", type=float, help="z-box length (default 1)")
     sub.add_argument("--k", type=float, help="longitudinal wavenumber (default 1)")
+
+
+def _add_one_state(sub):
+    sub.add_argument("--n", type=int, required=True, help="radial index (>= 0)")
+    sub.add_argument("--l", type=int, required=True, help="angular momentum integer")
     sub.add_argument("--beta", type=float, help="dislocation parameter in [0, 1)")
 
 
@@ -340,12 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_state = subs.add_parser("state", help="single-state entropy report (JSON)")
-    p_state.add_argument("--n", type=int, help="radial index (>= 0)")
-    p_state.add_argument("--l", type=int, help="angular momentum integer")
+    _add_one_state(p_state)
     _add_common(p_state)
     p_state.set_defaults(func=cmd_state)
 
-    p_table = subs.add_parser("table", help="grid sweep (CSV or JSON)")
+    # whole flag names only, so that --beta is not taken for --betas
+    p_table = subs.add_parser("table", help="grid sweep (CSV or JSON)", allow_abbrev=False)
     p_table.add_argument("--betas", type=float, nargs="+", help="beta values of the sweep")
     p_table.add_argument(
         "--compare-reference",
@@ -358,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dens = subs.add_parser("density", help="density profile emission (CSV)")
     p_dens.add_argument("--space", choices=("position", "momentum"), required=True)
-    p_dens.add_argument("--n", type=int, help="radial index (>= 0)")
-    p_dens.add_argument("--l", type=int, help="angular momentum integer")
+    _add_one_state(p_dens)
     p_dens.add_argument("--samples", type=int, default=512, help="grid size (default 512)")
     _add_common(p_dens)
     p_dens.set_defaults(func=cmd_density)

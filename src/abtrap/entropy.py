@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import Eigenstate, QuantumNumbers, SystemParams, solve
+from .eigen import QuantumNumbers, SystemParams, solve
 from .errors import ConvergenceError
 from .momentum import MomentumProfile, build_profile
 from .quadrature import density_integrals, subdivide
@@ -67,12 +67,11 @@ _LOBE_PANELS = 4
 def shannon_position(state) -> float:
     """Position-space entropy S_r of a normalized state, by one fixed rule.
 
-    Eigenstates are split at their radial nodes; any other state (it needs
-    `params` and a vectorized `position_density`) is treated as one lobe.
+    The state needs `params`, a vectorized `position_density` and
+    `radial_nodes()`; the integral is split at those nodes.
     """
     r0, lz = state.params.r0, state.params.lz
-    nodes = state.radial_nodes() if isinstance(state, Eigenstate) else []
-    edges = subdivide([0.0, *nodes, r0], r0, _LOBE_PANELS)
+    edges = subdivide([0.0, *state.radial_nodes(), r0], r0, _LOBE_PANELS)
     return lz * density_integrals(edges, state.position_density)[1]
 
 

@@ -1,9 +1,4 @@
-import sys
-from pathlib import Path
-
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
 from abtrap.entropy import shannon_momentum, shannon_position

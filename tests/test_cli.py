@@ -81,11 +81,6 @@ class TestTableCommand:
             assert row[5] == f"{rep.total:.5f}"
             assert row[7] == ("true" if rep.satisfied else "false")
 
-    def test_deterministic_output(self, capsys):
-        _, first, _ = run_cli(capsys, ["table", "--betas", "0.2"])
-        _, second, _ = run_cli(capsys, ["table", "--betas", "0.2"])
-        assert first == second
-
     def test_bad_beta_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["table", "--betas", "1.2"])
         assert code == 2
@@ -101,6 +96,26 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, ["table", "--betas", "0.4"])
         assert code == 3
         assert sum(1 for line in out.splitlines() if line.endswith(",failed")) == 9
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--beta", "0.5"], "--beta"),  # table takes its betas from --betas only
+            (["--k", "nan"], "--k"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_the_sweep(self, capsys, monkeypatch, flags, named):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return report(*args)
+
+        monkeypatch.setattr("abtrap.cli.report", counted)
+        code, _, err = run_cli(capsys, ["table", *flags, "--betas", "0.2"])
+        assert code == 2
+        assert named in err
+        assert calls == []
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, ["table", "--betas", "0.4", "--format", "json"])
@@ -251,6 +266,10 @@ class TestConfig:
             ('{"betas": ["x"]}', "betas"),
             ('{"output": {"path": 7}}', "output.path"),
             ('{"grid": [{"n": 0, "l": 1, "k": 5}]}', "grid field(s) ['k']"),
+            ('{"params": {"m": -1}}', "params.m"),
+            ('{"params": {"k": NaN}}', "params.k"),
+            ('{"grid": [{"n": -1, "l": 0}]}', "grid n"),
+            ('{"betas": [1.5]}', "betas"),
             ("{}", "--out"),  # written to a directory that does not exist
         ],
     )

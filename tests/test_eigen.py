@@ -78,7 +78,7 @@ class TestSolve:
         st2 = solve(SystemParams(beta=0.0, r0=2.0), QuantumNumbers(0, 0, 0.7))
         conf1 = st1.energy - 0.7**2 / 2.0
         conf2 = st2.energy - 0.7**2 / 2.0
-        assert conf2 == pytest.approx(conf1 / 4.0, rel=1e-12)
+        assert conf2 == pytest.approx(conf1 / 4.0, rel=1e-12, abs=0)
 
     def test_zero_index_mapping(self):
         # n = 0 maps to the first positive zero
@@ -135,7 +135,7 @@ class TestNormalization:
     def test_doubling_lz_scales_a0(self):
         a1 = normalize(SystemParams(lz=1.0), 0.3, bessel_zero(0.3, 1))
         a2 = normalize(SystemParams(lz=2.0), 0.3, bessel_zero(0.3, 1))
-        assert a2 == pytest.approx(a1 / math.sqrt(2.0), rel=1e-14)
+        assert a2 == pytest.approx(a1 / math.sqrt(2.0), rel=1e-14, abs=0)
 
     def test_full_norm_on_default_grid(self):
         for n, l in default_grid_points():
