@@ -64,12 +64,6 @@ def _read_config(path: str) -> dict:
     return raw
 
 
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"--config: {name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _named(source: str, build, *args, **kwargs):
     """Call `build`; a DomainError it raises is re-raised prefixed with `source`."""
     try:
@@ -97,7 +91,6 @@ def load_config(path: str | None) -> RunConfig:
         raise DomainError(f"--config: unknown params field(s) {sorted(bad)}")
     for key, value in params_raw.items():
         source = f"--config: params.{key}"
-        value = _number(value, f"params.{key}")
         if key == "k":
             cfg.k = _named(source, QuantumNumbers, 0, 0, value).k
         else:
@@ -122,8 +115,9 @@ def load_config(path: str | None) -> RunConfig:
     if "betas" in raw:
         if not isinstance(raw["betas"], list) or not raw["betas"]:
             raise DomainError("--config: 'betas' must be a non-empty list")
-        betas = [_number(b, "betas") for b in raw["betas"]]
-        cfg.betas = [_named("--config: betas", replace, cfg.params, beta=b).beta for b in betas]
+        cfg.betas = [
+            _named("--config: betas", replace, cfg.params, beta=b).beta for b in raw["betas"]
+        ]
 
     output = raw.get("output", {})
     if not isinstance(output, dict):

@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def _finite(value, message: str) -> float:
+    """`value` as a float; a bool, a non-number or a non-finite number raises `message`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DomainError(f"{message}, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical configuration: mass, dislocation strength, wall radius, z box."""
@@ -44,9 +51,8 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("m", "beta", "r0", "lz"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"{name} must be a finite number, got {v!r}")
+            value = _finite(getattr(self, name), f"{name} must be a finite number")
+            object.__setattr__(self, name, value)
         if self.m <= 0.0:
             raise DomainError(f"m (mass) must be > 0, got {self.m}")
         if self.r0 <= 0.0:
@@ -73,8 +79,7 @@ class QuantumNumbers:
             raise DomainError(f"radial index n must be an integer >= 0, got {self.n!r}")
         if not isinstance(self.l, (int, np.integer)) or isinstance(self.l, bool):
             raise DomainError(f"angular momentum l must be an integer, got {self.l!r}")
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k)):
-            raise DomainError(f"wavenumber k must be finite, got {self.k!r}")
+        object.__setattr__(self, "k", _finite(self.k, "wavenumber k must be finite"))
 
 
 def effective_order(l: int, beta: float, k: float) -> float:

@@ -217,6 +217,13 @@ class TestConfig:
         assert code == 0
         assert json.loads(out)["beta"] == 0.0
 
+    def test_integer_params_print_as_floats(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"params": {"m": 2, "k": 1}, "betas": [0], "grid": [{"n": 0, "l": 0}]}')
+        code, out, _ = run_cli(capsys, ["table", "--config", str(path), "--format", "json"])
+        assert code == 0
+        assert '"m": 2.0' in out and '"k": 1.0' in out and '"beta": 0.0' in out
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"betas": [0.2,]}')
@@ -261,6 +268,9 @@ class TestConfig:
         [
             ('{"params": {"m": "abc"}}', "params.m"),
             ('{"params": {"m": null}}', "params.m"),
+            ('{"params": {"m": true}}', "params.m"),
+            ('{"params": {"k": false}}', "params.k"),
+            ('{"betas": [true]}', "betas"),
             ('{"grid": [{"n": "a", "l": 0}]}', "grid n"),
             ('{"grid": [{"n": 1.7, "l": 0}]}', "grid n"),
             ('{"betas": ["x"]}', "betas"),

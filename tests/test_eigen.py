@@ -51,6 +51,16 @@ class TestParams:
         with pytest.raises(DomainError):
             QuantumNumbers(0, 0, math.inf)
 
+    def test_bools_rejected_and_numbers_stored_as_float(self):
+        for kwargs in ({"m": True}, {"beta": False}, {"r0": True}, {"lz": True}):
+            with pytest.raises(DomainError, match="finite number"):
+                SystemParams(**kwargs)
+        with pytest.raises(DomainError, match="wavenumber k"):
+            QuantumNumbers(0, 0, True)
+        params = SystemParams(m=2, beta=0, r0=3, lz=4)
+        assert all(type(getattr(params, f)) is float for f in ("m", "beta", "r0", "lz"))
+        assert type(QuantumNumbers(0, 0, 2).k) is float
+
 
 class TestEffectiveOrder:
     def test_arithmetic(self):

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import abtrap.momentum as momentum_mod
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
 from abtrap.errors import DomainError
 from abtrap.momentum import (
     _AmplitudeEvaluator,
+    _amplitude_breakpoints,
     _p_max,
     _tail_amplitude,
     _tail_coefficients,
     build_profile,
 )
 from abtrap.quadrature import integrate_adaptive
+from abtrap.specfun import bessel_j
 
 from oracles import midpoint, momentum_density, principal_maxima, radial_amplitude
 
@@ -66,15 +69,52 @@ def _scan_maxima(prof):
 
 class TestProfile:
     def test_fast_amplitude_matches_contract_path(self):
-        # nu = 0.01, 0.2 and 0.0475 test the r^nu behaviour of R at the origin
+        # nu = 0.01, 0.2 and 0.0475 test the r^nu behaviour of R at the origin;
+        # p_max / 2 and p_max test the r-panels, which are widest there
+        # relative to the kernel's oscillation
         states = ((0, 0, 0.0, 1.0), (0, 1, 0.99, 1.0), (1, 1, 0.8, 1.0), (12, 0, 0.95, 0.05))
         for n, l, beta, k in states:
             st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, k))
             prof = build_profile(st)
-            for p in (0.0, 0.7, st.theta, 2.9 * st.theta, 25.0):
+            for p in (0.0, 0.7, st.theta, 2.9 * st.theta, 25.0, prof.p_max / 2, prof.p_max):
                 assert float(prof.amplitude(p)) == pytest.approx(
                     radial_amplitude(st, p, tol=1e-12), abs=1e-12
                 ), (n, l, beta, k, p)
+
+    def test_breakpoints_on_the_roots(self):
+        # regula falsi puts each sign change on a root of the amplitude; the
+        # linear interpolation of the scan alone does not
+        for n, l, beta in ((2, -2, 0.4), (0, 0, 0.8)):
+            st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+            prof = build_profile(st)
+            ps = np.linspace(0.0, prof.p_max, math.ceil(8.0 * prof.p_max / math.pi) + 1)
+            amps = prof.amplitude(ps)
+            i = np.flatnonzero(np.sign(amps[:-1]) * np.sign(amps[1:]) < 0)
+            lo, hi = ps[i], ps[i + 1]
+            secant = lo + (hi - lo) * amps[i] / (amps[i] - amps[i + 1])
+            f_lo = amps[i]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                right = np.sign(prof.amplitude(mid)) == np.sign(f_lo)
+                lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+            roots = 0.5 * (lo + hi)
+            refined = _amplitude_breakpoints(prof.amplitude, ps, amps)
+            assert refined.size == roots.size > 20, (n, l, beta)
+            assert np.max(np.abs(refined - roots)) <= 1e-9 * prof.p_max, (n, l, beta)
+            assert np.max(np.abs(secant - roots)) > 1e-9 * prof.p_max, (n, l, beta)
+
+    def test_bessel_block_size(self, monkeypatch):
+        # (1,1,0.8) took 3 188 884 Bessel points with one-oscillation r-panels
+        # and a 2048-point scan; the count is deterministic, unlike a timing
+        points = []
+
+        def counting(nu, x):
+            points.append(np.size(x))
+            return bessel_j(nu, x)
+
+        monkeypatch.setattr(momentum_mod, "bessel_j", counting)
+        build_profile(solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0)))
+        assert sum(points) <= 0.4 * 3_188_884
 
     def test_samples_sorted_and_consistent(self, ground_beta0):
         _, prof = ground_beta0
