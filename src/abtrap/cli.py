@@ -24,7 +24,7 @@ import numpy as np
 from .eigen import QuantumNumbers, SystemParams, solve
 from .entropy import BBM_BOUND, report
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .momentum import build_profile
+from .momentum import sample_profile
 from .reference import TABLE_BETAS, default_grid_points, reference_row
 
 __all__ = ["RunConfig", "load_config", "main", "entrypoint"]
@@ -285,7 +285,7 @@ def cmd_density(args) -> int:
         for r, d in zip(rr, dens):
             lines.append(f"{_fmt(r)},{_fmt(d)}")
     else:
-        rows = build_profile(state).sample(args.samples)
+        rows = sample_profile(state, args.samples)
         ps = rows[:, 0]
         dens = 2.0 * math.pi * rows[:, 2] * ps
         for p, d in zip(ps, dens):

@@ -105,20 +105,18 @@ class EntropyReport:
 def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
     """solve -> momentum profile -> entropies -> BBM check, deterministically.
 
-    S_r and S_p each come from one fixed rule, so there is no tolerance.
+    S_r and S_p each come from one fixed rule, so there is no tolerance. A
+    ConvergenceError is re-raised with the stage it came from as its prefix.
     """
-
-    def _staged(stage, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConvergenceError as exc:
-            if exc.stage is None:
-                exc.stage = stage
-            raise ConvergenceError(f"{stage}: {exc}", best=exc.best, stage=stage) from exc
-
-    state = solve(params, qn)
-    profile = _staged("momentum-profile", build_profile, state)
-    s_r = _staged("position-entropy", shannon_position, state)
+    stage = "solve"
+    try:
+        state = solve(params, qn)
+        stage = "momentum-profile"
+        profile = build_profile(state)
+        stage = "position-entropy"
+        s_r = shannon_position(state)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{stage}: {exc}", best=exc.best, stage=stage) from exc
     s_p = shannon_momentum(profile)
     bound, ok = bbm_check(s_r, s_p)
     return EntropyReport(

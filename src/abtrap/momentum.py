@@ -37,7 +37,7 @@ which vanishes at beta = 0, where nu = L. The second is the hard wall's
 endpoint contribution, from integration by parts (Wong, Asymptotic
 Approximations of Integrals, ch. II), with R'(r0) = -a0 (Theta / r0)
 J_{nu+1}(Theta). The norm and entropy of that model are integrated past p_max
-and carried by the profile.
+and carried by the profile. `sample_profile` tabulates the amplitude alone.
 """
 
 from __future__ import annotations
@@ -48,12 +48,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
 from .eigen import Eigenstate
 from .quadrature import density_integrals, smoothed_gauss_legendre, subdivide
 from .specfun import bessel_j, gamma
 
-__all__ = ["MomentumProfile", "build_profile"]
+__all__ = ["MomentumProfile", "build_profile", "sample_profile"]
 
 # the modelled tail is integrated to _TAIL_REACH * p_max; what lies beyond
 # changes S_p of the grid states by less than 4e-9 (most at small nu, whose
@@ -185,11 +184,9 @@ class MomentumProfile:
     """Transverse momentum profile with its integrals.
 
     `amplitude` is the profile's vectorized amplitude function, valid on
-    [0, p_max]; `sample` tabulates it, clustered below the density peak at
-    `p_peak`.
-    `captured_norm` and `inner_entropy` are the norm and the transverse
-    entropy -2 pi int rho ln rho p dp on [0, p_max]; `tail_norm` and
-    `tail_entropy` are those of the tail model past p_max.
+    [0, p_max]. `captured_norm` and `inner_entropy` are the norm and the
+    transverse entropy -2 pi int rho ln rho p dp on [0, p_max]; `tail_norm`
+    and `tail_entropy` are those of the tail model past p_max.
     """
 
     state: Eigenstate
@@ -198,41 +195,23 @@ class MomentumProfile:
     tail_norm: float
     inner_entropy: float
     tail_entropy: float
-    p_peak: float
     amplitude: Callable = field(repr=False)
-
-    def sample(self, count: int) -> np.ndarray:
-        """Rows (p_r, amplitude, density) on at most `count` grid points, sorted by p_r.
-
-        The grid is clustered around the density peak: 70% of the points lie
-        below the knee 2.5 max(p_peak, Theta / r0).
-        """
-        if count < 64:
-            raise DomainError(f"samples must be >= 64, got {count!r}")
-        p_knee = min(self.p_max, 2.5 * max(self.p_peak, self.state.theta / self.state.params.r0))
-        n_near = int(0.7 * count)
-        grid = np.unique(np.concatenate([
-            np.linspace(0.0, p_knee, n_near),
-            np.linspace(p_knee, self.p_max, count - n_near + 1),
-        ]))
-        amp = self.amplitude(grid)
-        return np.column_stack([grid, amp, self.state.params.lz * amp**2])
 
 
 def build_profile(state: Eigenstate) -> MomentumProfile:
-    """The transverse momentum profile of `state` and its integrals.
+    """The transverse momentum profile of `state` and its integrals, for `S_p`.
 
     The amplitude is a weighted sum over r-panels two kernel oscillations at
     p_max wide. A scan of 8 points per pi / r0 brackets its sign changes,
-    each refined by regula falsi. One batch of composite Gauss-Legendre nodes
-    on [0, p_max], split at them and cut to panels no wider than pi / r0,
-    gives the captured norm and transverse entropy; the tail model gives both
-    past p_max.
+    each refined by regula falsi; the scan serves nothing else. One batch of
+    composite Gauss-Legendre nodes on [0, p_max], split at them and cut to
+    panels no wider than pi / r0, gives the captured norm and transverse
+    entropy; the tail model gives both past p_max.
     """
     r0, lz = state.params.r0, state.params.lz
     p_max = _p_max(state)
     evaluator = _AmplitudeEvaluator(state, p_max)
-    # 8 scan points per pi / r0: they place the breakpoints and the density peak
+    # 8 scan points per pi / r0 bracket the breakpoints
     p_scan = np.linspace(0.0, p_max, math.ceil(8.0 * p_max * r0 / math.pi) + 1)
     amp_scan = evaluator(p_scan)
     breakpoints = _amplitude_breakpoints(evaluator, p_scan, amp_scan)
@@ -246,6 +225,23 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
         tail_norm=tail_norm,
         inner_entropy=inner_entropy,
         tail_entropy=tail_entropy,
-        p_peak=float(p_scan[int(np.argmax(lz * amp_scan**2))]),
         amplitude=evaluator,
     )
+
+
+def sample_profile(state: Eigenstate, count: int) -> np.ndarray:
+    """Rows (p_r, amplitude, density) of `state` on `count` points of [0, p_max].
+
+    70% of the points lie below the knee min(p_max, 2.5 Theta / r0), where
+    most of the density lies; the rest run on to p_max. The amplitude is the
+    one `build_profile` integrates, but no integral is taken.
+    """
+    p_max = _p_max(state)
+    p_knee = min(p_max, 2.5 * state.theta / state.params.r0)
+    n_near = int(0.7 * count)
+    grid = np.unique(np.concatenate([
+        np.linspace(0.0, p_knee, n_near),
+        np.linspace(p_knee, p_max, count - n_near + 1),
+    ]))
+    amp = _AmplitudeEvaluator(state, p_max)(grid)
+    return np.column_stack([grid, amp, state.params.lz * amp**2])

@@ -9,7 +9,9 @@ never for absolute assertions.
 
 from __future__ import annotations
 
-__all__ = ["TABLE_GRID", "TABLE_BETAS", "REFERENCE_ROWS", "reference_row"]
+__all__ = [
+    "TABLE_GRID", "TABLE_BETAS", "REFERENCE_ROWS", "default_grid_points", "reference_row"
+]
 
 # (n, [l choices]) of the default sweep
 TABLE_GRID: tuple[tuple[int, tuple[int, ...]], ...] = (

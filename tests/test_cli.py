@@ -172,10 +172,11 @@ class TestDensityCommand:
             argmaxes.append(float(data[np.argmax(data[:, 1]), 0]))
         assert argmaxes[0] != argmaxes[1] != argmaxes[2]
 
-    def test_small_sample_count_exits_2(self, capsys):
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_small_sample_count_exits_2(self, capsys, space):
         code, _, err = run_cli(
             capsys,
-            ["density", "--space", "position", "--n", "0", "--l", "0", "--samples", "16"],
+            ["density", "--space", space, "--n", "0", "--l", "0", "--samples", "16"],
         )
         assert code == 2
         assert "--samples" in err

@@ -198,6 +198,18 @@ class TestReport:
             report(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
         assert err.value.stage == "momentum-profile"
 
+    def test_solve_failure_names_its_stage(self, monkeypatch):
+        import abtrap.entropy as entropy_mod
+
+        def boom(*args, **kwargs):
+            raise ConvergenceError("no zero found")
+
+        monkeypatch.setattr(entropy_mod, "solve", boom)
+        with pytest.raises(ConvergenceError) as err:
+            report(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
+        assert err.value.stage == "solve"
+        assert str(err.value) == "solve: no zero found"
+
     def test_report_is_frozen_dataclass(self, ground_pipeline):
         rep = report(ground_pipeline.params, ground_pipeline.qn)
         assert isinstance(rep, EntropyReport)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import abtrap.momentum as momentum_mod
+from abtrap import cli
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
 from abtrap.errors import DomainError
 from abtrap.momentum import (
@@ -13,6 +14,7 @@ from abtrap.momentum import (
     _tail_amplitude,
     _tail_coefficients,
     build_profile,
+    sample_profile,
 )
 from abtrap.quadrature import integrate_adaptive
 from abtrap.specfun import bessel_j
@@ -117,12 +119,41 @@ class TestProfile:
         assert sum(points) <= 0.4 * 3_188_884
 
     def test_samples_sorted_and_consistent(self, ground_beta0):
-        _, prof = ground_beta0
-        ps, amps, dens = prof.sample(512).T
+        st, prof = ground_beta0
+        ps, amps, dens = sample_profile(st, 512).T
+        assert ps.size == 512 and ps[0] == 0.0 and ps[-1] == prof.p_max
         assert np.all(np.diff(ps) > 0)
         assert np.all(dens >= 0.0)
-        lz = prof.state.params.lz
+        lz = st.params.lz
         assert np.allclose(dens, lz * amps**2, rtol=0, atol=1e-15)
+        # the samples are the amplitude the profile integrates
+        assert np.array_equal(amps, prof.amplitude(ps))
+
+    def test_sample_knee_ignores_the_density_peak(self):
+        # on (1,1,0.8) the density peaks at 1.21 Theta / r0, and the last of
+        # the 70% points below the knee is still 2.5 Theta / r0
+        st = solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0))
+        count = 512
+        ps, _, dens = sample_profile(st, count).T
+        assert ps[np.argmax(dens)] > 1.2 * st.theta
+        assert ps[int(0.7 * count) - 1] == 2.5 * st.theta
+
+    def test_samples_take_one_amplitude_batch(self, monkeypatch, capsys):
+        # `density --space momentum` evaluates the amplitude on its samples
+        # only: 4096 points times the r-nodes, 1 802 240 Bessel points on
+        # (1,1,0.8), where building the profile as well took 2 823 924
+        points = []
+
+        def counting(nu, x):
+            points.append(np.size(x))
+            return bessel_j(nu, x)
+
+        st = solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0))
+        r_nodes = _AmplitudeEvaluator(st, _p_max(st))._nodes.size
+        monkeypatch.setattr(momentum_mod, "bessel_j", counting)
+        argv = ["density", "--space", "momentum", "--n", "1", "--l", "1", "--beta", "0.8"]
+        assert cli.main([*argv, "--samples", "4096"]) == 0
+        assert sum(points) == 4096 * r_nodes == 1_802_240
 
     def test_captured_norm_with_tail_correction(self, ground_beta0):
         _, prof = ground_beta0
@@ -144,21 +175,15 @@ class TestProfile:
         # converges to the captured norm at second order in the grid step
         errors = []
         for count in (512, 1024):
-            ps, _, dens = prof.sample(count).T
+            ps, _, dens = sample_profile(prof.state, count).T
             errors.append(abs(np.trapezoid(2.0 * math.pi * dens * ps, ps) - prof.captured_norm))
         assert errors[0] <= 2e-3
         assert errors[1] <= 0.3 * errors[0]
 
-    def test_rejects_bad_arguments(self, ground_beta0):
-        _, prof = ground_beta0
-        with pytest.raises(DomainError):
-            prof.sample(32)
-
     def test_scaling_contracts_profile(self, ground_beta0):
         st1, prof1 = ground_beta0
         st2 = solve(SystemParams(beta=0.0, r0=2.0), QuantumNumbers(0, 0, 1.0))
-        prof2 = build_profile(st2)
-        rows1, rows2 = prof1.sample(512), prof2.sample(512)
+        rows1, rows2 = sample_profile(st1, 512), sample_profile(st2, 512)
         p1 = rows1[np.argmax(rows1[:, 2]), 0]
         p2 = rows2[np.argmax(rows2[:, 2]), 0]
         assert p2 == pytest.approx(p1 / 2.0, rel=0.05)

@@ -1,6 +1,7 @@
 """Module boundaries of the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import abtrap
@@ -23,6 +24,23 @@ def _private_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_private_name_from_a_sibling():
     offenders = {p.name: _private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in offenders.items() if names} == {}
+
+
+def test_sibling_imports_are_in_the_siblings_all():
+    # a module without `__all__` (errors.py) declares no public list to check
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            public = getattr(importlib.import_module(f"abtrap.{node.module}"), "__all__", None)
+            if public is not None:
+                missing += [
+                    f"{path.stem} <- {node.module}.{a.name}"
+                    for a in node.names
+                    if a.name not in public
+                ]
+    assert missing == []
 
 
 def test_package_has_no_assert_statement():
