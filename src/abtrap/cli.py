@@ -276,7 +276,10 @@ def cmd_density(args) -> int:
     cfg, qn = _one_state(args)
     if args.samples < 64:
         raise DomainError(f"--samples must be >= 64, got {args.samples}")
-    state = solve(cfg.params, qn)
+    try:
+        state = solve(cfg.params, qn)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"solve: {exc}", best=exc.best, stage="solve") from exc
     lines = ["coordinate,density"]
     if args.space == "position":
         # marginal radial density 2 pi Lz rho(r) r, trapezoid-normalized to 1

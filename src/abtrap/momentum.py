@@ -19,25 +19,30 @@ both variables. In r it builds phi as one weighted sum over fixed nodes, on
 panels two oscillations of J_L(p_max r) wide; its smoothing map
 u = 3 s^2 - 2 s^3 turns the r^(nu+L+1) behaviour of the integrand at the
 origin into s^(2 nu+2 L+3), which Gauss-Legendre integrates without grading.
-On [0, p_max], p_max = 10 (Theta + 20) / r0, a scan of 8 points per pi / r0
+On [0, p_max], p_max = 5 (Theta + 20) / r0, a scan of 8 points per pi / r0
 brackets the amplitude's sign changes, and regula falsi puts each on its root.
 One batch of p-nodes, split there, gives the captured norm and the transverse
-entropy through `density_integrals`. Past p_max, phi follows its two-term
-asymptotic form (L = |l|)
+entropy through `density_integrals`. Past p_max, phi follows the first five
+terms of its large-p expansion (L = |l|, chi = p r0 - L pi/2 - pi/4)
 
-    phi(p) ~ C0 p^-(nu+2) + R'(r0) r0 sqrt(2 / (pi p r0)) cos(p r0 - L pi/2 - pi/4) / p^2.
+    phi(p) ~ C0 p^-(nu+2) + C1 p^-(nu+4)
+             + sum_{j=0..2} p^-(j+5/2) (W_j cos chi + W'_j sin chi).
 
-The first term is the r^nu behaviour of R at the origin, through the
-Weber-Schafheitlin integral of r^(nu+1) J_L(p r) (Watson, Treatise on the
-Theory of Bessel Functions, sec. 13.24):
+The origin terms are the first two terms r^nu, r^(nu+2) of the ascending
+series of R, through the Weber-Schafheitlin integrals of r^(nu+1) J_L(p r)
+and r^(nu+3) J_L(p r) (Watson, Treatise on the Theory of Bessel Functions, sec. 13.24):
 
     C0 = a0 (Theta / 2 r0)^nu / Gamma(nu + 1) * 2^(nu+1) Gamma((L + nu + 2) / 2) / Gamma((L - nu) / 2),
+    C1 = -a0 (Theta / 2 r0)^(nu+2) / Gamma(nu + 2) * 2^(nu+3) Gamma((L + nu + 4) / 2) / Gamma((L - nu - 2) / 2),
 
-which vanishes at beta = 0, where nu = L. The second is the hard wall's
-endpoint contribution, from integration by parts (Wong, Asymptotic
-Approximations of Integrals, ch. II), with R'(r0) = -a0 (Theta / r0)
-J_{nu+1}(Theta). The norm and entropy of that model are integrated past p_max
-and carried by the profile. `sample_profile` tabulates the amplitude alone.
+which vanish at beta = 0, where nu = L. The wall terms are the hard wall's
+endpoint contributions, from integration by parts (Wong, Asymptotic
+Approximations of Integrals, ch. II) of J_L(p r) r in Hankel's expansion;
+R(r0) = 0 and Bessel's equation give every derivative they need from
+R'(r0) = -a0 (Theta / r0) J_{nu+1}(Theta). The first terms left out fall as
+p^-(nu+6) and p^-11/2. The norm and entropy of that model are integrated past
+p_max and carried by the profile. `sample_profile` tabulates the amplitude
+alone.
 """
 
 from __future__ import annotations
@@ -54,10 +59,10 @@ from .specfun import bessel_j, gamma
 
 __all__ = ["MomentumProfile", "build_profile", "sample_profile"]
 
-# the modelled tail is integrated to _TAIL_REACH * p_max; what lies beyond
-# changes S_p of the grid states by less than 4e-9 (most at small nu, whose
-# origin term decays slowest)
-_TAIL_REACH = 200.0
+# the modelled tail is integrated to _TAIL_REACH * p_max = 2000 (Theta + 20) / r0;
+# what lies beyond changes S_p of the grid states by less than 4e-9, and by
+# 6e-8 at nu = 0.01 (the origin term decays slowest at small nu)
+_TAIL_REACH = 400.0
 _TAIL_CHUNK = 4096  # tail panels per batch, which bounds the memory used
 
 
@@ -66,7 +71,7 @@ class _AmplitudeEvaluator:
 
     [0, r0] is split at the radial nodes and cut to panels no wider than two
     oscillations of the kernel at p_cap, 4 pi / p_cap; that keeps phi within
-    2e-13 of a four times finer grid for every p <= p_cap.
+    3e-13 of a four times finer grid for every p <= p_cap.
     """
 
     def __init__(self, state: Eigenstate, p_cap: float):
@@ -95,40 +100,83 @@ class _AmplitudeEvaluator:
 
 def _p_max(state: Eigenstate) -> float:
     """Edge of the sampled profile, far enough out for the tail model to hold."""
-    return 10.0 * (state.theta + 20.0) / state.params.r0
+    return 5.0 * (state.theta + 20.0) / state.params.r0
 
 
 def _rgamma(x: float) -> float:
     """1 / Gamma(x) for real x; zero at the poles 0, -1, -2, ..."""
     if x > 0.0:
         return 1.0 / gamma(x)
+    if x == math.floor(x):
+        return 0.0
     return math.sin(math.pi * x) * gamma(1.0 - x) / math.pi
 
 
-def _tail_coefficients(state: Eigenstate) -> tuple[float, float]:
-    """(C0, A) of the tail model C0 p^-(nu+2) + A cos(p r0 - (2L+1) pi/4) p^-5/2."""
+def _tail_coefficients(state: Eigenstate) -> tuple[float, float, np.ndarray]:
+    """(C0, C1, W) of the five-term tail model; see `_tail_amplitude`.
+
+    C0 and C1 come from the first two terms of the ascending series of R. Row
+    j of W holds the cos and sin coefficients of the wall terms in
+    p^-(j+5/2): the terms (-1)^m g_k^(m)(r0) e^{i p r0} / (i p)^(m+1) of the
+    endpoint expansion of int g_k(r) e^{i p r} dr with k + m <= 3, where
+    g_k(r) = R(r) r^(1/2-k) carries the k-th Hankel coefficient a_k(L) of
+    J_L(p r) r. R(r0) = 0 removes m = 0, and Bessel's equation gives the
+    derivatives at the wall from R'(r0) alone.
+    """
     r0, nu, theta = state.params.r0, state.nu, state.theta
     order = abs(state.qn.l)
     c0 = (
         state.a0 * (0.5 * theta / r0) ** nu / gamma(nu + 1.0) * 2.0 ** (nu + 1.0)
         * gamma(0.5 * (order + nu) + 1.0) * _rgamma(0.5 * (order - nu))
     )
-    wall_slope = -state.a0 * theta / r0 * bessel_j(nu + 1.0, theta)
-    return c0, wall_slope * r0 * math.sqrt(2.0 / (math.pi * r0))
+    c1 = (
+        -state.a0 * (0.5 * theta / r0) ** (nu + 2.0) / gamma(nu + 2.0) * 2.0 ** (nu + 3.0)
+        * gamma(0.5 * (order + nu) + 2.0) * _rgamma(0.5 * (order - nu) - 1.0)
+    )
+    slope = -state.a0 * theta / r0 * bessel_j(nu + 1.0, theta)  # R'(r0)
+    four = 4.0 * order * order
+    hankel = (1.0, (four - 1.0) / 8.0, (four - 1.0) * (four - 9.0) / 128.0)
+    # Re{i^j e^{i chi}} = cos(chi + j pi / 2), as (cos chi, sin chi) coefficients
+    quarter_turns = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
+    wall = np.zeros((3, 2))
+    for k, a_k in enumerate(hankel):
+        e = 0.5 - k
+        derivatives = (
+            slope * r0**e,
+            slope * r0 ** (e - 1.0) * (2.0 * e - 1.0),
+            slope * r0 ** (e - 2.0) * (2.0 - theta**2 + nu**2 + 3.0 * e * e - 6.0 * e),
+        )
+        for m in range(1, 4 - k):
+            scale = math.sqrt(2.0 / math.pi) * a_k * (-1.0) ** m * derivatives[m - 1]
+            wall[k + m - 1] += scale * quarter_turns[(k - m - 1) % 4]
+    return c0, c1, wall
 
 
 def _tail_amplitude(state: Eigenstate, p):
-    """The two-term asymptotic amplitude; accurate only well past p_max / 2."""
-    c0, wall = _tail_coefficients(state)
-    phase = p * state.params.r0 - (2 * abs(state.qn.l) + 1) * math.pi / 4.0
-    return c0 * p ** -(state.nu + 2.0) + wall * np.cos(phase) * p**-2.5
+    """The five-term asymptotic amplitude, with chi = p r0 - (2L+1) pi / 4,
+
+        C0 p^-(nu+2) + C1 p^-(nu+4) + sum_j p^-(j+5/2) (W[j,0] cos chi + W[j,1] sin chi),
+
+    for j = 0, 1, 2; its error falls as p^-(nu+6) or p^-11/2, whichever is
+    slower, so it is accurate only well past p_max / 2.
+    """
+    c0, c1, wall = _tail_coefficients(state)
+    chi = p * state.params.r0 - (2 * abs(state.qn.l) + 1) * math.pi / 4.0
+    cos, sin = np.cos(chi), np.sin(chi)
+    inv = 1.0 / p
+    oscillating = 0.0
+    for w_cos, w_sin in wall[::-1]:
+        oscillating = oscillating * inv + w_cos * cos + w_sin * sin
+    return (c0 + c1 * inv * inv) * p ** -(state.nu + 2.0) + oscillating * inv * inv * np.sqrt(inv)
 
 
 def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:
     """Norm and transverse entropy of the tail model from p_max on.
 
-    Panels run between the zeros of the wall term's cosine, where rho ln rho
-    has its cusps once the wall term dominates.
+    Panels run between the zeros of cos chi, where rho ln rho has its cusps
+    once the leading wall term dominates. The later terms move the model's
+    zeros by O(1 / p); on the grid states, panels cut at the model's own zeros
+    and four times finer change the tail entropy by at most 3.5e-9.
     """
     r0, lz = state.params.r0, state.params.lz
     # cos(p r0 - (2L+1) pi/4) vanishes at p r0 = (2L+3) pi/4 + m pi
@@ -232,12 +280,12 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
 def sample_profile(state: Eigenstate, count: int) -> np.ndarray:
     """Rows (p_r, amplitude, density) of `state` on `count` points of [0, p_max].
 
-    70% of the points lie below the knee min(p_max, 2.5 Theta / r0), where
+    70% of the points lie below the knee 2.5 Theta / r0 (below p_max), where
     most of the density lies; the rest run on to p_max. The amplitude is the
     one `build_profile` integrates, but no integral is taken.
     """
     p_max = _p_max(state)
-    p_knee = min(p_max, 2.5 * state.theta / state.params.r0)
+    p_knee = 2.5 * state.theta / state.params.r0
     n_near = int(0.7 * count)
     grid = np.unique(np.concatenate([
         np.linspace(0.0, p_knee, n_near),

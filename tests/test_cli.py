@@ -173,6 +173,20 @@ class TestDensityCommand:
         assert argmaxes[0] != argmaxes[1] != argmaxes[2]
 
     @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_solve_failure_names_its_stage(self, capsys, monkeypatch, space):
+        # as `state` does through report(): exit 3, and the message names the stage
+        def boom(*args, **kwargs):
+            raise ConvergenceError("bessel_zero: no root")
+
+        monkeypatch.setattr("abtrap.cli.solve", boom)
+        code, out, err = run_cli(
+            capsys, ["density", "--space", space, "--n", "0", "--l", "0", "--beta", "0.2"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: solve: bessel_zero: no root\n"
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
     def test_small_sample_count_exits_2(self, capsys, space):
         code, _, err = run_cli(
             capsys,

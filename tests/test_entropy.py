@@ -83,6 +83,22 @@ class TestShannonMomentum:
             exact = lommel_momentum_entropy(abs(l), st.theta)
             assert shannon_momentum(build_profile(st)) == pytest.approx(exact, abs=1e-7), (n, l)
 
+    def test_converged_in_p_max(self, monkeypatch):
+        # (2,1,0.8) converges slowest of the grid states, and at (0,1,0.99)
+        # nu = 0.01 gives the tail's origin term its slowest decay, so the
+        # tail's reach matters there; doubling p_max doubles the reach too
+        import abtrap.momentum as momentum_mod
+
+        states = [
+            solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+            for n, l, beta in ((2, 1, 0.8), (0, 1, 0.99))
+        ]
+        s_p = [shannon_momentum(build_profile(st)) for st in states]
+        p_max = momentum_mod._p_max
+        monkeypatch.setattr(momentum_mod, "_p_max", lambda st: 2.0 * p_max(st))
+        for st, value in zip(states, s_p):
+            assert shannon_momentum(build_profile(st)) == pytest.approx(value, abs=1e-7)
+
     def test_longitudinal_term(self):
         params = SystemParams()
         expect = math.log(2.0 * math.pi) + SINC_ENTROPY_CONST

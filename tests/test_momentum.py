@@ -107,7 +107,8 @@ class TestProfile:
 
     def test_bessel_block_size(self, monkeypatch):
         # (1,1,0.8) took 3 188 884 Bessel points with one-oscillation r-panels
-        # and a 2048-point scan; the count is deterministic, unlike a timing
+        # and a 2048-point scan, and 1 021 684 with the two-term tail's
+        # p_max = 10 (Theta + 20) / r0; the count is deterministic, unlike a timing
         points = []
 
         def counting(nu, x):
@@ -116,7 +117,7 @@ class TestProfile:
 
         monkeypatch.setattr(momentum_mod, "bessel_j", counting)
         build_profile(solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0)))
-        assert sum(points) <= 0.4 * 3_188_884
+        assert sum(points) <= 0.3 * 1_021_684
 
     def test_samples_sorted_and_consistent(self, ground_beta0):
         st, prof = ground_beta0
@@ -140,8 +141,8 @@ class TestProfile:
 
     def test_samples_take_one_amplitude_batch(self, monkeypatch, capsys):
         # `density --space momentum` evaluates the amplitude on its samples
-        # only: 4096 points times the r-nodes, 1 802 240 Bessel points on
-        # (1,1,0.8), where building the profile as well took 2 823 924
+        # only: 4096 points times the 220 r-nodes, 901 120 Bessel points on
+        # (1,1,0.8); building the profile as well would add 258 065
         points = []
 
         def counting(nu, x):
@@ -153,7 +154,7 @@ class TestProfile:
         monkeypatch.setattr(momentum_mod, "bessel_j", counting)
         argv = ["density", "--space", "momentum", "--n", "1", "--l", "1", "--beta", "0.8"]
         assert cli.main([*argv, "--samples", "4096"]) == 0
-        assert sum(points) == 4096 * r_nodes == 1_802_240
+        assert sum(points) == 4096 * r_nodes == 901_120
 
     def test_captured_norm_with_tail_correction(self, ground_beta0):
         _, prof = ground_beta0
@@ -235,15 +236,61 @@ class TestTailModel:
         )
         assert _tail_coefficients(st)[0] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
-    def test_residual_shrinks_with_p_max(self):
-        st = solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0))
-        residuals = []
-        for scale in (1.0, 2.0):
-            p_max = scale * _p_max(st)
-            ps = np.linspace(0.7 * p_max, p_max, 200)
-            exact = _AmplitudeEvaluator(st, p_max)(ps)
-            residuals.append(np.max(np.abs(exact - _tail_amplitude(st, ps))))
-        assert residuals[1] < residuals[0]
+    def test_second_origin_term_vanishes_without_defect(self):
+        # (|l| - nu) / 2 - 1 = -1 at beta = 0, another pole of Gamma
+        for n, l in ((0, 0), (1, 1), (2, -2)):
+            st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
+            assert _tail_coefficients(st)[1] == 0.0
+
+    def test_second_origin_term_past_gamma_pole(self):
+        # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 1 = -1.4
+        import mpmath as mp
+
+        st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
+        nu, order = mp.mpf(st.nu), 1
+        expect = (
+            -st.a0 * (mp.mpf(st.theta) / 2) ** (nu + 2) / mp.gamma(nu + 2) * 2 ** (nu + 3)
+            * mp.gamma((order + nu + 4) / 2) * mp.rgamma((order - nu - 2) / 2)
+        )
+        assert _tail_coefficients(st)[1] == pytest.approx(float(expect), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n, l, r0", [(0, 0, 1.0), (1, -3, 1.0), (2, 2, 1.7)])
+    def test_wall_terms_match_lommel_expansion(self, n, l, r0):
+        # at beta = 0 the Lommel integral gives phi(p) = A J_L(p r0) / (alpha^2 - p^2),
+        # alpha = Theta / r0, A = a0 r0 alpha J_{L+1}(Theta). Expanding
+        # 1 / (alpha^2 - p^2) in p^-2 and J_L(x) as
+        # sqrt(2 / (pi x)) Re{e^{i chi} sum_k i^k a_k x^-k} gives the wall rows
+        import mpmath as mp
+
+        st = solve(SystemParams(beta=0.0, r0=r0), QuantumNumbers(n, l, 1.0))
+        order = abs(l)
+        with mp.workdps(30):
+            alpha = mp.mpf(st.theta) / r0
+            amp = st.a0 * r0 * alpha * mp.besselj(order + 1, mp.mpf(st.theta))
+            quarter_turns = np.array([[1, 0], [0, -1], [-1, 0], [0, 1]])  # Re{i^k e^{i chi}}
+            expect = np.zeros((3, 2))
+            for j in range(3):  # the row of p^-(j + 5/2)
+                for k in range(j % 2, j + 1, 2):
+                    a_k = mp.gamma(order + k + mp.mpf(0.5)) / (
+                        mp.factorial(k) * 2**k * mp.gamma(order - k + mp.mpf(0.5))
+                    )
+                    scale = -amp * alpha ** (j - k) * a_k * mp.mpf(r0) ** (-k - mp.mpf(0.5))
+                    expect[j] += float(scale * mp.sqrt(2 / mp.pi)) * quarter_turns[k % 4]
+        c0, c1, wall = _tail_coefficients(st)
+        assert c0 == c1 == 0.0
+        np.testing.assert_allclose(wall, expect, rtol=1e-12, atol=1e-14 * np.abs(expect).max())
+
+    def test_residual_falls_at_fifth_order(self):
+        # the first terms left out fall as p^-11/2 (wall) and p^-(nu+6)
+        # (origin), so from p_max / 2 to p_max the residual falls by 2^5 or more
+        for n, l, beta in ((1, 1, 0.8), (2, -2, 0.0), (0, 0, 0.2)):
+            st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+            residuals = []
+            for p in (0.5 * _p_max(st), _p_max(st)):
+                ps = np.linspace(0.9 * p, p, 200)
+                exact = _AmplitudeEvaluator(st, p)(ps)
+                residuals.append(np.max(np.abs(exact - _tail_amplitude(st, ps))))
+            assert residuals[1] <= residuals[0] / 2**5, (n, l, beta, residuals)
 
 
 class TestPhaseIndependence:
