@@ -25,15 +25,15 @@ One batch of p-nodes, split there, gives the captured norm and the transverse
 entropy through `density_integrals`. Past p_max, phi follows the first five
 terms of its large-p expansion (L = |l|, chi = p r0 - L pi/2 - pi/4)
 
-    phi(p) ~ C0 p^-(nu+2) + C1 p^-(nu+4)
+    phi(p) ~ sum_{j=0,1} C_j p^-(nu+2+2j)
              + sum_{j=0..2} p^-(j+5/2) (W_j cos chi + W'_j sin chi).
 
-The origin terms are the first two terms r^nu, r^(nu+2) of the ascending
-series of R, through the Weber-Schafheitlin integrals of r^(nu+1) J_L(p r)
-and r^(nu+3) J_L(p r) (Watson, Treatise on the Theory of Bessel Functions, sec. 13.24):
+The origin terms are the terms r^(nu+2j) of the ascending series of R,
+through the Weber-Schafheitlin integrals of r^(nu+2j+1) J_L(p r) (Watson,
+Treatise on the Theory of Bessel Functions, sec. 13.24):
 
-    C0 = a0 (Theta / 2 r0)^nu / Gamma(nu + 1) * 2^(nu+1) Gamma((L + nu + 2) / 2) / Gamma((L - nu) / 2),
-    C1 = -a0 (Theta / 2 r0)^(nu+2) / Gamma(nu + 2) * 2^(nu+3) Gamma((L + nu + 4) / 2) / Gamma((L - nu - 2) / 2),
+    C_j = (-1)^j a0 (Theta / 2 r0)^(nu+2j) / (j! Gamma(nu + j + 1))
+          * 2^(nu+2j+1) Gamma((L + nu + 2j + 2) / 2) / Gamma((L - nu - 2j) / 2),
 
 which vanish at beta = 0, where nu = L. The wall terms are the hard wall's
 endpoint contributions, from integration by parts (Wong, Asymptotic
@@ -55,7 +55,7 @@ import numpy as np
 
 from .eigen import Eigenstate
 from .quadrature import density_integrals, smoothed_gauss_legendre, subdivide
-from .specfun import bessel_j, gamma
+from .specfun import bessel_j
 
 __all__ = ["MomentumProfile", "build_profile", "sample_profile"]
 
@@ -105,19 +105,17 @@ def _p_max(state: Eigenstate) -> float:
 
 def _rgamma(x: float) -> float:
     """1 / Gamma(x) for real x; zero at the poles 0, -1, -2, ..."""
-    if x > 0.0:
-        return 1.0 / gamma(x)
-    if x == math.floor(x):
+    if x <= 0.0 and x == math.floor(x):
         return 0.0
-    return math.sin(math.pi * x) * gamma(1.0 - x) / math.pi
+    return 1.0 / math.gamma(x)
 
 
-def _tail_coefficients(state: Eigenstate) -> tuple[float, float, np.ndarray]:
-    """(C0, C1, W) of the five-term tail model; see `_tail_amplitude`.
+def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray]:
+    """((C0, C1), W) of the five-term tail model; see `_tail_amplitude`.
 
-    C0 and C1 come from the first two terms of the ascending series of R. Row
-    j of W holds the cos and sin coefficients of the wall terms in
-    p^-(j+5/2): the terms (-1)^m g_k^(m)(r0) e^{i p r0} / (i p)^(m+1) of the
+    C_j comes from the term r^(nu+2j) of the ascending series of R. Row j of
+    W holds the cos and sin coefficients of the wall terms in p^-(j+5/2):
+    the terms (-1)^m g_k^(m)(r0) e^{i p r0} / (i p)^(m+1) of the
     endpoint expansion of int g_k(r) e^{i p r} dr with k + m <= 3, where
     g_k(r) = R(r) r^(1/2-k) carries the k-th Hankel coefficient a_k(L) of
     J_L(p r) r. R(r0) = 0 removes m = 0, and Bessel's equation gives the
@@ -125,13 +123,11 @@ def _tail_coefficients(state: Eigenstate) -> tuple[float, float, np.ndarray]:
     """
     r0, nu, theta = state.params.r0, state.nu, state.theta
     order = abs(state.qn.l)
-    c0 = (
-        state.a0 * (0.5 * theta / r0) ** nu / gamma(nu + 1.0) * 2.0 ** (nu + 1.0)
-        * gamma(0.5 * (order + nu) + 1.0) * _rgamma(0.5 * (order - nu))
-    )
-    c1 = (
-        -state.a0 * (0.5 * theta / r0) ** (nu + 2.0) / gamma(nu + 2.0) * 2.0 ** (nu + 3.0)
-        * gamma(0.5 * (order + nu) + 2.0) * _rgamma(0.5 * (order - nu) - 1.0)
+    origin = tuple(
+        (-1.0) ** j * state.a0 * (0.5 * theta / r0) ** (nu + 2 * j)
+        / (math.factorial(j) * math.gamma(nu + j + 1.0)) * 2.0 ** (nu + 2 * j + 1.0)
+        * math.gamma(0.5 * (order + nu) + j + 1.0) * _rgamma(0.5 * (order - nu) - j)
+        for j in range(2)
     )
     slope = -state.a0 * theta / r0 * bessel_j(nu + 1.0, theta)  # R'(r0)
     four = 4.0 * order * order
@@ -149,25 +145,26 @@ def _tail_coefficients(state: Eigenstate) -> tuple[float, float, np.ndarray]:
         for m in range(1, 4 - k):
             scale = math.sqrt(2.0 / math.pi) * a_k * (-1.0) ** m * derivatives[m - 1]
             wall[k + m - 1] += scale * quarter_turns[(k - m - 1) % 4]
-    return c0, c1, wall
+    return origin, wall
 
 
 def _tail_amplitude(state: Eigenstate, p):
     """The five-term asymptotic amplitude, with chi = p r0 - (2L+1) pi / 4,
 
-        C0 p^-(nu+2) + C1 p^-(nu+4) + sum_j p^-(j+5/2) (W[j,0] cos chi + W[j,1] sin chi),
+        sum_j C_j p^-(nu+2+2j) + sum_j p^-(j+5/2) (W[j,0] cos chi + W[j,1] sin chi),
 
     for j = 0, 1, 2; its error falls as p^-(nu+6) or p^-11/2, whichever is
     slower, so it is accurate only well past p_max / 2.
     """
-    c0, c1, wall = _tail_coefficients(state)
+    origin, wall = _tail_coefficients(state)
     chi = p * state.params.r0 - (2 * abs(state.qn.l) + 1) * math.pi / 4.0
     cos, sin = np.cos(chi), np.sin(chi)
     inv = 1.0 / p
+    smooth = sum(c * inv ** (2 * j) for j, c in enumerate(origin))
     oscillating = 0.0
     for w_cos, w_sin in wall[::-1]:
         oscillating = oscillating * inv + w_cos * cos + w_sin * sin
-    return (c0 + c1 * inv * inv) * p ** -(state.nu + 2.0) + oscillating * inv * inv * np.sqrt(inv)
+    return smooth * p ** -(state.nu + 2.0) + oscillating * inv * inv * np.sqrt(inv)
 
 
 def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:

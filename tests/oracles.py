@@ -3,7 +3,7 @@
 The oracles deliberately avoid the package's own evaluation paths: Bessel
 values come from a high-precision power series evaluated with mpmath
 arbitrary precision arithmetic (and zeros from bisection on that series),
-reference gamma values from mpmath, brute-force integrals from a plain
+brute-force integrals from a plain
 midpoint rule on numpy arrays, the exact beta = 0 momentum entropy from the
 Lommel closed form with scipy Bessel values, and the position entropy from
 mpmath zeros, Bessel values and quadrature.
@@ -125,11 +125,6 @@ def bessel_j_prime(nu: float, x):
     else:
         val = (nu / arr) * bessel_j(nu, arr) - bessel_j(nu + 1.0, arr)
     return float(val) if np.asarray(x).ndim == 0 else val
-
-
-def gamma_ref(x: float) -> float:
-    with mp.workdps(40):
-        return float(mp.gamma(mp.mpf(x)))
 
 
 def besselj_ref(nu: float, x: float) -> float:

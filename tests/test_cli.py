@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,18 @@ class TestStateCommand:
         code, _, err = run_cli(capsys, ["state", "--l", "0", "--beta", "0.2"])
         assert code == 2
         assert "--n" in err
+
+    def test_runs_as_module(self):
+        # python -m abtrap.cli needs the __main__ guard to do anything at all
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "abtrap.cli", "state", "--n", "0", "--l", "0"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["satisfied"] is True
 
     def test_unknown_flag_exits_2(self, capsys):
         code = main(["state", "--n", "0", "--l", "0", "--whatever", "1"])

@@ -75,6 +75,13 @@ class TestShannonPosition:
             exact = position_entropy_ref(n, l, beta, k)
             assert shannon_position(st) == pytest.approx(exact, abs=1e-9), (n, l, beta, k)
 
+    def test_order_past_the_series_range(self):
+        # J_80 near its turning point lies outside the power series; the
+        # 4-panel rule is good to 4e-8 at nu = 80
+        st = solve(SystemParams(beta=0.0), QuantumNumbers(0, 80, 1.0))
+        exact = position_entropy_ref(0, 80, 0.0, 1.0)
+        assert shannon_position(st) == pytest.approx(exact, abs=1e-6)
+
 
 class TestShannonMomentum:
     def test_defect_free_vs_lommel_closed_form(self):

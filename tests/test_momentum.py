@@ -222,7 +222,7 @@ class TestTailModel:
         # nu = |l| at beta = 0, so 1 / Gamma((|l| - nu) / 2) sits on a pole
         for n, l in ((0, 0), (1, 1), (2, -2)):
             st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
-            assert _tail_coefficients(st)[0] == 0.0
+            assert _tail_coefficients(st)[0][0] == 0.0
 
     def test_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 = -0.4
@@ -234,13 +234,13 @@ class TestTailModel:
             st.a0 * (st.theta / 2.0) ** nu / mp.gamma(nu + 1) * 2 ** (nu + 1)
             * mp.gamma((order + nu + 2) / 2) * mp.rgamma((order - nu) / 2)
         )
-        assert _tail_coefficients(st)[0] == pytest.approx(float(expect), rel=1e-12, abs=0)
+        assert _tail_coefficients(st)[0][0] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
     def test_second_origin_term_vanishes_without_defect(self):
         # (|l| - nu) / 2 - 1 = -1 at beta = 0, another pole of Gamma
         for n, l in ((0, 0), (1, 1), (2, -2)):
             st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
-            assert _tail_coefficients(st)[1] == 0.0
+            assert _tail_coefficients(st)[0][1] == 0.0
 
     def test_second_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 1 = -1.4
@@ -252,7 +252,7 @@ class TestTailModel:
             -st.a0 * (mp.mpf(st.theta) / 2) ** (nu + 2) / mp.gamma(nu + 2) * 2 ** (nu + 3)
             * mp.gamma((order + nu + 4) / 2) * mp.rgamma((order - nu - 2) / 2)
         )
-        assert _tail_coefficients(st)[1] == pytest.approx(float(expect), rel=1e-12, abs=0)
+        assert _tail_coefficients(st)[0][1] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n, l, r0", [(0, 0, 1.0), (1, -3, 1.0), (2, 2, 1.7)])
     def test_wall_terms_match_lommel_expansion(self, n, l, r0):
@@ -276,8 +276,8 @@ class TestTailModel:
                     )
                     scale = -amp * alpha ** (j - k) * a_k * mp.mpf(r0) ** (-k - mp.mpf(0.5))
                     expect[j] += float(scale * mp.sqrt(2 / mp.pi)) * quarter_turns[k % 4]
-        c0, c1, wall = _tail_coefficients(st)
-        assert c0 == c1 == 0.0
+        origin, wall = _tail_coefficients(st)
+        assert origin == (0.0, 0.0)
         np.testing.assert_allclose(wall, expect, rtol=1e-12, atol=1e-14 * np.abs(expect).max())
 
     def test_residual_falls_at_fifth_order(self):
