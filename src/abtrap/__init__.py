@@ -2,28 +2,22 @@
 information entropies, with a verification of the BBM uncertainty bound."""
 
 from .eigen import Eigenstate, QuantumNumbers, SystemParams, solve
-from .entropy import EntropyReport, report, shannon_momentum, shannon_position
-from .errors import ConvergenceError, DomainError, EvaluationError
+from .entropy import EntropyReport, report
+from .errors import ConvergenceError, DomainError
 from .momentum import MomentumProfile, build_profile
-from .specfun import bessel_j, bessel_zero
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Eigenstate",
-    "QuantumNumbers",
     "SystemParams",
+    "QuantumNumbers",
     "solve",
-    "EntropyReport",
-    "report",
-    "shannon_momentum",
-    "shannon_position",
-    "ConvergenceError",
-    "DomainError",
-    "EvaluationError",
-    "MomentumProfile",
+    "Eigenstate",
     "build_profile",
-    "bessel_j",
-    "bessel_zero",
+    "MomentumProfile",
+    "report",
+    "EntropyReport",
+    "DomainError",
+    "ConvergenceError",
     "__version__",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .eigen import QuantumNumbers, SystemParams, solve
 from .entropy import BBM_BOUND, report
-from .errors import ConvergenceError, DomainError, EvaluationError
+from .errors import ConvergenceError, DomainError
 from .momentum import sample_profile
 from .reference import TABLE_BETAS, default_grid_points, reference_row
 
@@ -209,56 +209,40 @@ def cmd_state(args) -> int:
 
 
 def cmd_table(args) -> int:
+    """One pass over grid x betas; each row feeds both the CSV lines and the JSON entries.
+
+    JSON carries the reference values of --compare-reference but not trend_agree.
+    """
     cfg = _apply_flags(load_config(args.config), args)
-    rows = []
+    header = "n,l,beta,S_r,S_p,total,bbm_bound,satisfied"
+    pad = ""
+    if args.compare_reference:
+        header += ",ref_S_r,ref_S_p,ref_total,trend_agree"
+        pad = ",,,,"
+    lines, entries = [header], []
+    # (n, l) -> (report, reference) of its last row with a reference
+    prev: dict[tuple[int, int], tuple] = {}
     failed = False
     for n, l in cfg.grid:
         for beta in cfg.betas:
-            params = replace(cfg.params, beta=beta)
-            qn = QuantumNumbers(n, l, cfg.k)
             try:
-                rows.append((n, l, beta, report(params, qn)))
-            except (ConvergenceError, EvaluationError) as exc:
-                rows.append((n, l, beta, exc))
+                rep = report(replace(cfg.params, beta=beta), QuantumNumbers(n, l, cfg.k))
+            except ConvergenceError as exc:
                 failed = True
-
-    if cfg.fmt == "json":
-        payload = []
-        for n, l, beta, rep in rows:
-            if isinstance(rep, Exception):
-                payload.append({"n": n, "l": l, "beta": beta, "error": str(rep)})
+                entries.append({"n": n, "l": l, "beta": beta, "error": str(exc)})
+                lines.append(f"{n},{l},{_fmt(beta)},,,,{_fmt(BBM_BOUND)},failed{pad}")
+                prev.pop((n, l), None)
                 continue
             entry = _report_payload(rep)
-            if args.compare_reference:
-                ref = reference_row(n, l, beta)
-                if ref:
-                    entry["ref_S_r"], entry["ref_S_p"], entry["ref_total"] = ref
-            payload.append(entry)
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-        return 3 if failed else 0
-
-    header = "n,l,beta,S_r,S_p,total,bbm_bound,satisfied"
-    if args.compare_reference:
-        header += ",ref_S_r,ref_S_p,ref_total,trend_agree"
-    lines = [header]
-    prev: dict[tuple[int, int], tuple] = {}
-    for n, l, beta, rep in rows:
-        if isinstance(rep, Exception):
-            line = f"{n},{l},{_fmt(beta)},,,,{_fmt(BBM_BOUND)},failed"
-            if args.compare_reference:
-                line += ",,,,"
-            lines.append(line)
-            prev.pop((n, l), None)
-            continue
-        line = (
-            f"{n},{l},{_fmt(beta)},{_fmt(rep.s_r)},{_fmt(rep.s_p)},"
-            f"{_fmt(rep.total)},{_fmt(rep.bbm_bound)},{'true' if rep.satisfied else 'false'}"
-        )
-        if args.compare_reference:
-            ref = reference_row(n, l, beta)
+            line = (
+                f"{n},{l},{_fmt(beta)},{_fmt(rep.s_r)},{_fmt(rep.s_p)},"
+                f"{_fmt(rep.total)},{_fmt(rep.bbm_bound)},{'true' if rep.satisfied else 'false'}"
+            )
+            ref = reference_row(n, l, beta) if args.compare_reference else None
             if ref is None:
-                line += ",,,,"
+                line += pad
             else:
+                entry["ref_S_r"], entry["ref_S_p"], entry["ref_total"] = ref
                 agree = ""
                 if (n, l) in prev:
                     p_rep, p_ref = prev[(n, l)]
@@ -267,8 +251,10 @@ def cmd_table(args) -> int:
                     agree = "yes" if (same_sp and same_tot) else "no"
                 line += f",{_fmt(ref[0])},{_fmt(ref[1])},{_fmt(ref[2])},{agree}"
                 prev[(n, l)] = (rep, ref)
-        lines.append(line)
-    _emit("\n".join(lines) + "\n", cfg.out)
+            entries.append(entry)
+            lines.append(line)
+    text = json.dumps(entries, indent=2) if cfg.fmt == "json" else "\n".join(lines)
+    _emit(text + "\n", cfg.out)
     return 3 if failed else 0
 
 
@@ -280,19 +266,16 @@ def cmd_density(args) -> int:
         state = solve(cfg.params, qn)
     except ConvergenceError as exc:
         raise ConvergenceError(f"solve: {exc}", best=exc.best, stage="solve") from exc
-    lines = ["coordinate,density"]
     if args.space == "position":
         # marginal radial density 2 pi Lz rho(r) r, trapezoid-normalized to 1
-        rr = np.linspace(0.0, cfg.params.r0, args.samples)
-        dens = 2.0 * math.pi * cfg.params.lz * state.position_density(rr) * rr
-        for r, d in zip(rr, dens):
-            lines.append(f"{_fmt(r)},{_fmt(d)}")
+        xs = np.linspace(0.0, cfg.params.r0, args.samples)
+        rho = cfg.params.lz * state.position_density(xs)
     else:
         rows = sample_profile(state, args.samples)
-        ps = rows[:, 0]
-        dens = 2.0 * math.pi * rows[:, 2] * ps
-        for p, d in zip(ps, dens):
-            lines.append(f"{_fmt(p)},{_fmt(d)}")
+        xs, rho = rows[:, 0], rows[:, 2]
+    lines = ["coordinate,density"]
+    for x, d in zip(xs, 2.0 * math.pi * rho * xs):
+        lines.append(f"{_fmt(x)},{_fmt(d)}")
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 
@@ -356,7 +339,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, EvaluationError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

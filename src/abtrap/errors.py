@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class EvaluationError(ValueError):
-    """An integrand or special function produced a non-finite value."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative computation exhausted its budget.
 

@@ -11,9 +11,10 @@ longer called by the package; it is kept as the independent reference path
 of the test oracles and as a layer the benchmark tracer wraps by name. It is
 globally adaptive bisection with a Gauss-Kronrod 7-15 rule per interval and
 the usual QUADPACK-style error estimate. Integrands are called with numpy
-arrays of abscissae and must return arrays of the same shape. Subdivision
-order is deterministic, so results are bit-reproducible for a given
-tolerance.
+arrays of abscissae and must return finite arrays of the same shape; a bad
+interval, tolerance, breakpoint or integrand value raises DomainError.
+Subdivision order is deterministic, so results are bit-reproducible for a
+given tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, EvaluationError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "QuadResult",
@@ -91,10 +92,10 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float, float]:
     x = mid + half * _NODES
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
-        raise EvaluationError("integrand must return an array matching its input")
+        raise DomainError("integrand must return an array matching its input")
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)][0]
-        raise EvaluationError(f"integrand returned a non-finite value near x={bad!r}")
+        raise DomainError(f"integrand returned a non-finite value near x={bad!r}")
     resk = half * float(np.dot(_WK, y))
     resg = half * float(np.dot(_WGFULL, y))
     resabs = abs(half) * float(np.dot(_WK, np.abs(y)))
@@ -122,9 +123,9 @@ def integrate_adaptive(
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise EvaluationError(f"needs finite a < b, got [{a!r}, {b!r}]")
+        raise DomainError(f"needs finite a < b, got [{a!r}, {b!r}]")
     if not (tol > 0.0):
-        raise EvaluationError(f"tolerance must be positive, got {tol!r}")
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
 
     val, err, _ = _gk15(f, a, b)
     evals = 15
@@ -175,9 +176,9 @@ def integrate_oscillatory(
     pts = [float(p) for p in breakpoints]
     for i, p in enumerate(pts):
         if not (a < p < b):
-            raise EvaluationError(f"breakpoint {p!r} outside ({a!r}, {b!r})")
+            raise DomainError(f"breakpoint {p!r} outside ({a!r}, {b!r})")
         if i > 0 and p <= pts[i - 1]:
-            raise EvaluationError("breakpoints must be strictly increasing")
+            raise DomainError("breakpoints must be strictly increasing")
     edges = [a, *pts, b]
     npieces = len(edges) - 1
     piece_tol = tol / npieces

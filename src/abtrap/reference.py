@@ -4,23 +4,13 @@
 the standard (n, l, beta) grid of this system. The absolute values embed a
 parameter set (mass, wavenumber, wall radius, z normalization) that is not
 part of this package's defaults, so they are used for trend comparison only,
-never for absolute assertions.
+never for absolute assertions. The default sweep is the published grid: its
+(n, l) points and betas are read from the keys, in their order.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "TABLE_GRID", "TABLE_BETAS", "REFERENCE_ROWS", "default_grid_points", "reference_row"
-]
-
-# (n, [l choices]) of the default sweep
-TABLE_GRID: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (0, (0,)),
-    (1, (-1, 0, 1)),
-    (2, (-2, -1, 0, 1, 2)),
-)
-
-TABLE_BETAS: tuple[float, ...] = (0.2, 0.4, 0.8)
+__all__ = ["TABLE_BETAS", "REFERENCE_ROWS", "default_grid_points", "reference_row"]
 
 # (n, l, beta) -> (S_r, S_p, S_r + S_p), verbatim as published
 REFERENCE_ROWS: dict[tuple[int, int, float], tuple[float, float, float]] = {
@@ -53,6 +43,8 @@ REFERENCE_ROWS: dict[tuple[int, int, float], tuple[float, float, float]] = {
     (2, 2, 0.8): (9.74272, 0.91082, 10.65351),
 }
 
+TABLE_BETAS: tuple[float, ...] = tuple(dict.fromkeys(beta for _, _, beta in REFERENCE_ROWS))
+
 
 def reference_row(n: int, l: int, beta: float):
     """Published (S_r, S_p, total) for a grid point, or None if absent."""
@@ -61,4 +53,4 @@ def reference_row(n: int, l: int, beta: float):
 
 def default_grid_points() -> list[tuple[int, int]]:
     """The (n, l) combinations of the default sweep, in emission order."""
-    return [(n, l) for n, ls in TABLE_GRID for l in ls]
+    return list(dict.fromkeys((n, l) for n, l, _ in REFERENCE_ROWS))

@@ -66,18 +66,15 @@ def _j_series(nu: float, x: np.ndarray) -> np.ndarray:
     # exact limits at the origin: J_0(0) = 1, J_nu(0) = 0 for nu > 0
     term = np.where(half == 0.0, 1.0 if nu == 0.0 else 0.0, term)
     out = term.copy()
-    # fixed term count from the largest argument (no per-term reductions)
+    # stop on the largest argument's scalar term bound (no per-term reductions)
     qmax = float(np.max(q))
     t = 1.0
-    nterms = 1
     for k in range(1, 80):
-        t *= qmax / (k * (nu + k))
-        nterms = k
-        if t < 1e-19 and k * k > qmax:
-            break
-    for k in range(1, nterms + 1):
         term *= q / (-k * (nu + k))
         out += term
+        t *= qmax / (k * (nu + k))
+        if t < 1e-19 and k * k > qmax:
+            break
     return out
 
 

@@ -8,15 +8,28 @@ import numpy as np
 import pytest
 
 from abtrap.cli import load_config, main
-from abtrap.entropy import report
+from abtrap.entropy import BBM_BOUND, EntropyReport, report
 from abtrap.eigen import QuantumNumbers, SystemParams
 from abtrap.errors import ConvergenceError, DomainError
+from abtrap.reference import REFERENCE_ROWS
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fake_report(fail=None):
+    """A fast stand-in for `report` whose S_p rises with beta; state `fail` raises."""
+
+    def fake(params, qn):
+        if (qn.n, qn.l, params.beta) == fail:
+            raise ConvergenceError("synthetic failure", stage="solve")
+        s_r, s_p = 1.0 + qn.n, 6.0 + params.beta
+        return EntropyReport(params, qn, s_r, s_p, s_r + s_p, BBM_BOUND, True)
+
+    return fake
 
 
 class TestStateCommand:
@@ -139,6 +152,36 @@ class TestTableCommand:
         payload = json.loads(out)
         assert len(payload) == 9
         assert all(entry["satisfied"] for entry in payload)
+
+    def test_json_reference_values_without_trend(self, capsys, monkeypatch):
+        monkeypatch.setattr("abtrap.cli.report", fake_report())
+        code, out, _ = run_cli(capsys, ["table", "--compare-reference", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload) == len(REFERENCE_ROWS)
+        for entry in payload:
+            ref = REFERENCE_ROWS[(entry["n"], entry["l"], entry["beta"])]
+            assert (entry["ref_S_r"], entry["ref_S_p"], entry["ref_total"]) == ref
+            assert "trend_agree" not in entry
+
+    def test_failed_row_resets_the_trend(self, capsys, monkeypatch):
+        monkeypatch.setattr("abtrap.cli.report", fake_report(fail=(1, 0, 0.4)))
+        code, out, _ = run_cli(capsys, ["table", "--compare-reference"])
+        assert code == 3
+        rows = {tuple(line.split(",")[:3]): line for line in out.splitlines()[1:]}
+        assert rows[("1", "0", "0.40000")] == "1,0,0.40000,,,,6.43419,failed,,,,"
+        # the next beta of (1, 0) has no previous row to compare with; (1, 1) does
+        assert rows[("1", "0", "0.80000")].endswith(",")
+        assert rows[("1", "1", "0.80000")].endswith(",yes")
+
+    def test_failed_row_is_an_error_entry_in_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("abtrap.cli.report", fake_report(fail=(1, 0, 0.4)))
+        code, out, _ = run_cli(capsys, ["table", "--compare-reference", "--format", "json"])
+        assert code == 3
+        failed = [entry for entry in json.loads(out) if "error" in entry]
+        assert len(failed) == 1
+        assert set(failed[0]) == {"n", "l", "beta", "error"}
+        assert (failed[0]["n"], failed[0]["l"], failed[0]["beta"]) == (1, 0, 0.4)
 
 
 class TestDensityCommand:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from abtrap.errors import ConvergenceError, EvaluationError
+from abtrap.errors import ConvergenceError, DomainError
 from abtrap.quadrature import integrate_adaptive, integrate_oscillatory
 from abtrap.specfun import bessel_j, bessel_zero
 
@@ -65,13 +65,13 @@ class TestAdaptive:
         assert math.isfinite(best.value)
 
     def test_nonfinite_integrand(self):
-        with np.errstate(divide="ignore"), pytest.raises(EvaluationError):
+        with np.errstate(divide="ignore"), pytest.raises(DomainError):
             integrate_adaptive(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, 1e-9)
 
     def test_bad_interval(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(DomainError):
             integrate_adaptive(lambda x: x, 1.0, 0.0, 1e-9)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(DomainError):
             integrate_adaptive(lambda x: x, 0.0, 1.0, -1e-9)
 
 
@@ -96,9 +96,9 @@ class TestOscillatory:
         assert res.value == pytest.approx(brute, abs=1e-6)
 
     def test_breakpoint_validation(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(DomainError):
             integrate_oscillatory(np.sin, 0.0, 1.0, [2.0], 1e-9)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(DomainError):
             integrate_oscillatory(np.sin, 0.0, 1.0, [0.7, 0.3], 1e-9)
 
     def test_error_estimates_add(self):

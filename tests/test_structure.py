@@ -2,11 +2,14 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import abtrap
+import abtrap.cli
 
 PACKAGE = Path(abtrap.__file__).parent
+BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -52,3 +55,17 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_bench_tracer_finds_every_name_it_wraps():
+    # the tracer looks each traced function up by name, with no default
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer(abtrap)
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    # the bench clears the zero cache between passes
+    assert callable(abtrap.specfun.bessel_zero.cache_clear)
