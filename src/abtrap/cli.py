@@ -265,7 +265,7 @@ def cmd_density(args) -> int:
     try:
         state = solve(cfg.params, qn)
     except ConvergenceError as exc:
-        raise ConvergenceError(f"solve: {exc}", best=exc.best, stage="solve") from exc
+        raise ConvergenceError(f"solve: {exc}", stage="solve") from exc
     if args.space == "position":
         # marginal radial density 2 pi Lz rho(r) r, trapezoid-normalized to 1
         xs = np.linspace(0.0, cfg.params.r0, args.samples)

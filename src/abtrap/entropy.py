@@ -116,7 +116,7 @@ def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
         stage = "position-entropy"
         s_r = shannon_position(state)
     except ConvergenceError as exc:
-        raise ConvergenceError(f"{stage}: {exc}", best=exc.best, stage=stage) from exc
+        raise ConvergenceError(f"{stage}: {exc}", stage=stage) from exc
     s_p = shannon_momentum(profile)
     bound, ok = bbm_check(s_r, s_p)
     return EntropyReport(

@@ -35,14 +35,18 @@ Treatise on the Theory of Bessel Functions, sec. 13.24):
     C_j = (-1)^j a0 (Theta / 2 r0)^(nu+2j) / (j! Gamma(nu + j + 1))
           * 2^(nu+2j+1) Gamma((L + nu + 2j + 2) / 2) / Gamma((L - nu - 2j) / 2),
 
-which vanish at beta = 0, where nu = L. The wall terms are the hard wall's
-endpoint contributions, from integration by parts (Wong, Asymptotic
-Approximations of Integrals, ch. II) of J_L(p r) r in Hankel's expansion;
-R(r0) = 0 and Bessel's equation give every derivative they need from
-R'(r0) = -a0 (Theta / r0) J_{nu+1}(Theta). The first terms left out fall as
-p^-(nu+6) and p^-11/2. The norm and entropy of that model are integrated past
-p_max and carried by the profile. `sample_profile` tabulates the amplitude
-alone.
+which vanish at beta = 0, where nu = L. The wall terms come from Green's
+identity for the Bessel operator B f = -(1/r)(r f')' + L^2 f / r^2 (Watson
+sec. 5.11; Wong, Asymptotic Approximations of Integrals, ch. II): since
+B J_L(p r) = p^2 J_L(p r), and R and B R = (Theta^2 / r0^2 + (L^2 - nu^2) / r^2) R
+vanish at r0, two passes leave the wall part through p^-9/2 as
+
+    r0 R'(r0) (p^-2 + g0 p^-4) J_L(p r0),    g0 = (Theta^2 + L^2 - nu^2) / r0^2,
+
+with R'(r0) = -a0 (Theta / r0) J_{nu+1}(Theta) and J_L in three terms of
+Hankel's expansion. The first terms left out fall as p^-(nu+6) and p^-11/2.
+The norm and entropy of that model are integrated past p_max and carried by
+the profile. `sample_profile` tabulates the amplitude alone.
 """
 
 from __future__ import annotations
@@ -70,16 +74,13 @@ class _AmplitudeEvaluator:
     """Vectorized phi(p) by `smoothed_gauss_legendre` on a fixed radial grid.
 
     [0, r0] is split at the radial nodes and cut to panels no wider than two
-    oscillations of the kernel at p_cap, 4 pi / p_cap; that keeps phi within
-    3e-13 of a four times finer grid for every p <= p_cap.
+    oscillations of the kernel at p_max, 4 pi / p_max; that keeps phi within
+    3e-13 of a four times finer grid for every p <= p_max.
     """
 
-    def __init__(self, state: Eigenstate, p_cap: float):
-        r0 = state.params.r0
-        edges = [0.0, *state.radial_nodes(), r0]
-        nodes, weights = smoothed_gauss_legendre(
-            subdivide(edges, 4.0 * math.pi / max(p_cap, math.pi / r0), 1)
-        )
+    def __init__(self, state: Eigenstate):
+        edges = [0.0, *state.radial_nodes(), state.params.r0]
+        nodes, weights = smoothed_gauss_legendre(subdivide(edges, 4.0 * math.pi / _p_max(state), 1))
         self._nodes = nodes
         self._weighted = weights * state.radial_wavefunction(nodes) * nodes
         self._order = abs(state.qn.l)
@@ -103,68 +104,56 @@ def _p_max(state: Eigenstate) -> float:
     return 5.0 * (state.theta + 20.0) / state.params.r0
 
 
-def _rgamma(x: float) -> float:
-    """1 / Gamma(x) for real x; zero at the poles 0, -1, -2, ..."""
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    return 1.0 / math.gamma(x)
-
-
 def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray]:
-    """((C0, C1), W) of the five-term tail model; see `_tail_amplitude`.
+    """((E0, E1), W) of the five-term tail model; see `_tail_amplitude`.
 
-    C_j comes from the term r^(nu+2j) of the ascending series of R. Row j of
-    W holds the cos and sin coefficients of the wall terms in p^-(j+5/2):
-    the terms (-1)^m g_k^(m)(r0) e^{i p r0} / (i p)^(m+1) of the
-    endpoint expansion of int g_k(r) e^{i p r} dr with k + m <= 3, where
-    g_k(r) = R(r) r^(1/2-k) carries the k-th Hankel coefficient a_k(L) of
-    J_L(p r) r. R(r0) = 0 removes m = 0, and Bessel's equation gives the
-    derivatives at the wall from R'(r0) alone.
+    E_j = C_j (r0 / Theta)^(nu+2j), its Gamma ratio formed in logs, is finite
+    at any order. Row j of W holds the (cos chi, sin chi) coefficients of
+    p^-(j+5/2) in the wall part of the module docstring.
     """
     r0, nu, theta = state.params.r0, state.nu, state.theta
     order = abs(state.qn.l)
-    origin = tuple(
-        (-1.0) ** j * state.a0 * (0.5 * theta / r0) ** (nu + 2 * j)
-        / (math.factorial(j) * math.gamma(nu + j + 1.0)) * 2.0 ** (nu + 2 * j + 1.0)
-        * math.gamma(0.5 * (order + nu) + j + 1.0) * _rgamma(0.5 * (order - nu) - j)
-        for j in range(2)
-    )
+    origin = []
+    for j in range(2):
+        x = 0.5 * (order - nu) - j
+        if x <= 0.0 and x == math.floor(x):  # 1 / Gamma(x) vanishes at its poles
+            origin.append(0.0)
+            continue
+        sign = (-1.0) ** (j + min(math.floor(x), 0))  # that of (-1)^j Gamma(x)
+        log_ratio = (math.lgamma(0.5 * (order + nu) + j + 1.0) - math.lgamma(x)
+                     - math.lgamma(nu + j + 1.0) - math.lgamma(j + 1.0))
+        origin.append(sign * 2.0 * state.a0 * math.exp(log_ratio))
     slope = -state.a0 * theta / r0 * bessel_j(nu + 1.0, theta)  # R'(r0)
     four = 4.0 * order * order
-    hankel = (1.0, (four - 1.0) / 8.0, (four - 1.0) * (four - 9.0) / 128.0)
-    # Re{i^j e^{i chi}} = cos(chi + j pi / 2), as (cos chi, sin chi) coefficients
-    quarter_turns = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
-    wall = np.zeros((3, 2))
-    for k, a_k in enumerate(hankel):
-        e = 0.5 - k
-        derivatives = (
-            slope * r0**e,
-            slope * r0 ** (e - 1.0) * (2.0 * e - 1.0),
-            slope * r0 ** (e - 2.0) * (2.0 - theta**2 + nu**2 + 3.0 * e * e - 6.0 * e),
-        )
-        for m in range(1, 4 - k):
-            scale = math.sqrt(2.0 / math.pi) * a_k * (-1.0) ** m * derivatives[m - 1]
-            wall[k + m - 1] += scale * quarter_turns[(k - m - 1) % 4]
-    return origin, wall
+    a1, a2 = (four - 1.0) / 8.0, (four - 1.0) * (four - 9.0) / 128.0
+    wall = math.sqrt(2.0 * r0 / math.pi) * slope * np.array(
+        [[1.0, 0.0], [0.0, -a1 / r0], [(theta**2 + order**2 - nu**2 - a2) / r0**2, 0.0]]
+    )
+    return tuple(origin), wall
 
 
-def _tail_amplitude(state: Eigenstate, p):
+def _tail_amplitude(state: Eigenstate, coefficients, p):
     """The five-term asymptotic amplitude, with chi = p r0 - (2L+1) pi / 4,
 
-        sum_j C_j p^-(nu+2+2j) + sum_j p^-(j+5/2) (W[j,0] cos chi + W[j,1] sin chi),
+        sum_j E_j (Theta / (r0 p))^(nu+2j) / p^2
+        + sum_j p^-(j+5/2) (W[j,0] cos chi + W[j,1] sin chi),
 
-    for j = 0, 1, 2; its error falls as p^-(nu+6) or p^-11/2, whichever is
-    slower, so it is accurate only well past p_max / 2.
+    over j = 0, 1 and j = 0, 1, 2, from `coefficients = ((E0, E1), W)`; its
+    error falls as p^-(nu+6) or p^-11/2, whichever is slower, so it is
+    accurate only well past p_max / 2.
     """
-    origin, wall = _tail_coefficients(state)
+    origin, wall = coefficients
     chi = p * state.params.r0 - (2 * abs(state.qn.l) + 1) * math.pi / 4.0
     cos, sin = np.cos(chi), np.sin(chi)
     inv = 1.0 / p
-    smooth = sum(c * inv ** (2 * j) for j, c in enumerate(origin))
+    x = state.theta / state.params.r0 * inv  # below 1 / 5 past p_max
+    smooth = 0.0
+    for e in origin[::-1]:
+        smooth = smooth * x * x + e
     oscillating = 0.0
     for w_cos, w_sin in wall[::-1]:
         oscillating = oscillating * inv + w_cos * cos + w_sin * sin
-    return smooth * p ** -(state.nu + 2.0) + oscillating * inv * inv * np.sqrt(inv)
+    return smooth * x**state.nu * inv * inv + oscillating * inv * inv * np.sqrt(inv)
 
 
 def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:
@@ -181,10 +170,12 @@ def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:
     first = math.floor((p_max * r0 - phase) / math.pi) + 1
     last = math.ceil((_TAIL_REACH * p_max * r0 - phase) / math.pi)
     edges = np.concatenate([[p_max], (phase + math.pi * np.arange(first, last + 1)) / r0])
+    coefficients = _tail_coefficients(state)
     norm = entropy = 0.0
     for start in range(0, edges.size - 1, _TAIL_CHUNK):
         chunk_norm, chunk_entropy = density_integrals(
-            edges[start:start + _TAIL_CHUNK + 1], lambda p: lz * _tail_amplitude(state, p) ** 2
+            edges[start:start + _TAIL_CHUNK + 1],
+            lambda p: lz * _tail_amplitude(state, coefficients, p) ** 2,
         )
         norm += chunk_norm
         entropy += chunk_entropy
@@ -255,7 +246,7 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
     """
     r0, lz = state.params.r0, state.params.lz
     p_max = _p_max(state)
-    evaluator = _AmplitudeEvaluator(state, p_max)
+    evaluator = _AmplitudeEvaluator(state)
     # 8 scan points per pi / r0 bracket the breakpoints
     p_scan = np.linspace(0.0, p_max, math.ceil(8.0 * p_max * r0 / math.pi) + 1)
     amp_scan = evaluator(p_scan)
@@ -288,5 +279,5 @@ def sample_profile(state: Eigenstate, count: int) -> np.ndarray:
         np.linspace(0.0, p_knee, n_near),
         np.linspace(p_knee, p_max, count - n_near + 1),
     ]))
-    amp = _AmplitudeEvaluator(state, p_max)(grid)
+    amp = _AmplitudeEvaluator(state)(grid)
     return np.column_stack([grid, amp, state.params.lz * amp**2])

@@ -1,5 +1,6 @@
 """Self-contained special functions: Bessel J of real order and its positive
-zeros. Gamma is the standard library's `math.gamma`.
+zeros. Gamma is the standard library's `math.gamma`, or `math.lgamma` for the
+series' leading term past nu = 170, where Gamma(nu + 1) overflows.
 
 Only non-negative orders are supported; the physics of this package never
 produces a negative order (nu = |l - beta*k| >= 0) and the irregular branch is
@@ -62,7 +63,11 @@ def _j_series(nu: float, x: np.ndarray) -> np.ndarray:
     half = 0.5 * x
     # leading coefficient (x/2)^nu / Gamma(nu+1); series in q = (x/2)^2
     q = half * half
-    term = np.where(half > 0.0, half, 1.0) ** nu / math.gamma(nu + 1.0)
+    term = np.where(half > 0.0, half, 1.0)
+    if nu <= 170.0:
+        term = term**nu / math.gamma(nu + 1.0)
+    else:  # Gamma(nu+1) overflows past nu = 170.6
+        term = np.exp(nu * np.log(term) - math.lgamma(nu + 1.0))
     # exact limits at the origin: J_0(0) = 1, J_nu(0) = 0 for nu > 0
     term = np.where(half == 0.0, 1.0 if nu == 0.0 else 0.0, term)
     out = term.copy()

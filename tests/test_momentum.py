@@ -150,7 +150,7 @@ class TestProfile:
             return bessel_j(nu, x)
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0))
-        r_nodes = _AmplitudeEvaluator(st, _p_max(st))._nodes.size
+        r_nodes = _AmplitudeEvaluator(st)._nodes.size
         monkeypatch.setattr(momentum_mod, "bessel_j", counting)
         argv = ["density", "--space", "momentum", "--n", "1", "--l", "1", "--beta", "0.8"]
         assert cli.main([*argv, "--samples", "4096"]) == 0
@@ -225,13 +225,14 @@ class TestTailModel:
             assert _tail_coefficients(st)[0][0] == 0.0
 
     def test_origin_term_past_gamma_pole(self):
-        # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 = -0.4
+        # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 = -0.4;
+        # E_0 = C_0 (r0 / Theta)^nu with r0 = 1
         import mpmath as mp
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
         nu, order = st.nu, 1
         expect = (
-            st.a0 * (st.theta / 2.0) ** nu / mp.gamma(nu + 1) * 2 ** (nu + 1)
+            2 * st.a0 / mp.gamma(nu + 1)
             * mp.gamma((order + nu + 2) / 2) * mp.rgamma((order - nu) / 2)
         )
         assert _tail_coefficients(st)[0][0] == pytest.approx(float(expect), rel=1e-12, abs=0)
@@ -243,16 +244,36 @@ class TestTailModel:
             assert _tail_coefficients(st)[0][1] == 0.0
 
     def test_second_origin_term_past_gamma_pole(self):
-        # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 1 = -1.4
+        # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 1 = -1.4;
+        # E_1 = C_1 (r0 / Theta)^(nu+2) with r0 = 1
         import mpmath as mp
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
         nu, order = mp.mpf(st.nu), 1
         expect = (
-            -st.a0 * (mp.mpf(st.theta) / 2) ** (nu + 2) / mp.gamma(nu + 2) * 2 ** (nu + 3)
+            -2 * st.a0 / mp.gamma(nu + 2)
             * mp.gamma((order + nu + 4) / 2) * mp.rgamma((order - nu - 2) / 2)
         )
         assert _tail_coefficients(st)[0][1] == pytest.approx(float(expect), rel=1e-12, abs=0)
+
+    def test_origin_terms_finite_at_high_order(self):
+        # (Theta / 2 r0)^(nu+2) alone overflows at nu = 159.5, Theta = 169.8
+        st = solve(SystemParams(beta=0.5), QuantumNumbers(0, 160, 1.0))
+        origin, wall = _tail_coefficients(st)
+        assert all(math.isfinite(e) and e != 0.0 for e in origin)
+        assert np.all(np.isfinite(wall))
+
+    def test_coefficients_built_once_per_profile(self, monkeypatch):
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return _tail_coefficients(state)
+
+        st = solve(SystemParams(beta=0.8), QuantumNumbers(2, 1, 1.0))
+        monkeypatch.setattr(momentum_mod, "_tail_coefficients", counting)
+        build_profile(st)
+        assert calls == [st]
 
     @pytest.mark.parametrize("n, l, r0", [(0, 0, 1.0), (1, -3, 1.0), (2, 2, 1.7)])
     def test_wall_terms_match_lommel_expansion(self, n, l, r0):
@@ -288,8 +309,9 @@ class TestTailModel:
             residuals = []
             for p in (0.5 * _p_max(st), _p_max(st)):
                 ps = np.linspace(0.9 * p, p, 200)
-                exact = _AmplitudeEvaluator(st, p)(ps)
-                residuals.append(np.max(np.abs(exact - _tail_amplitude(st, ps))))
+                exact = _AmplitudeEvaluator(st)(ps)
+                model = _tail_amplitude(st, _tail_coefficients(st), ps)
+                residuals.append(np.max(np.abs(exact - model)))
             assert residuals[1] <= residuals[0] / 2**5, (n, l, beta, residuals)
 
 

@@ -57,6 +57,11 @@ class TestBesselJ:
         # Gamma(nu + 1) is a finite float up to nu = 170.6
         assert bessel_j(nu, x) == pytest.approx(besselj_ref(nu, x), rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("nu, x", [(171.0, 15.0), (175.0, 10.0), (175.0, 19.5), (250.0, 19.5)])
+    def test_series_at_orders_past_gamma_overflow(self, nu, x):
+        # past nu = 170.6 the leading term is formed from nu ln(x/2) - lgamma(nu+1)
+        assert bessel_j(nu, x) == pytest.approx(besselj_ref(nu, x), rel=1e-12, abs=0)
+
     def test_half_integer_closed_form(self):
         for x in np.linspace(0.1, 50.0, 250):
             x = float(x)
