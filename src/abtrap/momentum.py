@@ -22,11 +22,11 @@ origin into s^(2 nu+2 L+3), which Gauss-Legendre integrates without grading.
 On [0, p_max], p_max = 5 (Theta + 20) / r0, a scan of 8 points per pi / r0
 brackets the amplitude's sign changes, and regula falsi puts each on its root.
 One batch of p-nodes, split there, gives the captured norm and the transverse
-entropy through `density_integrals`. Past p_max, phi follows the first five
-terms of its large-p expansion (L = |l|, chi = p r0 - L pi/2 - pi/4)
+entropy through `density_integrals`. Past p_max, phi follows a tail model
+(L = |l|): origin terms plus the wall part of Green's identity,
 
-    phi(p) ~ sum_{j=0,1} C_j p^-(nu+2+2j)
-             + sum_{j=0..2} p^-(j+5/2) (W_j cos chi + W'_j sin chi).
+    phi(p) ~ sum_{j=0..2} C_j p^-(nu+2+2j)
+             + sum_{m=0..2} p^-2(m+1) r0 [f_m'(r0) J_L(p r0) - f_m(r0) p J_L'(p r0)].
 
 The origin terms are the terms r^(nu+2j) of the ascending series of R,
 through the Weber-Schafheitlin integrals of r^(nu+2j+1) J_L(p r) (Watson,
@@ -38,15 +38,25 @@ Treatise on the Theory of Bessel Functions, sec. 13.24):
 which vanish at beta = 0, where nu = L. The wall terms come from Green's
 identity for the Bessel operator B f = -(1/r)(r f')' + L^2 f / r^2 (Watson
 sec. 5.11; Wong, Asymptotic Approximations of Integrals, ch. II): since
-B J_L(p r) = p^2 J_L(p r), and R and B R = (Theta^2 / r0^2 + (L^2 - nu^2) / r^2) R
-vanish at r0, two passes leave the wall part through p^-9/2 as
+B J_L(p r) = p^2 J_L(p r), each pass moves B onto f_m, with f_0 = R and
+f_{m+1} = B f_m. Here B R = g R, g = a^2 + c / r^2, a = Theta / r0 and
+c = L^2 - nu^2, so with s = R'(r0) = -a0 a J_{nu+1}(Theta) and
+g0 = a^2 + c / r0^2,
 
-    r0 R'(r0) (p^-2 + g0 p^-4) J_L(p r0),    g0 = (Theta^2 + L^2 - nu^2) / r0^2,
+    f_0(r0) = f_1(r0) = 0,   f_0'(r0) = s,   f_1'(r0) = g0 s,
+    f_2(r0) = 4 c s / r0^3,  f_2'(r0) = (g0^2 - 20 c / r0^4) s.
 
-with R'(r0) = -a0 (Theta / r0) J_{nu+1}(Theta) and J_L in three terms of
-Hankel's expansion. The first terms left out fall as p^-(nu+6) and p^-11/2.
-The norm and entropy of that model are integrated past p_max and carried by
-the profile. `sample_profile` tabulates the amplitude alone.
+The series runs in (Theta^2 + |c|) / (p r0)^2, not in Hankel's L^2 / (p r0),
+because J_L(p r0) and J_{L+1}(p r0) are kept exact. The first terms left out
+fall as p^-(nu+8) and p^-15/2. The tail is integrated on two scales. On the
+near band [p_max, P], P about 20 p_max, the exact model is integrated on
+panels between its zeros. Past P, J_L and J_{L+1} take five terms of Hankel's
+expansion, so phi = o(p) + A(p) cos chi + B(p) sin chi, with o the origin
+terms and chi = p r0 - L pi/2 - pi/4; the means of rho and rho ln rho over one
+period of chi vary slowly in p, and are integrated in t = P / p over (0, 1],
+out to p = inf. The profile carries the
+tail's norm and entropy, and `build_profile` fails when the norm misses 1 by
+more than 1e-7. `sample_profile` tabulates the amplitude alone.
 """
 
 from __future__ import annotations
@@ -58,16 +68,20 @@ from typing import Callable
 import numpy as np
 
 from .eigen import Eigenstate
-from .quadrature import density_integrals, smoothed_gauss_legendre, subdivide
-from .specfun import bessel_j
+from .errors import ConvergenceError
+from .quadrature import density_integrals, rho_ln_rho, smoothed_gauss_legendre, subdivide
+from .specfun import bessel_j, mcmahon_zero
 
 __all__ = ["MomentumProfile", "build_profile", "sample_profile"]
 
-# the modelled tail is integrated to _TAIL_REACH * p_max = 2000 (Theta + 20) / r0;
-# what lies beyond changes S_p of the grid states by less than 4e-9, and by
-# 6e-8 at nu = 0.01 (the origin term decays slowest at small nu)
-_TAIL_REACH = 400.0
-_TAIL_CHUNK = 4096  # tail panels per batch, which bounds the memory used
+# the tail's near band runs from p_max to P = _NEAR_BAND * p_max; past P the
+# model is averaged over its phase chi on _PHASES and integrated in t = P / p
+# on the panels between _FAR_EDGES, graded by 4 towards t = 0 (p = inf)
+_NEAR_BAND = 20.0
+_FAR_EDGES = np.concatenate([[0.0], 4.0 ** -np.arange(7.0, -1.0, -1.0)])
+_PHASES = 2.0 * math.pi * (np.arange(40) + 0.5) / 40
+# build_profile fails when the norm misses 1 by more than this
+_NORM_DEFECT = 1e-7
 
 
 class _AmplitudeEvaluator:
@@ -104,17 +118,21 @@ def _p_max(state: Eigenstate) -> float:
     return 5.0 * (state.theta + 20.0) / state.params.r0
 
 
-def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray]:
-    """((E0, E1), W) of the five-term tail model; see `_tail_amplitude`.
+def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """(E, G, W) of the tail model; see `_tail_amplitude` and `_tail_average`.
 
-    E_j = C_j (r0 / Theta)^(nu+2j), its Gamma ratio formed in logs, is finite
-    at any order. Row j of W holds the (cos chi, sin chi) coefficients of
-    p^-(j+5/2) in the wall part of the module docstring.
+    E_j = C_j (r0 / Theta)^(nu+2j), j = 0, 1, 2, its Gamma ratio formed in logs,
+    is finite at any order. G holds the wall part from Green's identity,
+
+        p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p r0) + G3 p^-5 J_{L+1}(p r0),
+
+    and row j of W the (cos chi, sin chi) coefficients of p^-(j+5/2) in its
+    Hankel expansion, j = 0..4.
     """
     r0, nu, theta = state.params.r0, state.nu, state.theta
     order = abs(state.qn.l)
     origin = []
-    for j in range(2):
+    for j in range(3):
         x = 0.5 * (order - nu) - j
         if x <= 0.0 and x == math.floor(x):  # 1 / Gamma(x) vanishes at its poles
             origin.append(0.0)
@@ -124,62 +142,109 @@ def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray
                      - math.lgamma(nu + j + 1.0) - math.lgamma(j + 1.0))
         origin.append(sign * 2.0 * state.a0 * math.exp(log_ratio))
     slope = -state.a0 * theta / r0 * bessel_j(nu + 1.0, theta)  # R'(r0)
-    four = 4.0 * order * order
-    a1, a2 = (four - 1.0) / 8.0, (four - 1.0) * (four - 9.0) / 128.0
-    wall = math.sqrt(2.0 * r0 / math.pi) * slope * np.array(
-        [[1.0, 0.0], [0.0, -a1 / r0], [(theta**2 + order**2 - nu**2 - a2) / r0**2, 0.0]]
+    c = order * order - nu * nu
+    g0 = (theta**2 + c) / r0**2
+    green = r0 * slope * np.array(
+        [1.0, g0, g0 * g0 - (20.0 + 4.0 * order) * c / r0**4, 4.0 * c / r0**3]
     )
-    return tuple(origin), wall
+    # J_mu(x) ~ sqrt(2 / (pi x)) Re{e^{i chi} (-i)^(mu-L) sum_k i^k a_k(mu) x^-k}
+    rows = np.zeros(5, dtype=complex)
+    for g, power, shift in zip(green, (2, 4, 6, 5), (0, 0, 0, 1)):
+        four = 4.0 * (order + shift) ** 2
+        a = g * (-1j) ** shift
+        for k in range(7 - power):
+            if k:
+                a *= 1j * (four - (2 * k - 1) ** 2) / (8.0 * k * r0)
+            rows[power - 2 + k] += a
+    rows *= math.sqrt(2.0 / (math.pi * r0))
+    return tuple(origin), green, np.column_stack([rows.real, -rows.imag])
 
 
-def _tail_amplitude(state: Eigenstate, coefficients, p):
-    """The five-term asymptotic amplitude, with chi = p r0 - (2L+1) pi / 4,
-
-        sum_j E_j (Theta / (r0 p))^(nu+2j) / p^2
-        + sum_j p^-(j+5/2) (W[j,0] cos chi + W[j,1] sin chi),
-
-    over j = 0, 1 and j = 0, 1, 2, from `coefficients = ((E0, E1), W)`; its
-    error falls as p^-(nu+6) or p^-11/2, whichever is slower, so it is
-    accurate only well past p_max / 2.
-    """
-    origin, wall = coefficients
-    chi = p * state.params.r0 - (2 * abs(state.qn.l) + 1) * math.pi / 4.0
-    cos, sin = np.cos(chi), np.sin(chi)
-    inv = 1.0 / p
-    x = state.theta / state.params.r0 * inv  # below 1 / 5 past p_max
+def _origin_part(state: Eigenstate, origin, p):
+    """sum_j E_j (Theta / (r0 p))^(nu+2j) / p^2, by Horner in (Theta / (r0 p))^2."""
+    x = state.theta / (state.params.r0 * p)  # below 1 / 5 past p_max
     smooth = 0.0
     for e in origin[::-1]:
         smooth = smooth * x * x + e
-    oscillating = 0.0
+    return smooth * x**state.nu / (p * p)
+
+
+def _bessel_factor(green, p):
+    """p^-2 (G0 + G1 p^-2 + G2 p^-4), the factor of J_L(p r0) in the wall part."""
+    inv2 = 1.0 / (p * p)
+    return inv2 * (green[0] + inv2 * (green[1] + inv2 * green[2]))
+
+
+def _tail_amplitude(state: Eigenstate, coefficients, p):
+    """The tail model of phi with J_L(p r0) and J_{L+1}(p r0) exact,
+
+        sum_j E_j (Theta / (r0 p))^(nu+2j) / p^2
+        + p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p r0) + G3 p^-5 J_{L+1}(p r0),
+
+    from `coefficients = (E, G, W)`. The first terms left out fall as p^-(nu+8)
+    and p^-15/2, so it is accurate only well past p_max / 2.
+    """
+    origin, green, _ = coefficients
+    order, x = abs(state.qn.l), p * state.params.r0
+    wall = (_bessel_factor(green, p) * bessel_j(order, x)
+            + green[3] / p**5 * bessel_j(order + 1, x))
+    return _origin_part(state, origin, p) + wall
+
+
+def _tail_average(state: Eigenstate, coefficients, p) -> tuple[np.ndarray, np.ndarray]:
+    """Means of rho and of rho ln rho of the tail model over one period of chi.
+
+    At each p the model is o + A cos chi + B sin chi, with chi = p r0 - (2L+1) pi / 4,
+    o the origin part and A, B the rows of W summed in p^-1/2; the means are
+    taken on the midpoint nodes _PHASES, with o, A and B held at p.
+    """
+    origin, _, wall = coefficients
+    inv = 1.0 / p
+    scale = inv * inv * np.sqrt(inv)
+    a = b = 0.0
     for w_cos, w_sin in wall[::-1]:
-        oscillating = oscillating * inv + w_cos * cos + w_sin * sin
-    return smooth * x**state.nu * inv * inv + oscillating * inv * inv * np.sqrt(inv)
+        a, b = a * inv + w_cos, b * inv + w_sin
+    amp = (_origin_part(state, origin, p)[:, None] + (a * scale)[:, None] * np.cos(_PHASES)
+           + (b * scale)[:, None] * np.sin(_PHASES))
+    rho = state.params.lz * amp * amp
+    return rho.mean(axis=1), rho_ln_rho(rho).mean(axis=1)
 
 
 def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:
     """Norm and transverse entropy of the tail model from p_max on.
 
-    Panels run between the zeros of cos chi, where rho ln rho has its cusps
-    once the leading wall term dominates. The later terms move the model's
-    zeros by O(1 / p); on the grid states, panels cut at the model's own zeros
-    and four times finer change the tail entropy by at most 3.5e-9.
+    On the near band [p_max, P], P about _NEAR_BAND p_max, panels run between
+    the model's zeros, where rho ln rho has its cusps: McMahon's zeros of
+    J_L(p r0), moved by the origin part. P is the last of them. Past P the
+    phase means of `_tail_average` vary slowly; they are integrated in
+    t = P / p on smoothed Gauss-Legendre panels of (0, 1], which reach p = inf.
     """
     r0, lz = state.params.r0, state.params.lz
-    # cos(p r0 - (2L+1) pi/4) vanishes at p r0 = (2L+3) pi/4 + m pi
-    phase = (2 * abs(state.qn.l) + 3) * math.pi / 4.0
-    first = math.floor((p_max * r0 - phase) / math.pi) + 1
-    last = math.ceil((_TAIL_REACH * p_max * r0 - phase) / math.pi)
-    edges = np.concatenate([[p_max], (phase + math.pi * np.arange(first, last + 1)) / r0])
+    order = abs(state.qn.l)
     coefficients = _tail_coefficients(state)
-    norm = entropy = 0.0
-    for start in range(0, edges.size - 1, _TAIL_CHUNK):
-        chunk_norm, chunk_entropy = density_integrals(
-            edges[start:start + _TAIL_CHUNK + 1],
-            lambda p: lz * _tail_amplitude(state, coefficients, p) ** 2,
-        )
-        norm += chunk_norm
-        entropy += chunk_entropy
-    return norm, entropy
+    # the k-th zero of J_L lies near (k + L/2 - 1/4) pi
+    shift = 0.5 * order - 0.25
+    ks = np.arange(math.floor(p_max * r0 / math.pi - shift) + 1,
+                   math.floor(_NEAR_BAND * p_max * r0 / math.pi - shift) + 1)
+    zeros = mcmahon_zero(order, ks)[0] / r0
+    # near a zero z of J_L(p r0) the model is o + D sin(r0 (p - z)), with o its
+    # origin part and D = -p^-2 (G0 + G1 p^-2 + G2 p^-4) J_{L+1}(z r0), so o
+    # moves the model's zero by arcsin(-o / D) / r0; where |o| > |D| rho has no
+    # zero, and the edge stays a quarter period off
+    origin, green, _ = coefficients
+    slope = -_bessel_factor(green, zeros) * bessel_j(order + 1, zeros * r0)
+    zeros = zeros + np.arcsin(np.clip(-_origin_part(state, origin, zeros) / slope, -1.0, 1.0)) / r0
+    zeros = zeros[zeros > p_max]
+    edges = np.concatenate([[p_max], zeros])
+    norm, entropy = density_integrals(
+        edges, lambda p: lz * _tail_amplitude(state, coefficients, p) ** 2
+    )
+    far = edges[-1]
+    t, weights = smoothed_gauss_legendre(_FAR_EDGES)
+    p = far / t
+    rho, rho_log = _tail_average(state, coefficients, p)
+    measure = 2.0 * math.pi * weights * p * far / (t * t)  # 2 pi p dp
+    return norm + float(np.sum(measure * rho)), entropy - float(np.sum(measure * rho_log))
 
 
 def _amplitude_breakpoints(
@@ -254,6 +319,12 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
     edges = subdivide([0.0, *breakpoints, p_max], math.pi / r0, 1)
     captured_norm, inner_entropy = density_integrals(edges, lambda p: lz * evaluator(p) ** 2)
     tail_norm, tail_entropy = _tail_integrals(state, p_max)
+    defect = abs(1.0 - captured_norm - tail_norm)
+    if defect > _NORM_DEFECT:
+        raise ConvergenceError(
+            f"momentum norm misses 1 by {defect:.1e} (captured {captured_norm:.9f}, "
+            f"tail {tail_norm:.3e}); the tail model does not hold past p_max = {p_max:.6g}"
+        )
     return MomentumProfile(
         state=state,
         p_max=p_max,

@@ -22,6 +22,8 @@ All three branches accept numpy arrays; scalars go through the same code.
 Zeros of J_nu come from Segura's fixed-point iteration (SIAM J. Numer. Anal.
 40 (2002) 114) on the ratio J_nu/J_{nu+1} from the continued fraction CF1
 (Thompson & Barnett, J. Comput. Phys. 64 (1986) 490): no Bessel evaluation.
+Its start, McMahon's asymptotic estimate, is `mcmahon_zero`, which also takes
+an array of indices.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "bessel_j",
     "bessel_zero",
+    "mcmahon_zero",
     "series_cutoff",
     "asymptotic_cutoff",
 ]
@@ -195,10 +198,11 @@ def bessel_j(nu: float, x):
     return float(vals[0]) if scalar else vals.reshape(arr.shape)
 
 
-def _mcmahon_guess(nu: float, j: int) -> tuple[float, float]:
+def mcmahon_zero(nu: float, j):
     """McMahon estimate of the j-th positive zero of J_nu, and its last term.
 
     The last term's size tracks the estimate's error (mpmath, nu <= 700).
+    `j` may be an integer array, which gives arrays of both.
     """
     mu = 4.0 * nu * nu
     beta = (j + 0.5 * nu - 0.25) * math.pi
@@ -248,7 +252,7 @@ def bessel_zero(nu: float, j: int) -> float:
         raise DomainError(f"zero index must be a positive integer, got {j!r}")
     j = int(j)
 
-    x, last_term = _mcmahon_guess(nu, j)
+    x, last_term = mcmahon_zero(nu, j)
     if abs(last_term) >= 0.1:
         x = nu
         # a loop, not recursion: each lower zero is then a cache hit

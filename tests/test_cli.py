@@ -46,6 +46,23 @@ class TestStateCommand:
         assert payload["satisfied"] is True
         assert payload["bbm_bound"] == 6.43419
 
+    def test_norm_defect_exits_3(self, capsys, monkeypatch):
+        # a tail norm 1e-6 off leaves the norm short of 1 by that much; the
+        # profile refuses it rather than print a wrong S_p
+        import abtrap.momentum as momentum_mod
+
+        tail_integrals = momentum_mod._tail_integrals
+
+        def off(state, p_max):
+            norm, entropy = tail_integrals(state, p_max)
+            return norm - 1e-6, entropy
+
+        monkeypatch.setattr(momentum_mod, "_tail_integrals", off)
+        code, out, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--beta", "0.2"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: momentum-profile: momentum norm misses 1 by 1.0e-06")
+
     def test_beta_out_of_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--beta", "1.5"])
         assert code == 2

@@ -93,7 +93,9 @@ class TestShannonMomentum:
     def test_converged_in_p_max(self, monkeypatch):
         # (2,1,0.8) converges slowest of the grid states, and at (0,1,0.99)
         # nu = 0.01 gives the tail's origin term its slowest decay, so the
-        # tail's reach matters there; doubling p_max doubles the reach too
+        # tail carries the most there; it runs to p = inf at any p_max, and
+        # doubling p_max moves the split between the sampled profile and the
+        # exact-J_L near band of the tail
         import abtrap.momentum as momentum_mod
 
         states = [

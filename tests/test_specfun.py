@@ -10,6 +10,7 @@ from abtrap.specfun import (
     asymptotic_cutoff,
     bessel_j,
     bessel_zero,
+    mcmahon_zero,
     series_cutoff,
     _j_asymptotic,
     _j_miller,
@@ -190,6 +191,17 @@ class TestBesselZero:
         with mp.workdps(30):
             exact = float(mp.besseljzero(mp.mpf(3.2), 3000))
         assert abs(bessel_zero(3.2, 3000) - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("nu", [0.0, 2.0, 25.0])
+    def test_mcmahon_estimates_past_five_orders(self, nu):
+        # the momentum tail cuts its panels at these estimates from
+        # p r0 = 5 (nu + 20) on; 5.2e-8 measured at nu = 25
+        first = math.floor(5.0 * (nu + 20.0) / math.pi - 0.5 * nu + 0.25) + 1
+        js = np.array([first, first + 1, first + 50, first + 500])
+        estimates = mcmahon_zero(nu, js)[0]
+        assert [mcmahon_zero(nu, int(j))[0] for j in js] == estimates.tolist()
+        exact = np.array([bessel_zero(nu, int(j)) for j in js])
+        assert np.max(np.abs(estimates - exact)) <= 1e-7
 
     def test_unsettled_ratio_raises(self, monkeypatch):
         bessel_zero.cache_clear()
