@@ -264,7 +264,7 @@ def cmd_density(args) -> int:
         raise DomainError(f"--samples must be >= 64, got {args.samples}")
     try:
         state = solve(cfg.params, qn)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         raise ConvergenceError(f"solve: {exc}", stage="solve") from exc
     if args.space == "position":
         # marginal radial density 2 pi Lz rho(r) r, trapezoid-normalized to 1

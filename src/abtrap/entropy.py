@@ -106,7 +106,7 @@ def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
     """solve -> momentum profile -> entropies -> BBM check, deterministically.
 
     S_r and S_p each come from one fixed rule, so there is no tolerance. A
-    ConvergenceError is re-raised with the stage it came from as its prefix.
+    ConvergenceError or ArithmeticError becomes a ConvergenceError prefixed by its stage.
     """
     stage = "solve"
     try:
@@ -115,7 +115,7 @@ def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
         profile = build_profile(state)
         stage = "position-entropy"
         s_r = shannon_position(state)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         raise ConvergenceError(f"{stage}: {exc}", stage=stage) from exc
     s_p = shannon_momentum(profile)
     bound, ok = bbm_check(s_r, s_p)

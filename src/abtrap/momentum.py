@@ -50,9 +50,9 @@ The series runs in (Theta^2 + |c|) / (p r0)^2, not in Hankel's L^2 / (p r0),
 because J_L(p r0) and J_{L+1}(p r0) are kept exact. The first terms left out
 fall as p^-(nu+8) and p^-15/2. The tail is integrated on two scales. On the
 near band [p_max, P], P about 20 p_max, the exact model is integrated on
-panels between its zeros. Past P, J_L and J_{L+1} take five terms of Hankel's
-expansion, so phi = o(p) + A(p) cos chi + B(p) sin chi, with o the origin
-terms and chi = p r0 - L pi/2 - pi/4; the means of rho and rho ln rho over one
+panels between its zeros. Past P, J_L and J_{L+1} take Hankel's P and Q from
+`specfun.hankel_pq`, so phi = o(p) + A(p) cos chi + B(p) sin chi, with o the
+origin terms and chi = p r0 - L pi/2 - pi/4; the means of rho and rho ln rho over one
 period of chi vary slowly in p, and are integrated in t = P / p over (0, 1],
 out to p = inf. The profile carries the
 tail's norm and entropy, and `build_profile` fails when the norm misses 1 by
@@ -70,7 +70,7 @@ import numpy as np
 from .eigen import Eigenstate
 from .errors import ConvergenceError
 from .quadrature import density_integrals, rho_ln_rho, smoothed_gauss_legendre, subdivide
-from .specfun import bessel_j, mcmahon_zero
+from .specfun import bessel_j, hankel_pq, mcmahon_zero
 
 __all__ = ["MomentumProfile", "build_profile", "sample_profile"]
 
@@ -118,16 +118,13 @@ def _p_max(state: Eigenstate) -> float:
     return 5.0 * (state.theta + 20.0) / state.params.r0
 
 
-def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """(E, G, W) of the tail model; see `_tail_amplitude` and `_tail_average`.
+def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray]:
+    """(E, G) of the tail model; see `_tail_amplitude` and `_tail_average`.
 
     E_j = C_j (r0 / Theta)^(nu+2j), j = 0, 1, 2, its Gamma ratio formed in logs,
     is finite at any order. G holds the wall part from Green's identity,
 
-        p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p r0) + G3 p^-5 J_{L+1}(p r0),
-
-    and row j of W the (cos chi, sin chi) coefficients of p^-(j+5/2) in its
-    Hankel expansion, j = 0..4.
+        p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p r0) + G3 p^-5 J_{L+1}(p r0).
     """
     r0, nu, theta = state.params.r0, state.nu, state.theta
     order = abs(state.qn.l)
@@ -147,17 +144,7 @@ def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray
     green = r0 * slope * np.array(
         [1.0, g0, g0 * g0 - (20.0 + 4.0 * order) * c / r0**4, 4.0 * c / r0**3]
     )
-    # J_mu(x) ~ sqrt(2 / (pi x)) Re{e^{i chi} (-i)^(mu-L) sum_k i^k a_k(mu) x^-k}
-    rows = np.zeros(5, dtype=complex)
-    for g, power, shift in zip(green, (2, 4, 6, 5), (0, 0, 0, 1)):
-        four = 4.0 * (order + shift) ** 2
-        a = g * (-1j) ** shift
-        for k in range(7 - power):
-            if k:
-                a *= 1j * (four - (2 * k - 1) ** 2) / (8.0 * k * r0)
-            rows[power - 2 + k] += a
-    rows *= math.sqrt(2.0 / (math.pi * r0))
-    return tuple(origin), green, np.column_stack([rows.real, -rows.imag])
+    return tuple(origin), green
 
 
 def _origin_part(state: Eigenstate, origin, p):
@@ -181,10 +168,10 @@ def _tail_amplitude(state: Eigenstate, coefficients, p):
         sum_j E_j (Theta / (r0 p))^(nu+2j) / p^2
         + p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p r0) + G3 p^-5 J_{L+1}(p r0),
 
-    from `coefficients = (E, G, W)`. The first terms left out fall as p^-(nu+8)
+    from `coefficients = (E, G)`. The first terms left out fall as p^-(nu+8)
     and p^-15/2, so it is accurate only well past p_max / 2.
     """
-    origin, green, _ = coefficients
+    origin, green = coefficients
     order, x = abs(state.qn.l), p * state.params.r0
     wall = (_bessel_factor(green, p) * bessel_j(order, x)
             + green[3] / p**5 * bessel_j(order + 1, x))
@@ -195,17 +182,21 @@ def _tail_average(state: Eigenstate, coefficients, p) -> tuple[np.ndarray, np.nd
     """Means of rho and of rho ln rho of the tail model over one period of chi.
 
     At each p the model is o + A cos chi + B sin chi, with chi = p r0 - (2L+1) pi / 4,
-    o the origin part and A, B the rows of W summed in p^-1/2; the means are
-    taken on the midpoint nodes _PHASES, with o, A and B held at p.
+    o the origin part, A = s (F P_L + g Q_{L+1}) and B = s (g P_{L+1} - F Q_L):
+    s = sqrt(2 / (pi p r0)), F = `_bessel_factor`, g = G3 p^-5, and P, Q from
+    `hankel_pq` at p r0. The means are taken on the midpoint nodes _PHASES,
+    with o, A and B held at p.
     """
-    origin, _, wall = coefficients
-    inv = 1.0 / p
-    scale = inv * inv * np.sqrt(inv)
-    a = b = 0.0
-    for w_cos, w_sin in wall[::-1]:
-        a, b = a * inv + w_cos, b * inv + w_sin
-    amp = (_origin_part(state, origin, p)[:, None] + (a * scale)[:, None] * np.cos(_PHASES)
-           + (b * scale)[:, None] * np.sin(_PHASES))
+    origin, green = coefficients
+    order, x = abs(state.qn.l), p * state.params.r0
+    p_l, q_l = hankel_pq(order, x)
+    p_next, q_next = hankel_pq(order + 1, x)
+    scale = np.sqrt(2.0 / (math.pi * x))
+    factor, g = _bessel_factor(green, p), green[3] / p**5
+    a = scale * (factor * p_l + g * q_next)
+    b = scale * (g * p_next - factor * q_l)
+    amp = (_origin_part(state, origin, p)[:, None] + a[:, None] * np.cos(_PHASES)
+           + b[:, None] * np.sin(_PHASES))
     rho = state.params.lz * amp * amp
     return rho.mean(axis=1), rho_ln_rho(rho).mean(axis=1)
 
@@ -231,7 +222,7 @@ def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:
     # origin part and D = -p^-2 (G0 + G1 p^-2 + G2 p^-4) J_{L+1}(z r0), so o
     # moves the model's zero by arcsin(-o / D) / r0; where |o| > |D| rho has no
     # zero, and the edge stays a quarter period off
-    origin, green, _ = coefficients
+    origin, green = coefficients
     slope = -_bessel_factor(green, zeros) * bessel_j(order + 1, zeros * r0)
     zeros = zeros + np.arcsin(np.clip(-_origin_part(state, origin, zeros) / slope, -1.0, 1.0)) / r0
     zeros = zeros[zeros > p_max]
@@ -320,7 +311,7 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
     captured_norm, inner_entropy = density_integrals(edges, lambda p: lz * evaluator(p) ** 2)
     tail_norm, tail_entropy = _tail_integrals(state, p_max)
     defect = abs(1.0 - captured_norm - tail_norm)
-    if defect > _NORM_DEFECT:
+    if not defect <= _NORM_DEFECT:  # a NaN defect fails too
         raise ConvergenceError(
             f"momentum norm misses 1 by {defect:.1e} (captured {captured_norm:.9f}, "
             f"tail {tail_norm:.3e}); the tail model does not hold past p_max = {p_max:.6g}"

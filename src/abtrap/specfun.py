@@ -14,8 +14,8 @@ Evaluation strategy for J_nu(x):
   sum_k (mu+2k) Gamma(mu+k)/k! * J_{mu+2k}(x) = (x/2)^mu
   (mu the fractional part of nu, the k = 0 coefficient read as its
   mu -> 0 limit Gamma(mu+1)), in between,
-* Hankel large-x asymptotic expansion for
-  x >= asymptotic_cutoff(nu) = max(30, 1.2 nu^2).
+* Hankel's large-x expansion, P and Q from `hankel_pq` (the momentum tail's
+  too), for x >= asymptotic_cutoff(nu) = max(30, 1.2 nu^2).
 
 All three branches accept numpy arrays; scalars go through the same code.
 
@@ -38,6 +38,7 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "bessel_j",
     "bessel_zero",
+    "hankel_pq",
     "mcmahon_zero",
     "series_cutoff",
     "asymptotic_cutoff",
@@ -86,13 +87,11 @@ def _j_series(nu: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _j_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    """Hankel expansion; valid for x >= asymptotic_cutoff(nu).
+def hankel_pq(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hankel's P, Q: J_nu(x) = sqrt(2 / (pi x)) (P cos w - Q sin w), w = x - (nu/2 + 1/4) pi.
 
-    The terms factor as a_j / x^j with scalar a_j, so P and Q reduce to
-    polynomials in 1/x^2 evaluated by Horner's rule; the truncation index is
-    chosen once from the smallest argument (asymptotic series: stop at the
-    smallest term).
+    P and x Q are polynomials in 1/x^2, summed by Horner's rule up to the
+    smallest term at the smallest x (the series is asymptotic).
     """
     mu = 4.0 * nu * nu
     xmin = float(np.min(x))
@@ -114,7 +113,12 @@ def _j_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     q = np.full_like(x, qc[-1])
     for coef in qc[-2::-1]:
         q = q * u + coef
-    q /= x
+    return p, q / x
+
+
+def _j_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
+    """J_nu from `hankel_pq`; valid for x >= asymptotic_cutoff(nu)."""
+    p, q = hankel_pq(nu, x)
     omega = x - (0.5 * nu + 0.25) * math.pi
     return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(omega) - q * np.sin(omega))
 
@@ -253,6 +257,8 @@ def bessel_zero(nu: float, j: int) -> float:
     j = int(j)
 
     x, last_term = mcmahon_zero(nu, j)
+    if not (math.isfinite(x) and math.isfinite(last_term)):  # nu past about 1e38
+        raise ConvergenceError(f"bessel_zero: McMahon's estimate overflows at nu={nu}, j={j}")
     if abs(last_term) >= 0.1:
         x = nu
         # a loop, not recursion: each lower zero is then a cache hit

@@ -63,6 +63,37 @@ class TestStateCommand:
         assert out == ""
         assert err.startswith("error: momentum-profile: momentum norm misses 1 by 1.0e-06")
 
+    @pytest.mark.parametrize("command, r0, stage", [
+        ("state", "1e-75", "momentum-profile"),  # NaN tail norm
+        ("state", "1e75", "momentum-profile"),  # NaN tail norm
+        ("state", "1e-90", "momentum-profile"),  # r0^4 underflows to 0
+        ("state", "1e-100", "momentum-profile"),
+        ("state", "1e100", "momentum-profile"),  # overflow in the Green terms
+        ("state", "1e-160", "solve"),  # (Theta / r0)^2 overflows
+        ("state", "1e200", "solve"),  # r0^2 overflows in normalize
+        ("density", "1e-160", "solve"),
+        ("density", "1e200", "solve"),
+    ])
+    def test_extreme_r0_exits_3(self, capsys, command, r0, stage):
+        # the stage that overflows, divides by zero or leaves a NaN norm fails,
+        # rather than a traceback or a printed -Infinity; numpy's overflow
+        # warnings, errors under pytest, are silenced to reach that stage
+        argv = [command, "--n", "0", "--l", "1", "--beta", "0.4", "--r0", r0]
+        if command == "density":
+            argv += ["--space", "position"]
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {stage}: ")
+
+    @pytest.mark.parametrize("flags", [["--l", "1", "--k", "1e300"], ["--l", "1" + "0" * 40]])
+    def test_huge_order_exits_3(self, capsys, flags):
+        # McMahon's estimate is not finite past nu = 1e38; the zero search
+        # fails at once rather than raise on a NaN or run CF1 for 1e14 steps
+        code, out, err = run_cli(capsys, ["state", "--n", "0", "--beta", "0.4", *flags])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: solve: bessel_zero: ")
+
     def test_beta_out_of_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--beta", "1.5"])
         assert code == 2

@@ -10,6 +10,7 @@ from abtrap.specfun import (
     asymptotic_cutoff,
     bessel_j,
     bessel_zero,
+    hankel_pq,
     mcmahon_zero,
     series_cutoff,
     _j_asymptotic,
@@ -103,6 +104,22 @@ class TestBesselJ:
             bessel_j(0.0, math.nan)
         with pytest.raises(DomainError):
             bessel_j(math.inf, 1.0)
+
+
+class TestHankelPQ:
+    @pytest.mark.parametrize("nu", [0.0, 0.2, 1.0, 2.5, 3.7, 10.0, 25.0])
+    def test_envelopes_give_j_and_y(self, nu):
+        # J = s (P cos w - Q sin w) and Y = s (P sin w + Q cos w) pin both
+        # envelopes; the momentum tail takes them for J_L and J_{L+1} past P
+        xs = np.geomspace(asymptotic_cutoff(nu), 40.0 * asymptotic_cutoff(nu), 25)
+        p, q = hankel_pq(nu, xs)
+        w = xs - (0.5 * nu + 0.25) * math.pi
+        s = np.sqrt(2.0 / (math.pi * xs))
+        with mp.workdps(30):
+            j_ref = [float(mp.besselj(nu, mp.mpf(x))) for x in xs]
+            y_ref = [float(mp.bessely(nu, mp.mpf(x))) for x in xs]
+        np.testing.assert_allclose(s * (p * np.cos(w) - q * np.sin(w)), j_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(s * (p * np.sin(w) + q * np.cos(w)), y_ref, rtol=0, atol=1e-13)
 
 
 class TestBesselJPrime:
