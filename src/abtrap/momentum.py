@@ -309,7 +309,10 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
     breakpoints = _amplitude_breakpoints(evaluator, p_scan, amp_scan)
     edges = subdivide([0.0, *breakpoints, p_max], math.pi / r0, 1)
     captured_norm, inner_entropy = density_integrals(edges, lambda p: lz * evaluator(p) ** 2)
-    tail_norm, tail_entropy = _tail_integrals(state, p_max)
+    # at extreme r0 the tail model overflows to inf or NaN; the norm check
+    # below fails the profile then, so numpy need not warn about it
+    with np.errstate(all="ignore"):
+        tail_norm, tail_entropy = _tail_integrals(state, p_max)
     defect = abs(1.0 - captured_norm - tail_norm)
     if not defect <= _NORM_DEFECT:  # a NaN defect fails too
         raise ConvergenceError(

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,15 +78,17 @@ class TestStateCommand:
     ])
     def test_extreme_r0_exits_3(self, capsys, command, r0, stage):
         # the stage that overflows, divides by zero or leaves a NaN norm fails,
-        # rather than a traceback or a printed -Infinity; numpy's overflow
-        # warnings, errors under pytest, are silenced to reach that stage
+        # rather than a traceback or a printed -Infinity, and its one error
+        # line is all of stderr: numpy warns of no overflow on the way
         argv = [command, "--n", "0", "--l", "1", "--beta", "0.4", "--r0", r0]
         if command == "density":
             argv += ["--space", "position"]
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = run_cli(capsys, argv)
         assert (code, out) == (3, "")
-        assert err.startswith(f"error: {stage}: ")
+        assert [str(w.message) for w in caught] == []
+        assert err.startswith(f"error: {stage}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [["--l", "1", "--k", "1e300"], ["--l", "1" + "0" * 40]])
     def test_huge_order_exits_3(self, capsys, flags):
@@ -93,6 +97,32 @@ class TestStateCommand:
         code, out, err = run_cli(capsys, ["state", "--n", "0", "--beta", "0.4", *flags])
         assert (code, out) == (3, "")
         assert err.startswith("error: solve: bessel_zero: ")
+
+    @pytest.mark.parametrize("l", ["1000000000", "1000000000000000"])
+    def test_order_past_the_recurrence_bound_exits_3(self, capsys, l):
+        # normalize's J_{nu+1}(Theta) would recur through l orders; bessel_j
+        # refuses that before it allocates or loops
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["state", "--n", "0", "--beta", "0.4", "--l", l])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error: solve: bessel_j: ")
+
+    @pytest.mark.parametrize("flags, row", [
+        (["--n", "4", "--l", "20", "--beta", "0.3"],
+         '{"n": 4, "l": 20, "k": 1.0, "beta": 0.3, "m": 1.0, "r0": 1.0, "lz": 1.0, '
+         '"S_r": 0.56559, "S_p": 10.29106, "total": 10.85666, "bbm_bound": 6.43419, '
+         '"satisfied": true}'),
+        (["--n", "0", "--l", "20", "--beta", "0.5"],
+         '{"n": 0, "l": 20, "k": 1.0, "beta": 0.5, "m": 1.0, "r0": 1.0, "lz": 1.0, '
+         '"S_r": 0.26705, "S_p": 9.92296, "total": 10.19, "bbm_bound": 6.43419, '
+         '"satisfied": true}'),
+    ], ids=["4,20,0.3", "0,20,0.5"])
+    def test_wide_states_print_frozen_rows(self, capsys, flags, row):
+        # |l| = 20 runs the forward recurrence in the radial wavefunction, the
+        # amplitude and the momentum tail; no bench workload reaches it
+        code, out, err = run_cli(capsys, ["state", *flags])
+        assert (code, out, err) == (0, row + "\n", "")
 
     def test_beta_out_of_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--beta", "1.5"])

@@ -13,7 +13,9 @@ from abtrap.specfun import (
     hankel_pq,
     mcmahon_zero,
     series_cutoff,
+    _MAX_RECURRENCE,
     _j_asymptotic,
+    _j_forward,
     _j_miller,
     _j_series,
 )
@@ -79,7 +81,7 @@ class TestBesselJ:
         assert np.max(np.abs(vec - scl)) <= 1e-14
 
     def test_branch_agreement_at_crossovers(self):
-        # the three evaluation branches agree where they hand over
+        # the evaluation branches agree where they hand over
         for nu in (0.0, 0.4, 1.7, 5.0, 10.0):
             s = series_cutoff(nu)
             a = asymptotic_cutoff(nu)
@@ -87,13 +89,46 @@ class TestBesselJ:
             assert abs(_j_series(nu, x)[0] - _j_miller(nu, x)[0]) <= 1e-12
             x = np.array([a])
             assert abs(_j_miller(nu, x)[0] - _j_asymptotic(nu, x)[0]) <= 1e-12
+        # Miller -> forward at max(16, nu), forward -> Hankel at the cutoff
+        for nu in (4.2, 7.5, 12.3, 25.0):
+            x = np.array([max(16.0, nu)])
+            assert abs(_j_miller(nu, x)[0] - _j_forward(nu, x)[0]) <= 1e-12, nu
+            x = np.array([asymptotic_cutoff(nu)])
+            assert abs(_j_forward(nu, x)[0] - _j_asymptotic(nu, x)[0]) <= 1e-12, nu
 
     def test_continuity_just_across_crossovers(self):
-        for nu in (0.0, 0.8, 3.3):
-            for cut in (series_cutoff(nu), asymptotic_cutoff(nu)):
+        for nu in (0.0, 0.8, 3.3, 4.2, 7.5, 12.3, 25.0):
+            for cut in (series_cutoff(nu), max(16.0, nu), asymptotic_cutoff(nu)):
                 below = bessel_j(nu, cut - 1e-13)
                 above = bessel_j(nu, cut + 1e-13)
-                assert abs(above - below) <= 1e-12
+                assert abs(above - below) <= 1e-12, (nu, cut)
+
+    def test_against_mpmath_up_to_order_60(self):
+        # all four branches, with points packed just past the turning point
+        # x = nu, where the forward recurrence starts; 3.6e-15 measured
+        rng = np.random.default_rng(16)
+        for nu in (0.0, 0.6, 1.0, 2.3, 3.0, 4.2, 7.5, 9.0, 12.3, 17.0, 20.5, 25.0, 31.6,
+                   44.0, 59.4, 60.0):
+            xs = np.concatenate([rng.uniform(0.0, 40.0, 8), np.geomspace(1.0, 2000.0, 10),
+                                 nu + 0.3 * nu * rng.random(8)])
+            with mp.workdps(30):
+                exact = [float(mp.besselj(nu, mp.mpf(float(x)))) for x in xs]
+            np.testing.assert_allclose(bessel_j(nu, xs), exact, rtol=0, atol=1e-13, err_msg=str(nu))
+
+    def test_order_160_inside_the_recurrence_bound(self):
+        # Miller below the order, forward recurrence past it
+        xs = np.array([25.0, 100.0, 160.5, 161.0, 400.0, 3000.0])
+        with mp.workdps(30):
+            exact = [float(mp.besselj(160.5, mp.mpf(float(x)))) for x in xs]
+        np.testing.assert_allclose(bessel_j(160.5, xs), exact, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("x", [50.0, 2e5])
+    def test_recurrence_past_the_bound_raises(self, x):
+        # Miller at x = 50 and forward recurrence at 2e5 would each run past
+        # _MAX_RECURRENCE orders; both fail before they allocate
+        nu = 1.5 * _MAX_RECURRENCE
+        with pytest.raises(ConvergenceError, match=r"^bessel_j: order 150000 "):
+            bessel_j(nu, x)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
