@@ -266,15 +266,20 @@ def cmd_density(args) -> int:
         state = solve(cfg.params, qn)
     except (ConvergenceError, ArithmeticError) as exc:
         raise ConvergenceError(f"solve: {exc}", stage="solve") from exc
-    if args.space == "position":
-        # marginal radial density 2 pi Lz rho(r) r, trapezoid-normalized to 1
-        xs = np.linspace(0.0, cfg.params.r0, args.samples)
-        rho = cfg.params.lz * state.position_density(xs)
-    else:
-        rows = sample_profile(state, args.samples)
-        xs, rho = rows[:, 0], rows[:, 2]
+    # radial marginals from the unit cylinder, trapezoid-normalized to 1: 2 pi Lz rho(r) r
+    # = 2 pi rho(x) x / r0 at r = r0 x, and 2 pi rho(p) p = r0 2 pi rho(x) x at p = x / r0
+    r0 = cfg.params.r0
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        if args.space == "position":
+            xs = np.linspace(0.0, 1.0, args.samples)
+            coords, dens = r0 * xs, 2.0 * math.pi * state.position_density(xs) * xs / r0
+        else:
+            xs, _, rho = sample_profile(state, args.samples).T
+            coords, dens = xs / r0, r0 * (2.0 * math.pi * rho * xs)
+    if not (np.isfinite(coords).all() and np.isfinite(dens).all()):
+        raise ConvergenceError(f"density: r0 = {r0!r} overflows the profile", stage="density")
     lines = ["coordinate,density"]
-    for x, d in zip(xs, 2.0 * math.pi * rho * xs):
+    for x, d in zip(coords, dens):
         lines.append(f"{_fmt(x)},{_fmt(d)}")
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0

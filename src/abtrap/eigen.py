@@ -4,13 +4,14 @@ screw-dislocation background (units hbar = c = 1).
 The dislocation couples the angular quantum number l to the longitudinal
 wavenumber k, shifting the effective Bessel order to nu = |l - beta*k| (an
 Aharonov-Bohm-type effect: the defect acts without any local interaction).
-The radial eigenfunction is R(r) = a0 * J_nu(Theta * r / r0) with Theta the
+The radial eigenfunction is R(r) = a0 J_nu(Theta r / r0) with Theta the
 (n+1)-th positive zero of J_nu, and
 
     E(n, l, k) = (Theta / r0)^2 / (2m) + k^2 / (2m).
 
-The plane wave along z is normalized on a periodic box of length Lz, so the
-full state has unit norm and every entropy downstream is finite.
+The plane wave along z is normalized on a periodic box of length Lz. The
+state is solved on the unit cylinder r0 = Lz = 1, in x = r / r0: the box only
+rescales it, and the entropies shift by ln(r0^2 Lz) (see the entropy module).
 """
 
 from __future__ import annotations
@@ -87,51 +88,54 @@ def effective_order(l: int, beta: float, k: float) -> float:
     return abs(l - beta * k)
 
 
-def normalize(params: SystemParams, nu: float, theta: float) -> float:
-    """Normalization constant a0 from the closed-form radial norm.
+def normalize(nu: float, theta: float) -> float:
+    """Normalization constant a0 on the unit cylinder, from the closed-form norm.
 
     When Theta is a zero of J_nu the Lommel identity gives
-    int_0^r0 J_nu(Theta r/r0)^2 r dr = (r0^2/2) J_{nu+1}(Theta)^2, so
-    a0 = [2 pi Lz (r0^2/2) J_{nu+1}(Theta)^2]^(-1/2).
+    int_0^1 J_nu(Theta x)^2 x dx = J_{nu+1}(Theta)^2 / 2, so
+    a0 = [2 pi J_{nu+1}(Theta)^2 / 2]^(-1/2).
     """
     j1 = bessel_j(nu + 1.0, theta)
     if j1 == 0.0:
         # zeros of J_nu and J_{nu+1} interlace, so Theta is not a zero of J_nu
         raise ConvergenceError(f"normalize: J_{{nu+1}}(Theta) = 0 at nu={nu}, Theta={theta!r}")
-    radial = 0.5 * params.r0**2 * j1 * j1
-    return 1.0 / math.sqrt(2.0 * math.pi * params.lz * radial)
+    return 1.0 / math.sqrt(2.0 * math.pi * (0.5 * j1 * j1))
 
 
 @dataclass(frozen=True)
 class Eigenstate:
-    """Solved hard-wall state; immutable and cheap to evaluate."""
+    """Solved hard-wall state; its radial methods take x = r / r0 (unit cylinder)."""
 
     params: SystemParams
     qn: QuantumNumbers
     nu: float
     theta: float
-    energy: float
     a0: float
 
-    def radial_wavefunction(self, r):
-        """R(r) = a0 J_nu(Theta r / r0) inside the wall, 0 at and beyond it."""
-        arr = np.asarray(r, dtype=float)
+    @property
+    def energy(self) -> float:
+        """E = (Theta / r0)^2 / (2m) + k^2 / (2m)."""
+        m = self.params.m
+        return (self.theta / self.params.r0) ** 2 / (2.0 * m) + self.qn.k**2 / (2.0 * m)
+
+    def radial_wavefunction(self, x):
+        """R(x) = a0 J_nu(Theta x) inside the wall x < 1, 0 at and beyond it."""
+        arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
-        rr = np.atleast_1d(arr)
-        inside = rr < self.params.r0
-        out = np.zeros_like(rr)
+        xs = np.atleast_1d(arr)
+        inside = xs < 1.0
+        out = np.zeros_like(xs)
         if np.any(inside):
-            out[inside] = self.a0 * bessel_j(self.nu, self.theta * rr[inside] / self.params.r0)
+            out[inside] = self.a0 * bessel_j(self.nu, self.theta * xs[inside])
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
     def radial_nodes(self) -> list[float]:
-        """Radii in (0, r0) where R(r) changes sign: the first n zeros of J_nu, scaled."""
-        r0, theta = self.params.r0, self.theta
-        return [r0 * bessel_zero(self.nu, i) / theta for i in range(1, self.qn.n + 1)]
+        """The x in (0, 1) where R changes sign: the first n zeros of J_nu over Theta."""
+        return [bessel_zero(self.nu, i) / self.theta for i in range(1, self.qn.n + 1)]
 
-    def position_density(self, r):
-        """Full 3-D probability density |psi|^2; independent of theta and z."""
-        w = self.radial_wavefunction(r)
+    def position_density(self, x):
+        """Probability density |psi|^2 on the unit cylinder; independent of theta and z."""
+        w = self.radial_wavefunction(x)
         return w * w
 
 
@@ -143,6 +147,4 @@ def solve(params: SystemParams, qn: QuantumNumbers) -> Eigenstate:
     """
     nu = effective_order(qn.l, params.beta, qn.k)
     theta = bessel_zero(nu, qn.n + 1)
-    energy = (theta / params.r0) ** 2 / (2.0 * params.m) + qn.k**2 / (2.0 * params.m)
-    a0 = normalize(params, nu, theta)
-    return Eigenstate(params=params, qn=qn, nu=nu, theta=theta, energy=energy, a0=a0)
+    return Eigenstate(params=params, qn=qn, nu=nu, theta=theta, a0=normalize(nu, theta))

@@ -1,12 +1,14 @@
 """Shannon information entropies of an eigenstate in position and momentum
 space, and the Bialynicki-Birula–Mycielski (BBM) uncertainty-bound check.
 
-Position space (density rho = |psi|^2, independent of theta and z):
+States are solved on the unit cylinder r0 = Lz = 1. The box dilates them, so
+S_r gains ln(r0^2 Lz) and S_p loses it, and S_r + S_p does not depend on it.
+Position space (density rho = |psi|^2 in x = r / r0, independent of theta and z):
 
-    S_r = -2 pi Lz int_0^r0 rho ln(rho) r dr.
+    S_r = -2 pi int_0^1 rho ln(rho) x dx + ln(r0^2 Lz).
 
-The integral has one fixed rule. [0, r0] is split at the radial nodes (the
-zeros of J_nu(Theta r / r0)), every lobe between them is cut into 4 equal
+The integral has one fixed rule. [0, 1] is split at the radial nodes (the
+zeros of J_nu(Theta x)), every lobe between them is cut into 4 equal
 panels, and each panel gets 20 Gauss-Legendre points after the smoothing map
 u = 3 s^2 - 2 s^3, which flattens the log cusps of rho ln rho at the nodes
 and at the wall. Against 25-digit mpmath the rule is within 5e-11 on sampled
@@ -41,7 +43,6 @@ __all__ = [
     "BBM_BOUND",
     "EntropyReport",
     "SINC_ENTROPY_CONST",
-    "longitudinal_momentum_entropy",
     "shannon_position",
     "shannon_momentum",
     "bbm_check",
@@ -52,11 +53,13 @@ __all__ = [
 SINC_ENTROPY_CONST = 2.0 * (1.0 - float(np.euler_gamma))
 # the three-dimensional BBM bound 3 (1 + ln pi) on S_r + S_p
 BBM_BOUND = 3.0 * (1.0 + math.log(math.pi))
+# S_z on the unit box Lz = 1
+_LONGITUDINAL_ENTROPY = math.log(2.0 * math.pi) + SINC_ENTROPY_CONST
 
 
-def longitudinal_momentum_entropy(params: SystemParams) -> float:
-    """Entropy of the box-limited plane wave's momentum density (exact)."""
-    return math.log(2.0 * math.pi / params.lz) + SINC_ENTROPY_CONST
+def _log_box(params: SystemParams) -> float:
+    """ln(r0^2 Lz), finite for any box, though r0^2 and 2 pi / Lz may not be."""
+    return 2.0 * math.log(params.r0) + math.log(params.lz)
 
 
 # Gauss-Legendre panels per lobe of the radial density; on the sampled states
@@ -67,21 +70,17 @@ _LOBE_PANELS = 4
 def shannon_position(state) -> float:
     """Position-space entropy S_r of a normalized state, by one fixed rule.
 
-    The state needs `params`, a vectorized `position_density` and
-    `radial_nodes()`; the integral is split at those nodes.
+    The state needs `params`, and a vectorized `position_density` and
+    `radial_nodes()` on the unit cylinder; the integral is split at those nodes.
     """
-    r0, lz = state.params.r0, state.params.lz
-    edges = subdivide([0.0, *state.radial_nodes(), r0], r0, _LOBE_PANELS)
-    return lz * density_integrals(edges, state.position_density)[1]
+    edges = subdivide([0.0, *state.radial_nodes(), 1.0], 1.0, _LOBE_PANELS)
+    return density_integrals(edges, state.position_density)[1] + _log_box(state.params)
 
 
 def shannon_momentum(profile: MomentumProfile) -> float:
     """Full momentum-space entropy S_p (transverse + longitudinal)."""
-    return (
-        profile.inner_entropy
-        + profile.tail_entropy
-        + longitudinal_momentum_entropy(profile.state.params)
-    )
+    transverse = profile.inner_entropy + profile.tail_entropy
+    return transverse + _LONGITUDINAL_ENTROPY - _log_box(profile.state.params)
 
 
 def bbm_check(s_r: float, s_p: float) -> tuple[float, bool]:

@@ -1,62 +1,62 @@
-"""Momentum-space profile of an eigenstate.
+"""Momentum-space profile of an eigenstate, on the unit cylinder.
 
 The 3-D Fourier transform factorizes in cylindrical coordinates: the angular
 integral turns the transverse part into an order-|l| Hankel transform of the
-radial wavefunction,
+radial wavefunction. On the unit cylinder r0 = Lz = 1, with x = r / r0 and
+momenta p in units of 1 / r0 (the entropy module and the CLI apply the box),
 
-    phi(p) = int_0^r0 R(r) J_|l|(p r) r dr,
+    phi(p) = int_0^1 R(x) J_|l|(p x) x dx,
 
 under the unitary physical-momentum convention (hbar = 1), where a unimodular
 phase has been dropped (it cancels in the density). The transverse momentum
 density per p dp dp_theta is uniform in the momentum angle and equals
 
-    rho(p) = Lz * phi(p)^2,        2 pi int_0^inf rho(p) p dp = 1.
+    rho(p) = phi(p)^2,        2 pi int_0^inf rho(p) p dp = 1.
 
 The longitudinal factor is handled analytically in the entropy module.
 
 `build_profile` uses the package's one rule, `smoothed_gauss_legendre`, in
-both variables. In r it builds phi as one weighted sum over fixed nodes, on
-panels two oscillations of J_L(p_max r) wide; its smoothing map
-u = 3 s^2 - 2 s^3 turns the r^(nu+L+1) behaviour of the integrand at the
+both variables. In x it builds phi as one weighted sum over fixed nodes, on
+panels two oscillations of J_L(p_max x) wide; its smoothing map
+u = 3 s^2 - 2 s^3 turns the x^(nu+L+1) behaviour of the integrand at the
 origin into s^(2 nu+2 L+3), which Gauss-Legendre integrates without grading.
-On [0, p_max], p_max = 5 (Theta + 20) / r0, a scan of 8 points per pi / r0
-brackets the amplitude's sign changes, and regula falsi puts each on its root.
+On [0, p_max], p_max = 5 (Theta + 20), a scan of 8 points per pi brackets
+the amplitude's sign changes, and regula falsi puts each on its root.
 One batch of p-nodes, split there, gives the captured norm and the transverse
 entropy through `density_integrals`. Past p_max, phi follows a tail model
 (L = |l|): origin terms plus the wall part of Green's identity,
 
     phi(p) ~ sum_{j=0..2} C_j p^-(nu+2+2j)
-             + sum_{m=0..2} p^-2(m+1) r0 [f_m'(r0) J_L(p r0) - f_m(r0) p J_L'(p r0)].
+             + sum_{m=0..2} p^-2(m+1) [f_m'(1) J_L(p) - f_m(1) p J_L'(p)].
 
-The origin terms are the terms r^(nu+2j) of the ascending series of R,
-through the Weber-Schafheitlin integrals of r^(nu+2j+1) J_L(p r) (Watson,
+The origin terms are the terms x^(nu+2j) of the ascending series of R,
+through the Weber-Schafheitlin integrals of x^(nu+2j+1) J_L(p x) (Watson,
 Treatise on the Theory of Bessel Functions, sec. 13.24):
 
-    C_j = (-1)^j a0 (Theta / 2 r0)^(nu+2j) / (j! Gamma(nu + j + 1))
+    C_j = (-1)^j a0 (Theta / 2)^(nu+2j) / (j! Gamma(nu + j + 1))
           * 2^(nu+2j+1) Gamma((L + nu + 2j + 2) / 2) / Gamma((L - nu - 2j) / 2),
 
 which vanish at beta = 0, where nu = L. The wall terms come from Green's
-identity for the Bessel operator B f = -(1/r)(r f')' + L^2 f / r^2 (Watson
+identity for the Bessel operator B f = -(1/x)(x f')' + L^2 f / x^2 (Watson
 sec. 5.11; Wong, Asymptotic Approximations of Integrals, ch. II): since
-B J_L(p r) = p^2 J_L(p r), each pass moves B onto f_m, with f_0 = R and
-f_{m+1} = B f_m. Here B R = g R, g = a^2 + c / r^2, a = Theta / r0 and
-c = L^2 - nu^2, so with s = R'(r0) = -a0 a J_{nu+1}(Theta) and
-g0 = a^2 + c / r0^2,
+B J_L(p x) = p^2 J_L(p x), each pass moves B onto f_m, with f_0 = R and
+f_{m+1} = B f_m. Here B R = g R, g = Theta^2 + c / x^2 and c = L^2 - nu^2,
+so with s = R'(1) = -a0 Theta J_{nu+1}(Theta) and g0 = Theta^2 + c,
 
-    f_0(r0) = f_1(r0) = 0,   f_0'(r0) = s,   f_1'(r0) = g0 s,
-    f_2(r0) = 4 c s / r0^3,  f_2'(r0) = (g0^2 - 20 c / r0^4) s.
+    f_0(1) = f_1(1) = 0,   f_0'(1) = s,   f_1'(1) = g0 s,
+    f_2(1) = 4 c s,        f_2'(1) = (g0^2 - 20 c) s.
 
-The series runs in (Theta^2 + |c|) / (p r0)^2, not in Hankel's L^2 / (p r0),
-because J_L(p r0) and J_{L+1}(p r0) are kept exact. The first terms left out
-fall as p^-(nu+8) and p^-15/2. The tail is integrated on two scales. On the
-near band [p_max, P], P about 20 p_max, the exact model is integrated on
-panels between its zeros. Past P, J_L and J_{L+1} take Hankel's P and Q from
+The series runs in (Theta^2 + |c|) / p^2, not in Hankel's L^2 / p, because
+J_L(p) and J_{L+1}(p) are kept exact. The first terms left out fall as
+p^-(nu+8) and p^-15/2. The tail is integrated on two scales. On the near
+band [p_max, P], P about 20 p_max, the exact model is integrated on panels
+between its zeros. Past P, J_L and J_{L+1} take Hankel's P and Q from
 `specfun.hankel_pq`, so phi = o(p) + A(p) cos chi + B(p) sin chi, with o the
-origin terms and chi = p r0 - L pi/2 - pi/4; the means of rho and rho ln rho over one
-period of chi vary slowly in p, and are integrated in t = P / p over (0, 1],
-out to p = inf. The profile carries the
-tail's norm and entropy, and `build_profile` fails when the norm misses 1 by
-more than 1e-7. `sample_profile` tabulates the amplitude alone.
+origin terms and chi = p - L pi/2 - pi/4; the means of rho and rho ln rho over
+one period of chi vary slowly in p, and are integrated in t = P / p over
+(0, 1], out to p = inf. The profile carries the tail's norm and entropy, and
+`build_profile` fails when the norm misses 1 by more than 1e-7.
+`sample_profile` tabulates the amplitude alone.
 """
 
 from __future__ import annotations
@@ -87,13 +87,13 @@ _NORM_DEFECT = 1e-7
 class _AmplitudeEvaluator:
     """Vectorized phi(p) by `smoothed_gauss_legendre` on a fixed radial grid.
 
-    [0, r0] is split at the radial nodes and cut to panels no wider than two
+    [0, 1] is split at the radial nodes and cut to panels no wider than two
     oscillations of the kernel at p_max, 4 pi / p_max; that keeps phi within
     3e-13 of a four times finer grid for every p <= p_max.
     """
 
     def __init__(self, state: Eigenstate):
-        edges = [0.0, *state.radial_nodes(), state.params.r0]
+        edges = [0.0, *state.radial_nodes(), 1.0]
         nodes, weights = smoothed_gauss_legendre(subdivide(edges, 4.0 * math.pi / _p_max(state), 1))
         self._nodes = nodes
         self._weighted = weights * state.radial_wavefunction(nodes) * nodes
@@ -115,18 +115,18 @@ class _AmplitudeEvaluator:
 
 def _p_max(state: Eigenstate) -> float:
     """Edge of the sampled profile, far enough out for the tail model to hold."""
-    return 5.0 * (state.theta + 20.0) / state.params.r0
+    return 5.0 * (state.theta + 20.0)
 
 
 def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray]:
     """(E, G) of the tail model; see `_tail_amplitude` and `_tail_average`.
 
-    E_j = C_j (r0 / Theta)^(nu+2j), j = 0, 1, 2, its Gamma ratio formed in logs,
+    E_j = C_j Theta^-(nu+2j), j = 0, 1, 2, its Gamma ratio formed in logs,
     is finite at any order. G holds the wall part from Green's identity,
 
-        p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p r0) + G3 p^-5 J_{L+1}(p r0).
+        p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p) + G3 p^-5 J_{L+1}(p).
     """
-    r0, nu, theta = state.params.r0, state.nu, state.theta
+    nu, theta = state.nu, state.theta
     order = abs(state.qn.l)
     origin = []
     for j in range(3):
@@ -138,18 +138,16 @@ def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray
         log_ratio = (math.lgamma(0.5 * (order + nu) + j + 1.0) - math.lgamma(x)
                      - math.lgamma(nu + j + 1.0) - math.lgamma(j + 1.0))
         origin.append(sign * 2.0 * state.a0 * math.exp(log_ratio))
-    slope = -state.a0 * theta / r0 * bessel_j(nu + 1.0, theta)  # R'(r0)
+    slope = -state.a0 * theta * bessel_j(nu + 1.0, theta)  # R'(1)
     c = order * order - nu * nu
-    g0 = (theta**2 + c) / r0**2
-    green = r0 * slope * np.array(
-        [1.0, g0, g0 * g0 - (20.0 + 4.0 * order) * c / r0**4, 4.0 * c / r0**3]
-    )
+    g0 = theta**2 + c
+    green = slope * np.array([1.0, g0, g0 * g0 - (20.0 + 4.0 * order) * c, 4.0 * c])
     return tuple(origin), green
 
 
 def _origin_part(state: Eigenstate, origin, p):
-    """sum_j E_j (Theta / (r0 p))^(nu+2j) / p^2, by Horner in (Theta / (r0 p))^2."""
-    x = state.theta / (state.params.r0 * p)  # below 1 / 5 past p_max
+    """sum_j E_j (Theta / p)^(nu+2j) / p^2, by Horner in (Theta / p)^2."""
+    x = state.theta / p  # below 1 / 5 past p_max
     smooth = 0.0
     for e in origin[::-1]:
         smooth = smooth * x * x + e
@@ -157,47 +155,47 @@ def _origin_part(state: Eigenstate, origin, p):
 
 
 def _bessel_factor(green, p):
-    """p^-2 (G0 + G1 p^-2 + G2 p^-4), the factor of J_L(p r0) in the wall part."""
+    """p^-2 (G0 + G1 p^-2 + G2 p^-4), the factor of J_L(p) in the wall part."""
     inv2 = 1.0 / (p * p)
     return inv2 * (green[0] + inv2 * (green[1] + inv2 * green[2]))
 
 
 def _tail_amplitude(state: Eigenstate, coefficients, p):
-    """The tail model of phi with J_L(p r0) and J_{L+1}(p r0) exact,
+    """The tail model of phi with J_L(p) and J_{L+1}(p) exact,
 
-        sum_j E_j (Theta / (r0 p))^(nu+2j) / p^2
-        + p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p r0) + G3 p^-5 J_{L+1}(p r0),
+        sum_j E_j (Theta / p)^(nu+2j) / p^2
+        + p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p) + G3 p^-5 J_{L+1}(p),
 
     from `coefficients = (E, G)`. The first terms left out fall as p^-(nu+8)
     and p^-15/2, so it is accurate only well past p_max / 2.
     """
     origin, green = coefficients
-    order, x = abs(state.qn.l), p * state.params.r0
-    wall = (_bessel_factor(green, p) * bessel_j(order, x)
-            + green[3] / p**5 * bessel_j(order + 1, x))
+    order = abs(state.qn.l)
+    wall = (_bessel_factor(green, p) * bessel_j(order, p)
+            + green[3] / p**5 * bessel_j(order + 1, p))
     return _origin_part(state, origin, p) + wall
 
 
 def _tail_average(state: Eigenstate, coefficients, p) -> tuple[np.ndarray, np.ndarray]:
     """Means of rho and of rho ln rho of the tail model over one period of chi.
 
-    At each p the model is o + A cos chi + B sin chi, with chi = p r0 - (2L+1) pi / 4,
+    At each p the model is o + A cos chi + B sin chi, with chi = p - (2L+1) pi / 4,
     o the origin part, A = s (F P_L + g Q_{L+1}) and B = s (g P_{L+1} - F Q_L):
-    s = sqrt(2 / (pi p r0)), F = `_bessel_factor`, g = G3 p^-5, and P, Q from
-    `hankel_pq` at p r0. The means are taken on the midpoint nodes _PHASES,
+    s = sqrt(2 / (pi p)), F = `_bessel_factor`, g = G3 p^-5, and P, Q from
+    `hankel_pq` at p. The means are taken on the midpoint nodes _PHASES,
     with o, A and B held at p.
     """
     origin, green = coefficients
-    order, x = abs(state.qn.l), p * state.params.r0
-    p_l, q_l = hankel_pq(order, x)
-    p_next, q_next = hankel_pq(order + 1, x)
-    scale = np.sqrt(2.0 / (math.pi * x))
+    order = abs(state.qn.l)
+    p_l, q_l = hankel_pq(order, p)
+    p_next, q_next = hankel_pq(order + 1, p)
+    scale = np.sqrt(2.0 / (math.pi * p))
     factor, g = _bessel_factor(green, p), green[3] / p**5
     a = scale * (factor * p_l + g * q_next)
     b = scale * (g * p_next - factor * q_l)
     amp = (_origin_part(state, origin, p)[:, None] + a[:, None] * np.cos(_PHASES)
            + b[:, None] * np.sin(_PHASES))
-    rho = state.params.lz * amp * amp
+    rho = amp * amp
     return rho.mean(axis=1), rho_ln_rho(rho).mean(axis=1)
 
 
@@ -206,29 +204,28 @@ def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:
 
     On the near band [p_max, P], P about _NEAR_BAND p_max, panels run between
     the model's zeros, where rho ln rho has its cusps: McMahon's zeros of
-    J_L(p r0), moved by the origin part. P is the last of them. Past P the
+    J_L(p), moved by the origin part. P is the last of them. Past P the
     phase means of `_tail_average` vary slowly; they are integrated in
     t = P / p on smoothed Gauss-Legendre panels of (0, 1], which reach p = inf.
     """
-    r0, lz = state.params.r0, state.params.lz
     order = abs(state.qn.l)
     coefficients = _tail_coefficients(state)
     # the k-th zero of J_L lies near (k + L/2 - 1/4) pi
     shift = 0.5 * order - 0.25
-    ks = np.arange(math.floor(p_max * r0 / math.pi - shift) + 1,
-                   math.floor(_NEAR_BAND * p_max * r0 / math.pi - shift) + 1)
-    zeros = mcmahon_zero(order, ks)[0] / r0
-    # near a zero z of J_L(p r0) the model is o + D sin(r0 (p - z)), with o its
-    # origin part and D = -p^-2 (G0 + G1 p^-2 + G2 p^-4) J_{L+1}(z r0), so o
-    # moves the model's zero by arcsin(-o / D) / r0; where |o| > |D| rho has no
-    # zero, and the edge stays a quarter period off
+    ks = np.arange(math.floor(p_max / math.pi - shift) + 1,
+                   math.floor(_NEAR_BAND * p_max / math.pi - shift) + 1)
+    zeros = mcmahon_zero(order, ks)[0]
+    # near a zero z of J_L(p) the model is o + D sin(p - z), with o its origin
+    # part and D = -p^-2 (G0 + G1 p^-2 + G2 p^-4) J_{L+1}(z), so o moves the
+    # model's zero by arcsin(-o / D); where |o| > |D| rho has no zero, and the
+    # edge stays a quarter period off
     origin, green = coefficients
-    slope = -_bessel_factor(green, zeros) * bessel_j(order + 1, zeros * r0)
-    zeros = zeros + np.arcsin(np.clip(-_origin_part(state, origin, zeros) / slope, -1.0, 1.0)) / r0
+    slope = -_bessel_factor(green, zeros) * bessel_j(order + 1, zeros)
+    zeros = zeros + np.arcsin(np.clip(-_origin_part(state, origin, zeros) / slope, -1.0, 1.0))
     zeros = zeros[zeros > p_max]
     edges = np.concatenate([[p_max], zeros])
     norm, entropy = density_integrals(
-        edges, lambda p: lz * _tail_amplitude(state, coefficients, p) ** 2
+        edges, lambda p: _tail_amplitude(state, coefficients, p) ** 2
     )
     far = edges[-1]
     t, weights = smoothed_gauss_legendre(_FAR_EDGES)
@@ -273,12 +270,13 @@ def _amplitude_breakpoints(
 
 @dataclass(frozen=True, eq=False)
 class MomentumProfile:
-    """Transverse momentum profile with its integrals.
+    """Transverse momentum profile with its integrals, on the unit cylinder.
 
-    `amplitude` is the profile's vectorized amplitude function, valid on
-    [0, p_max]. `captured_norm` and `inner_entropy` are the norm and the
-    transverse entropy -2 pi int rho ln rho p dp on [0, p_max]; `tail_norm`
-    and `tail_entropy` are those of the tail model past p_max.
+    Momenta are in units of 1 / r0. `amplitude` is the profile's vectorized
+    amplitude function, valid on [0, p_max]. `captured_norm` and
+    `inner_entropy` are the norm and the transverse entropy
+    -2 pi int rho ln rho p dp on [0, p_max]; `tail_norm` and `tail_entropy`
+    are those of the tail model past p_max.
     """
 
     state: Eigenstate
@@ -293,26 +291,22 @@ class MomentumProfile:
 def build_profile(state: Eigenstate) -> MomentumProfile:
     """The transverse momentum profile of `state` and its integrals, for `S_p`.
 
-    The amplitude is a weighted sum over r-panels two kernel oscillations at
-    p_max wide. A scan of 8 points per pi / r0 brackets its sign changes,
+    The amplitude is a weighted sum over x-panels two kernel oscillations at
+    p_max wide. A scan of 8 points per pi brackets its sign changes,
     each refined by regula falsi; the scan serves nothing else. One batch of
     composite Gauss-Legendre nodes on [0, p_max], split at them and cut to
-    panels no wider than pi / r0, gives the captured norm and transverse
+    panels no wider than pi, gives the captured norm and transverse
     entropy; the tail model gives both past p_max.
     """
-    r0, lz = state.params.r0, state.params.lz
     p_max = _p_max(state)
     evaluator = _AmplitudeEvaluator(state)
-    # 8 scan points per pi / r0 bracket the breakpoints
-    p_scan = np.linspace(0.0, p_max, math.ceil(8.0 * p_max * r0 / math.pi) + 1)
+    # 8 scan points per pi bracket the breakpoints
+    p_scan = np.linspace(0.0, p_max, math.ceil(8.0 * p_max / math.pi) + 1)
     amp_scan = evaluator(p_scan)
     breakpoints = _amplitude_breakpoints(evaluator, p_scan, amp_scan)
-    edges = subdivide([0.0, *breakpoints, p_max], math.pi / r0, 1)
-    captured_norm, inner_entropy = density_integrals(edges, lambda p: lz * evaluator(p) ** 2)
-    # at extreme r0 the tail model overflows to inf or NaN; the norm check
-    # below fails the profile then, so numpy need not warn about it
-    with np.errstate(all="ignore"):
-        tail_norm, tail_entropy = _tail_integrals(state, p_max)
+    edges = subdivide([0.0, *breakpoints, p_max], math.pi, 1)
+    captured_norm, inner_entropy = density_integrals(edges, lambda p: evaluator(p) ** 2)
+    tail_norm, tail_entropy = _tail_integrals(state, p_max)
     defect = abs(1.0 - captured_norm - tail_norm)
     if not defect <= _NORM_DEFECT:  # a NaN defect fails too
         raise ConvergenceError(
@@ -331,18 +325,18 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
 
 
 def sample_profile(state: Eigenstate, count: int) -> np.ndarray:
-    """Rows (p_r, amplitude, density) of `state` on `count` points of [0, p_max].
+    """Rows (p r0, amplitude, density) of `state` on `count` points of [0, p_max].
 
-    70% of the points lie below the knee 2.5 Theta / r0 (below p_max), where
+    70% of the points lie below the knee 2.5 Theta (below p_max), where
     most of the density lies; the rest run on to p_max. The amplitude is the
     one `build_profile` integrates, but no integral is taken.
     """
     p_max = _p_max(state)
-    p_knee = 2.5 * state.theta / state.params.r0
+    p_knee = 2.5 * state.theta
     n_near = int(0.7 * count)
     grid = np.unique(np.concatenate([
         np.linspace(0.0, p_knee, n_near),
         np.linspace(p_knee, p_max, count - n_near + 1),
     ]))
     amp = _AmplitudeEvaluator(state)(grid)
-    return np.column_stack([grid, amp, state.params.lz * amp**2])
+    return np.column_stack([grid, amp, amp**2])

@@ -184,16 +184,16 @@ def lommel_momentum_entropy(order: int, theta: float, r0: float = 1.0, lz: float
 
 
 def radial_norm_adaptive(state, tol: float = 1e-12) -> float:
-    """2 pi Lz int_0^r0 |R|^2 r dr, via the adaptive engine."""
-    res = integrate_adaptive(lambda r: state.position_density(r) * r, 0.0, state.params.r0, tol)
-    return 2.0 * math.pi * state.params.lz * res.value
+    """2 pi int_0^1 |R|^2 x dx on the unit cylinder, via the adaptive engine."""
+    res = integrate_adaptive(lambda x: state.position_density(x) * x, 0.0, 1.0, tol)
+    return 2.0 * math.pi * res.value
 
 
-def _kernel_zeros_inside(order: int, p: float, r0: float) -> list[float]:
-    """Radii in (0, r0) where J_order(p r) changes sign."""
+def _kernel_zeros_inside(order: int, p: float) -> list[float]:
+    """The x in (0, 1) where J_order(p x) changes sign."""
     zeros = []
     i = 1
-    limit = p * r0 * (1.0 - 1e-12)
+    limit = p * (1.0 - 1e-12)
     while True:
         z = bessel_zero(float(order), i)
         if z >= limit:
@@ -204,32 +204,32 @@ def _kernel_zeros_inside(order: int, p: float, r0: float) -> list[float]:
 
 
 def radial_amplitude(state, p_r: float, tol: float = 1e-11) -> float:
-    """Transverse amplitude phi(p_r), by adaptive quadrature split at the sign
-    changes of both Bessel factors."""
+    """Transverse amplitude phi(p_r) on the unit cylinder (p_r in units of
+    1 / r0), by adaptive quadrature split at the sign changes of both Bessel
+    factors."""
     p_r = float(p_r)
     if not math.isfinite(p_r) or p_r < 0.0:
         raise DomainError(f"p_r must be finite and >= 0, got {p_r!r}")
     order = abs(state.qn.l)
-    r0 = state.params.r0
     if p_r == 0.0:
         if order != 0:
             return 0.0  # J_l(0) = 0 for l != 0
-        return integrate_adaptive(lambda r: state.radial_wavefunction(r) * r, 0.0, r0, tol).value
+        return integrate_adaptive(lambda x: state.radial_wavefunction(x) * x, 0.0, 1.0, tol).value
 
-    def f(r):
-        return state.radial_wavefunction(r) * bessel_j(order, p_r * r) * r
+    def f(x):
+        return state.radial_wavefunction(x) * bessel_j(order, p_r * x) * x
 
-    pts = sorted(set(state.radial_nodes()) | set(_kernel_zeros_inside(order, p_r, r0)))
-    pts = [q for q in pts if 0.0 < q < r0]
+    pts = sorted(set(state.radial_nodes()) | set(_kernel_zeros_inside(order, p_r)))
+    pts = [q for q in pts if 0.0 < q < 1.0]
     if pts:
-        return integrate_oscillatory(f, 0.0, r0, pts, tol).value
-    return integrate_adaptive(f, 0.0, r0, tol).value
+        return integrate_oscillatory(f, 0.0, 1.0, pts, tol).value
+    return integrate_adaptive(f, 0.0, 1.0, tol).value
 
 
 def momentum_density(state, p_r: float) -> float:
-    """Transverse momentum density rho(p_r) = Lz * phi(p_r)^2."""
+    """Transverse momentum density rho(p_r) = phi(p_r)^2 on the unit cylinder."""
     amp = radial_amplitude(state, p_r)
-    return state.params.lz * amp * amp
+    return amp * amp
 
 
 def principal_maxima(ps, dens) -> list[float]:

@@ -3,13 +3,14 @@ the measured numbers once its assertions hold."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from abtrap.cli import main as cli_main
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
-from abtrap.entropy import longitudinal_momentum_entropy, shannon_momentum, shannon_position
+from abtrap.entropy import SINC_ENTROPY_CONST, shannon_momentum, shannon_position
 from abtrap.errors import ConvergenceError
 from abtrap.momentum import build_profile
 from abtrap.reference import REFERENCE_ROWS, TABLE_BETAS, default_grid_points
@@ -20,6 +21,8 @@ from oracles import midpoint, radial_norm_adaptive, zero_by_bisection
 
 BBM_BOUND = 3.0 * (1.0 + math.log(math.pi))
 SLACK = 1e-9
+# `abtrap table --compare-reference`, byte for byte
+REFERENCE_TABLE = Path(__file__).parent / "data" / "table_compare_reference.csv"
 
 
 def test_criterion_1_bbm_bound(grid_pipelines):
@@ -106,12 +109,12 @@ def test_criterion_5_scale_invariance(grid_pipelines):
         scaled = Pipeline(n, l, 0.2, r0=2.0)
         d_sr = scaled.s_r - base.s_r
         d_sp = scaled.s_p - base.s_p
-        assert d_sr == pytest.approx(shift, abs=1e-6), (n, l)
-        assert d_sp == pytest.approx(-shift, abs=1e-6), (n, l)
-        assert scaled.total == pytest.approx(base.total, abs=1e-6), (n, l)
+        assert d_sr == pytest.approx(shift, abs=1e-12), (n, l)
+        assert d_sp == pytest.approx(-shift, abs=1e-12), (n, l)
+        assert scaled.total == pytest.approx(base.total, abs=1e-12), (n, l)
     print(
         "ACCEPTANCE 5 PASS: r0 -> 2 r0 shifts S_r by +2 ln 2 and S_p by -2 ln 2; "
-        "the sum is invariant within 1e-6 on (0,0), (1,-1), (2,2)"
+        "the sum is invariant within 1e-12 on (0,0), (1,-1), (2,2)"
     )
 
 
@@ -129,27 +132,27 @@ def test_criterion_6_oracle_equivalence(grid_pipelines):
     for key in representative:
         pl = grid_pipelines[key]
         st, prof = pl.state, pl.profile
-        lz = st.params.lz
 
-        def pos_integrand(r):
-            rho = st.position_density(r)
-            return np.where(rho > 1e-300, rho * np.log(np.maximum(rho, 1e-300)), 0.0) * r
+        def pos_integrand(x):
+            rho = st.position_density(x)
+            return np.where(rho > 1e-300, rho * np.log(np.maximum(rho, 1e-300)), 0.0) * x
 
-        s_r_oracle = -2.0 * math.pi * lz * midpoint(pos_integrand, 0.0, st.params.r0, 10**6)
+        s_r_oracle = -2.0 * math.pi * midpoint(pos_integrand, 0.0, 1.0, 10**6)
         worst_r = max(worst_r, abs(s_r_oracle - pl.s_r))
 
         dense = np.linspace(0.0, prof.p_max, 40001)
         spline = CubicSpline(dense, prof.amplitude(dense))
 
         def mom_integrand(p):
-            rho = lz * spline(p) ** 2
+            rho = spline(p) ** 2
             return np.where(rho > 1e-300, rho * np.log(np.maximum(rho, 1e-300)), 0.0) * p
 
-        # the midpoint rule covers [0, p_max]; the modelled tail comes from the profile
+        # the midpoint rule covers [0, p_max]; the modelled tail comes from the
+        # profile, and S_z of the unit box is ln 2 pi + 2 (1 - gamma)
         s_p_oracle = (
             -2.0 * math.pi * midpoint(mom_integrand, 0.0, prof.p_max, 10**6)
             + prof.tail_entropy
-            + longitudinal_momentum_entropy(st.params)
+            + math.log(2.0 * math.pi) + SINC_ENTROPY_CONST
         )
         worst_p = max(worst_p, abs(s_p_oracle - pl.s_p))
 
@@ -201,6 +204,8 @@ class TestCriterion8CLI:
         assert ",9.74631,0.06678,9.81309," in lines[1]
         # computed rows all satisfy the bound
         assert all(",true," in ln for ln in lines[1:])
+        # and every printed byte is pinned
+        assert out.encode("utf-8") == REFERENCE_TABLE.read_bytes()
         print("ACCEPTANCE 8a PASS: table --compare-reference emits all 27 reference rows")
 
     def test_byte_stability(self, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,14 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_warned(capsys, argv):
+    """`run_cli`, with the messages of the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
+    return code, out, err, [str(w.message) for w in caught]
 
 
 def fake_report(fail=None):
@@ -65,30 +74,57 @@ class TestStateCommand:
         assert out == ""
         assert err.startswith("error: momentum-profile: momentum norm misses 1 by 1.0e-06")
 
-    @pytest.mark.parametrize("command, r0, stage", [
-        ("state", "1e-75", "momentum-profile"),  # NaN tail norm
-        ("state", "1e75", "momentum-profile"),  # NaN tail norm
-        ("state", "1e-90", "momentum-profile"),  # r0^4 underflows to 0
-        ("state", "1e-100", "momentum-profile"),
-        ("state", "1e100", "momentum-profile"),  # overflow in the Green terms
-        ("state", "1e-160", "solve"),  # (Theta / r0)^2 overflows
-        ("state", "1e200", "solve"),  # r0^2 overflows in normalize
-        ("density", "1e-160", "solve"),
-        ("density", "1e200", "solve"),
+    @pytest.mark.parametrize("command, r0", [
+        ("state", "1e-75"),
+        ("state", "1e75"),
+        ("state", "1e-90"),
+        ("state", "1e-100"),
+        ("state", "1e100"),
+        ("state", "1e-160"),  # (Theta / r0)^2 would overflow; solve does not form it
+        ("state", "1e200"),  # so would r0^2; the shift is 2 ln r0
+        ("state", "1e-300"),
+        ("state", "1e300"),
+        ("density", "1e-160"),
+        ("density", "1e200"),
     ])
-    def test_extreme_r0_exits_3(self, capsys, command, r0, stage):
-        # the stage that overflows, divides by zero or leaves a NaN norm fails,
-        # rather than a traceback or a printed -Infinity, and its one error
-        # line is all of stderr: numpy warns of no overflow on the way
+    def test_extreme_r0_prints_the_unit_state(self, capsys, command, r0):
+        # the state is solved on the unit cylinder, so any r0 only shifts S_r by
+        # 2 ln r0 and S_p by -2 ln r0; nothing overflows, and numpy warns of nothing
         argv = [command, "--n", "0", "--l", "1", "--beta", "0.4", "--r0", r0]
         if command == "density":
             argv += ["--space", "position"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, argv)
-        assert (code, out) == (3, "")
-        assert [str(w.message) for w in caught] == []
-        assert err.startswith(f"error: {stage}: ") and err.count("\n") == 1
+        code, out, err, warned = run_cli_warned(capsys, argv)
+        assert (code, err, warned) == (0, "", [])
+        if command == "density":
+            rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+            assert rows.shape == (512, 2) and np.all(np.isfinite(rows))
+            return
+        assert out.count("\n") == 1
+        row = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} printed"))
+        unit = report(SystemParams(beta=0.4), QuantumNumbers(0, 1, 1.0))
+        shift = 2.0 * math.log(float(r0))
+        assert row["S_r"] - shift == pytest.approx(unit.s_r, abs=1e-5)
+        assert row["S_p"] + shift == pytest.approx(unit.s_p, abs=1e-5)
+
+    def test_tiny_lz_prints_finite_values(self, capsys):
+        # ln(2 pi / lz) overflowed here, and S_r + S_p printed NaN: the shift
+        # ln lz is taken alone now
+        argv = ["state", "--n", "1", "--l", "1", "--beta", "0.8", "--lz", "1e-309"]
+        code, out, err, warned = run_cli_warned(capsys, argv)
+        assert (code, err, warned) == (0, "", [])
+        row = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} printed"))
+        unit = report(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0))
+        assert row["S_r"] - math.log(1e-309) == pytest.approx(unit.s_r, abs=1e-5)
+        assert row["total"] == round(unit.total, 5) == 9.11542
+
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    def test_density_past_the_float_range_exits_3(self, capsys, space):
+        # p = x / r0, or 2 pi rho(x) x / r0, leaves the floats at r0 = 1e-310:
+        # one error line, and no inf or nan printed
+        argv = ["density", "--space", space, "--n", "0", "--l", "1", "--beta", "0.4"]
+        code, out, err, warned = run_cli_warned(capsys, [*argv, "--r0", "1e-310"])
+        assert (code, out, warned) == (3, "", [])
+        assert err == "error: density: r0 = 1e-310 overflows the profile\n"
 
     @pytest.mark.parametrize("flags", [["--l", "1", "--k", "1e300"], ["--l", "1" + "0" * 40]])
     def test_huge_order_exits_3(self, capsys, flags):

@@ -128,7 +128,7 @@ class TestSolve:
 
 class TestNormalization:
     def test_closed_form_ground_value(self):
-        a0 = normalize(SystemParams(), 0.0, Z1)
+        a0 = normalize(0.0, Z1)
         assert a0 == pytest.approx(A0_GROUND, abs=1e-12)
         assert a0 == pytest.approx(1.08676, abs=5e-6)
 
@@ -140,12 +140,17 @@ class TestNormalization:
     def test_vanishing_j_nu_plus_1_raises(self):
         # J_1(0) = 0: Theta = 0 is no zero of J_0
         with pytest.raises(ConvergenceError, match="normalize"):
-            normalize(SystemParams(), 0.0, 0.0)
+            normalize(0.0, 0.0)
 
-    def test_doubling_lz_scales_a0(self):
-        a1 = normalize(SystemParams(lz=1.0), 0.3, bessel_zero(0.3, 1))
-        a2 = normalize(SystemParams(lz=2.0), 0.3, bessel_zero(0.3, 1))
-        assert a2 == pytest.approx(a1 / math.sqrt(2.0), rel=1e-14, abs=0)
+    def test_box_leaves_the_unit_state_unchanged(self):
+        # the state lives on the unit cylinder; r0 and lz enter the energy only
+        qn = QuantumNumbers(2, 1, 1.0)
+        unit = solve(SystemParams(beta=0.3), qn)
+        xs = np.linspace(0.0, 1.0, 101)
+        for r0, lz in ((1.7, 3.5), (1e-300, 1e300), (1e300, 5e-324)):
+            st = solve(SystemParams(beta=0.3, r0=r0, lz=lz), qn)
+            assert (st.theta, st.a0, st.radial_nodes()) == (unit.theta, unit.a0, unit.radial_nodes())
+            assert np.array_equal(st.position_density(xs), unit.position_density(xs))
 
     def test_full_norm_on_default_grid(self):
         for n, l in default_grid_points():
@@ -156,11 +161,12 @@ class TestNormalization:
 
 class TestPositionDensity:
     def test_zero_at_wall(self):
+        # the wall is at x = r / r0 = 1
         st = solve(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
-        assert st.position_density(st.params.r0) == 0.0
-        assert abs(st.radial_wavefunction(st.params.r0)) <= 1e-12 * abs(st.a0)
+        assert st.position_density(1.0) == 0.0
+        assert abs(st.radial_wavefunction(1.0)) <= 1e-12 * abs(st.a0)
         # just inside the wall the residual is set by the zero-finder accuracy
-        assert abs(st.radial_wavefunction(st.params.r0 * (1.0 - 1e-14))) <= 1e-12 * abs(st.a0)
+        assert abs(st.radial_wavefunction(1.0 - 1e-14)) <= 1e-12 * abs(st.a0)
 
     def test_zero_outside_wall(self):
         st = solve(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
@@ -184,8 +190,7 @@ class TestPositionDensity:
 
     def test_density_matches_brute_force_norm(self):
         st = solve(SystemParams(beta=0.4), QuantumNumbers(1, -1, 1.0))
-        lz = st.params.lz
-        norm = 2.0 * math.pi * lz * midpoint(lambda r: st.position_density(r) * r, 0.0, 1.0, 10**6)
+        norm = 2.0 * math.pi * midpoint(lambda x: st.position_density(x) * x, 0.0, 1.0, 10**6)
         assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_theta_is_oracle_zero(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from abtrap.entropy import (
     SINC_ENTROPY_CONST,
     EntropyReport,
     bbm_check,
-    longitudinal_momentum_entropy,
     report,
     shannon_momentum,
     shannon_position,
@@ -21,16 +21,19 @@ from abtrap.quadrature import integrate_adaptive
 from oracles import lommel_momentum_entropy, midpoint, position_entropy_ref
 
 
+# S_z of the plane wave on the unit box lz = 1
+UNIT_LONGITUDINAL = math.log(2.0 * math.pi) + SINC_ENTROPY_CONST
+
+
 class UniformCylinderState:
-    """Synthetic stub: constant density over the cylinder of radius r0."""
+    """Synthetic stub: constant density over the unit cylinder, in a box (r0, lz)."""
 
     def __init__(self, r0=1.0, lz=1.0):
         self.params = SystemParams(r0=r0, lz=lz)
-        self._rho = 1.0 / (math.pi * r0 * r0 * lz)
 
-    def position_density(self, r):
-        rr = np.asarray(r, dtype=float)
-        return np.where(rr <= self.params.r0, self._rho, 0.0)
+    def position_density(self, x):
+        xx = np.asarray(x, dtype=float)
+        return np.where(xx <= 1.0, 1.0 / math.pi, 0.0)
 
     def radial_nodes(self):
         return []
@@ -58,13 +61,12 @@ class TestShannonPosition:
     def test_ground_state_vs_riemann_oracle(self, ground_pipeline):
         pl = ground_pipeline
         st = pl.state
-        lz = st.params.lz
 
-        def integrand(r):
-            rho = st.position_density(r)
-            return np.where(rho > 1e-300, rho * np.log(np.maximum(rho, 1e-300)), 0.0) * r
+        def integrand(x):
+            rho = st.position_density(x)
+            return np.where(rho > 1e-300, rho * np.log(np.maximum(rho, 1e-300)), 0.0) * x
 
-        brute = -2.0 * math.pi * lz * midpoint(integrand, 0.0, 1.0, 10**6)
+        brute = -2.0 * math.pi * midpoint(integrand, 0.0, 1.0, 10**6)
         assert pl.s_r == pytest.approx(brute, abs=1e-5)
 
     def test_against_mpmath_oracle(self):
@@ -109,13 +111,16 @@ class TestShannonMomentum:
             assert shannon_momentum(build_profile(st)) == pytest.approx(value, abs=1e-7)
 
     def test_longitudinal_term(self):
-        params = SystemParams()
-        expect = math.log(2.0 * math.pi) + SINC_ENTROPY_CONST
-        assert longitudinal_momentum_entropy(params) == expect
+        # a profile with no transverse entropy leaves S_p = S_z = ln(2 pi / lz) + 2 (1 - gamma)
+        def bare(lz):
+            state = SimpleNamespace(params=SystemParams(lz=lz))
+            return shannon_momentum(SimpleNamespace(inner_entropy=0.0, tail_entropy=0.0, state=state))
+
+        assert bare(1.0) == UNIT_LONGITUDINAL
         # doubling the box shifts the longitudinal entropy by -ln 2
-        assert longitudinal_momentum_entropy(SystemParams(lz=2.0)) == pytest.approx(
-            expect - math.log(2.0), rel=1e-15, abs=0
-        )
+        assert bare(2.0) == pytest.approx(UNIT_LONGITUDINAL - math.log(2.0), rel=1e-15, abs=0)
+        # ln(2 pi / lz) overflows at lz = 5e-324; ln 2 pi - ln lz does not
+        assert bare(5e-324) == pytest.approx(UNIT_LONGITUDINAL - math.log(5e-324), rel=1e-15)
 
     def test_sinc_entropy_constant_against_quadrature(self):
         # c0 = -(2/pi) int_0^inf sinc^2(u) ln(sinc^2 u) du, summed cell by
@@ -152,16 +157,15 @@ class TestShannonMomentum:
 
         pl = ground_pipeline
         prof = pl.profile
-        lz = prof.state.params.lz
         dense_p = np.linspace(0.0, prof.p_max, 40001)
         spline = CubicSpline(dense_p, prof.amplitude(dense_p))
 
         def integrand(p):
-            rho = lz * spline(p) ** 2
+            rho = spline(p) ** 2
             return np.where(rho > 1e-300, rho * np.log(np.maximum(rho, 1e-300)), 0.0) * p
 
         brute = -2.0 * math.pi * midpoint(integrand, 0.0, prof.p_max, 10**6)
-        brute += prof.tail_entropy + longitudinal_momentum_entropy(prof.state.params)
+        brute += prof.tail_entropy + UNIT_LONGITUDINAL
         assert pl.s_p == pytest.approx(brute, abs=1e-5)
 
 
@@ -234,6 +238,21 @@ class TestReport:
             report(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
         assert err.value.stage == "solve"
         assert str(err.value) == "solve: no zero found"
+
+    def test_scaling_identity_to_the_float_range(self):
+        # S_r - ln(r0^2 lz) and S_p + ln(r0^2 lz) are the unit-box values, for
+        # log-uniform boxes in [1e-300, 1e300] with both ends drawn
+        rng = np.random.default_rng(17)
+        boxes = [(1e-300, 1e-300), (1e300, 1e300)]
+        boxes += [tuple(10.0 ** rng.uniform(-300.0, 300.0, 2)) for _ in range(2)]
+        for n, l, beta in ((0, 0, 0.2), (1, 1, 0.8), (2, -2, 0.4), (0, 20, 0.5)):
+            qn = QuantumNumbers(n, l, 1.0)
+            unit = report(SystemParams(beta=beta), qn)
+            for r0, lz in boxes:
+                rep = report(SystemParams(beta=beta, r0=r0, lz=lz), qn)
+                shift = 2.0 * math.log(r0) + math.log(lz)
+                assert rep.s_r - shift == pytest.approx(unit.s_r, rel=1e-12, abs=0), (n, l, r0, lz)
+                assert rep.s_p + shift == pytest.approx(unit.s_p, rel=1e-12, abs=0), (n, l, r0, lz)
 
     def test_report_is_frozen_dataclass(self, ground_pipeline):
         rep = report(ground_pipeline.params, ground_pipeline.qn)

@@ -66,7 +66,7 @@ def _j0(x):
 def _scan_maxima(prof):
     """Principal maxima of the profile's density on 2048 uniform points of [0, p_max]."""
     ps = np.linspace(0.0, prof.p_max, 2048)
-    return principal_maxima(ps, prof.state.params.lz * prof.amplitude(ps) ** 2)
+    return principal_maxima(ps, prof.amplitude(ps) ** 2)
 
 
 class TestProfile:
@@ -126,8 +126,7 @@ class TestProfile:
         assert ps.size == 512 and ps[0] == 0.0 and ps[-1] == prof.p_max
         assert np.all(np.diff(ps) > 0)
         assert np.all(dens >= 0.0)
-        lz = st.params.lz
-        assert np.allclose(dens, lz * amps**2, rtol=0, atol=1e-15)
+        assert np.allclose(dens, amps**2, rtol=0, atol=1e-15)
         # the samples are the amplitude the profile integrates
         assert np.array_equal(amps, prof.amplitude(ps))
 
@@ -165,9 +164,8 @@ class TestProfile:
 
     def test_norm_by_direct_quadrature(self, ground_beta0):
         _, prof = ground_beta0
-        lz = prof.state.params.lz
         res = integrate_adaptive(
-            lambda p: 2.0 * math.pi * lz * prof.amplitude(p) ** 2 * p, 0.0, prof.p_max, 1e-9
+            lambda p: 2.0 * math.pi * prof.amplitude(p) ** 2 * p, 0.0, prof.p_max, 1e-9
         )
         assert res.value == pytest.approx(prof.captured_norm, abs=1e-7)
 
@@ -182,25 +180,27 @@ class TestProfile:
         assert errors[0] <= 2e-3
         assert errors[1] <= 0.3 * errors[0]
 
-    def test_scaling_contracts_profile(self, ground_beta0):
-        st1, prof1 = ground_beta0
-        st2 = solve(SystemParams(beta=0.0, r0=2.0), QuantumNumbers(0, 0, 1.0))
-        rows1, rows2 = sample_profile(st1, 512), sample_profile(st2, 512)
-        p1 = rows1[np.argmax(rows1[:, 2]), 0]
-        p2 = rows2[np.argmax(rows2[:, 2]), 0]
-        assert p2 == pytest.approx(p1 / 2.0, rel=0.05)
-
-    def test_reciprocity_pointwise(self):
-        # r0 -> s r0 at fixed (n, l, beta, k) maps rho(p) -> s^2 rho(s p)
-        s = 2.0
-        st1 = solve(SystemParams(beta=0.4), QuantumNumbers(0, 0, 1.0))
-        st2 = solve(SystemParams(beta=0.4, r0=s), QuantumNumbers(0, 0, 1.0))
-        prof1 = build_profile(st1)
-        prof2 = build_profile(st2)
-        ps = np.linspace(0.0, prof2.p_max, 300)
-        d2 = prof2.amplitude(ps) ** 2
-        d1 = prof1.amplitude(s * ps) ** 2
-        assert np.max(np.abs(d2 - s * s * d1)) <= 1e-6
+    def test_reciprocity_pointwise(self, capsys):
+        # r0 -> 2 r0 maps the printed 2 pi rho(p) p to p / 2 and twice the
+        # density, and 2 pi lz rho(r) r to 2 r and half the density. (1,1,0.8)
+        # peaks off the axis in both spaces (p = 1.21 Theta / r0, r = 0.73 r0),
+        # so a moved peak shows
+        for space in ("momentum", "position"):
+            argv = ["density", "--space", space, "--n", "1", "--l", "1", "--beta", "0.8"]
+            rows = []
+            for r0 in ("1", "2"):
+                assert cli.main([*argv, "--r0", r0]) == 0
+                lines = capsys.readouterr().out.splitlines()[1:]
+                rows.append(np.array([[float(v) for v in line.split(",")] for line in lines]))
+            unit, wide = rows
+            assert unit[np.argmax(unit[:, 1]), 0] > 0.5
+            # the larger side of each pair is halved, so 5-decimal rounding stays under 1e-5
+            if space == "momentum":
+                pairs = ((wide[:, 0], unit[:, 0] / 2.0), (wide[:, 1] / 2.0, unit[:, 1]))
+            else:
+                pairs = ((wide[:, 0] / 2.0, unit[:, 0]), (wide[:, 1], unit[:, 1] / 2.0))
+            for got, expect in pairs:
+                np.testing.assert_allclose(got, expect, rtol=0, atol=1e-5, err_msg=space)
 
     def test_principal_ridge_count(self):
         # n + 1 principal maxima in the transverse momentum density
@@ -227,7 +227,7 @@ class TestTailModel:
 
     def test_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 = -0.4;
-        # E_0 = C_0 (r0 / Theta)^nu with r0 = 1
+        # E_0 = C_0 Theta^-nu
         import mpmath as mp
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
@@ -246,7 +246,7 @@ class TestTailModel:
 
     def test_second_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 1 = -1.4;
-        # E_1 = C_1 (r0 / Theta)^(nu+2) with r0 = 1
+        # E_1 = C_1 Theta^-(nu+2)
         import mpmath as mp
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
@@ -259,7 +259,7 @@ class TestTailModel:
 
     def test_third_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 2 = -2.4;
-        # E_2 = C_2 (r0 / Theta)^(nu+4) with r0 = 1
+        # E_2 = C_2 Theta^-(nu+4)
         import mpmath as mp
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
@@ -271,7 +271,7 @@ class TestTailModel:
         assert _tail_coefficients(st)[0][2] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
     def test_origin_terms_finite_at_high_order(self):
-        # (Theta / 2 r0)^(nu+2) alone overflows at nu = 159.5, Theta = 169.8
+        # (Theta / 2)^(nu+2) alone overflows at nu = 159.5, Theta = 169.8
         st = solve(SystemParams(beta=0.5), QuantumNumbers(0, 160, 1.0))
         origin, green = _tail_coefficients(st)
         assert all(math.isfinite(e) and e != 0.0 for e in origin)
@@ -291,41 +291,40 @@ class TestTailModel:
 
     @pytest.mark.parametrize("n, l, r0", [(0, 0, 1.0), (1, -3, 1.0), (2, 2, 1.7)])
     def test_wall_terms_match_lommel_expansion(self, n, l, r0):
-        # at beta = 0 the Lommel integral gives phi(p) = A J_L(p r0) / (alpha^2 - p^2),
-        # alpha = Theta / r0, A = a0 r0 alpha J_{L+1}(Theta). Expanding
-        # 1 / (alpha^2 - p^2) in p^-2 gives the Green coefficients
-        # -A (1, alpha^2, alpha^4) and no J_{L+1} term; the Hankel envelopes of
-        # J_L and J_{L+1} past P are pinned by specfun's `hankel_pq` test
+        # at beta = 0 the Lommel integral gives phi(p) = A J_L(p) / (Theta^2 - p^2)
+        # on the unit cylinder, A = a0 Theta J_{L+1}(Theta). Expanding
+        # 1 / (Theta^2 - p^2) in p^-2 gives the Green coefficients
+        # -A (1, Theta^2, Theta^4) and no J_{L+1} term, whatever the box r0;
+        # the Hankel envelopes of J_L and J_{L+1} past P are pinned by
+        # specfun's `hankel_pq` test
         import mpmath as mp
 
         st = solve(SystemParams(beta=0.0, r0=r0), QuantumNumbers(n, l, 1.0))
         with mp.workdps(30):
-            alpha = mp.mpf(st.theta) / r0
-            amp = st.a0 * r0 * alpha * mp.besselj(abs(l) + 1, mp.mpf(st.theta))
+            alpha = mp.mpf(st.theta)
+            amp = st.a0 * alpha * mp.besselj(abs(l) + 1, alpha)
             green = [float(-amp * alpha ** (2 * m)) for m in range(3)] + [0.0]
         origin, got_green = _tail_coefficients(st)
         assert origin == (0.0, 0.0, 0.0)
         np.testing.assert_allclose(got_green, green, rtol=1e-12, atol=0)
 
     def test_green_terms_match_bessel_operator(self):
-        # f_0 = R, f_1 = B R = g R and f_2 = B f_1 at the wall, by mpmath
-        # derivatives of h = g R; with p J_L'(p r0) = (L / r0) J_L - p J_{L+1},
-        # the m-th pass gives p^-2(m+1) r0 [(f_m' - L f_m / r0) J_L + f_m p J_{L+1}]
+        # f_0 = R, f_1 = B R = g R and f_2 = B f_1 at the wall x = 1, by mpmath
+        # derivatives of h = g R; with p J_L'(p) = L J_L(p) - p J_{L+1}(p), the
+        # m-th pass gives p^-2(m+1) [(f_m' - L f_m) J_L + f_m p J_{L+1}]
         import mpmath as mp
 
-        r0 = 1.7
-        st = solve(SystemParams(beta=0.5, r0=r0), QuantumNumbers(1, -3, 1.0))
+        st = solve(SystemParams(beta=0.5), QuantumNumbers(1, -3, 1.0))
         order = 3
         with mp.workdps(30):
-            nu, a = mp.mpf(st.nu), mp.mpf(st.theta) / r0
+            nu, a = mp.mpf(st.nu), mp.mpf(st.theta)
             c = order**2 - nu**2  # -3.25
-            rad = lambda r: st.a0 * mp.besselj(nu, a * r)  # noqa: E731
-            h = lambda r: (a**2 + c / r**2) * rad(r)  # noqa: E731
-            x = mp.mpf(r0)
-            d = [mp.diff(h, x, k) for k in range(4)]
-            f2 = -d[2] - d[1] / x + order**2 * d[0] / x**2
-            df2 = -d[3] - d[2] / x + d[1] / x**2 + order**2 * (d[1] / x**2 - 2 * d[0] / x**3)
-            expect = [x * mp.diff(rad, x), x * d[1], x * (df2 - order * f2 / x), x * f2]
+            rad = lambda x: st.a0 * mp.besselj(nu, a * x)  # noqa: E731
+            h = lambda x: (a**2 + c / x**2) * rad(x)  # noqa: E731
+            d = [mp.diff(h, 1, k) for k in range(4)]
+            f2 = -d[2] - d[1] + order**2 * d[0]
+            df2 = -d[3] - d[2] + d[1] + order**2 * (d[1] - 2 * d[0])
+            expect = [mp.diff(rad, 1), d[1], df2 - order * f2, f2]
         np.testing.assert_allclose(
             _tail_coefficients(st)[1], [float(e) for e in expect], rtol=1e-12, atol=0
         )
