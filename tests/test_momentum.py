@@ -180,6 +180,19 @@ class TestProfile:
         assert errors[0] <= 2e-3
         assert errors[1] <= 0.3 * errors[0]
 
+    def test_scaling_contracts_profile(self, capsys):
+        # doubling r0 halves the momentum at which the printed 2 pi rho(p) p
+        # peaks; (1,1,0.8) peaks off p = 0, where a halving shows
+        argv = ["density", "--space", "momentum", "--n", "1", "--l", "1", "--beta", "0.8"]
+        peaks = []
+        for r0 in ("1", "2"):
+            assert cli.main([*argv, "--r0", r0]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+            peaks.append(rows[np.argmax(rows[:, 1]), 0])
+        assert peaks[0] > 0.5
+        assert peaks[1] == pytest.approx(peaks[0] / 2.0, rel=0.05)
+
     def test_reciprocity_pointwise(self, capsys):
         # r0 -> 2 r0 maps the printed 2 pi rho(p) p to p / 2 and twice the
         # density, and 2 pi lz rho(r) r to 2 r and half the density. (1,1,0.8)
