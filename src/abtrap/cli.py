@@ -27,12 +27,12 @@ from .errors import ConvergenceError, DomainError
 from .momentum import sample_profile
 from .reference import TABLE_BETAS, default_grid_points, reference_row
 
-__all__ = ["RunConfig", "load_config", "main", "entrypoint"]
+__all__ = ["main", "entrypoint"]
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; flags override these values."""
+    """Settings of one run: the defaults, then the config file, then the flags."""
 
     params: SystemParams = field(default_factory=SystemParams)
     grid: list[tuple[int, int]] = field(default_factory=default_grid_points)
@@ -47,6 +47,7 @@ _PARAM_KEYS = {"m", "beta", "r0", "lz", "k"}
 
 
 def _read_config(path: str) -> dict:
+    """The config file as a dict whose fields have their right shapes and names."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -61,6 +62,15 @@ def _read_config(path: str) -> dict:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise DomainError(f"--config: unknown field(s) {sorted(unknown)} in {path!r}")
+    for key in ("params", "output"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise DomainError(f"--config: '{key}' must be an object")
+    for key in ("grid", "betas"):
+        if key in raw and (not isinstance(raw[key], list) or not raw[key]):
+            raise DomainError(f"--config: '{key}' must be a non-empty list")
+    bad = set(raw.get("params", {})) - _PARAM_KEYS
+    if bad:
+        raise DomainError(f"--config: unknown params field(s) {sorted(bad)}")
     return raw
 
 
@@ -72,35 +82,35 @@ def _named(source: str, build, *args, **kwargs):
         raise DomainError(f"{source}: {exc}") from exc
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Parse a JSON config file into a RunConfig with defaults filled in.
+def _set(cfg: RunConfig, source: str, key: str, value) -> None:
+    """Check one setting and store it in `cfg`; an error is prefixed with `source`."""
+    if key == "k":
+        cfg.k = _named(source, QuantumNumbers, 0, 0, value).k
+    elif key == "betas":
+        cfg.betas = [_named(source, SystemParams, beta=b).beta for b in value]
+    elif key == "format":
+        cfg.fmt = str(value)
+        if cfg.fmt not in ("csv", "json"):
+            raise DomainError(f"{source} must be csv or json, got {cfg.fmt!r}")
+    elif key == "out":
+        if value is not None and not isinstance(value, str):
+            raise DomainError(f"{source} must be a string, got {value!r}")
+        cfg.out = value
+    else:
+        cfg.params = _named(source, replace, cfg.params, **{key: value})
 
-    A missing path yields the pure-default configuration (m=1, r0=1, lz=1,
-    k=1, the standard grid and betas).
+
+def _settings(args) -> RunConfig:
+    """Defaults, then the --config file, then the flags; --out is checked here.
+
+    Every value goes through `_set`, so a file value is checked even when a
+    flag replaces it, and a flag, set last, wins.
     """
     cfg = RunConfig()
-    if path is None:
-        return cfg
-    raw = _read_config(path)
-
-    params_raw = raw.get("params", {})
-    if not isinstance(params_raw, dict):
-        raise DomainError("--config: 'params' must be an object")
-    bad = set(params_raw) - _PARAM_KEYS
-    if bad:
-        raise DomainError(f"--config: unknown params field(s) {sorted(bad)}")
-    for key, value in params_raw.items():
-        source = f"--config: params.{key}"
-        if key == "k":
-            cfg.k = _named(source, QuantumNumbers, 0, 0, value).k
-        else:
-            cfg.params = _named(source, replace, cfg.params, **{key: value})
-
-    if "grid" in raw:
-        if not isinstance(raw["grid"], list) or not raw["grid"]:
-            raise DomainError("--config: 'grid' must be a non-empty list")
+    if args.config is not None:
+        raw = _read_config(args.config)
         grid = []
-        for item in raw["grid"]:
+        for item in raw.get("grid", ()):
             if not isinstance(item, dict) or not {"n", "l"} <= set(item):
                 raise DomainError(f"--config: grid entries need 'n' and 'l', got {item!r}")
             extra = set(item) - {"n", "l"}
@@ -110,41 +120,20 @@ def load_config(path: str | None) -> RunConfig:
             n = _named("--config: grid n", QuantumNumbers, item["n"], 0).n
             l = _named("--config: grid l", QuantumNumbers, 0, item["l"]).l
             grid.append((n, l))
-        cfg.grid = grid
-
-    if "betas" in raw:
-        if not isinstance(raw["betas"], list) or not raw["betas"]:
-            raise DomainError("--config: 'betas' must be a non-empty list")
-        cfg.betas = [
-            _named("--config: betas", replace, cfg.params, beta=b).beta for b in raw["betas"]
-        ]
-
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise DomainError("--config: 'output' must be an object")
-    cfg.fmt = str(output.get("format", cfg.fmt))
-    if cfg.fmt not in ("csv", "json"):
-        raise DomainError(f"--config: output format must be csv or json, got {cfg.fmt!r}")
-    cfg.out = output.get("path", cfg.out)
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        raise DomainError(f"--config: output.path must be a string, got {cfg.out!r}")
-    return cfg
-
-
-def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    """Command-line flags override the config-file values; --out is checked here."""
-    for name in ("m", "beta", "r0", "lz"):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg.params = _named(f"--{name}", replace, cfg.params, **{name: value})
-    if args.k is not None:
-        cfg.k = _named("--k", QuantumNumbers, 0, 0, args.k).k
-    if getattr(args, "betas", None) is not None:
-        cfg.betas = [_named("--betas", replace, cfg.params, beta=b).beta for b in args.betas]
-    if getattr(args, "format", None) is not None:
-        cfg.fmt = args.format
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
+        if grid:
+            cfg.grid = grid
+        for key, value in raw.get("params", {}).items():
+            _set(cfg, f"--config: params.{key}", key, value)
+        if "betas" in raw:
+            _set(cfg, "--config: betas", "betas", raw["betas"])
+        output = raw.get("output", {})
+        if "format" in output:
+            _set(cfg, "--config: output format", "format", output["format"])
+        if "path" in output:
+            _set(cfg, "--config: output.path", "out", output["path"])
+    for key in ("m", "beta", "r0", "lz", "k", "betas", "format", "out"):
+        if getattr(args, key, None) is not None:
+            _set(cfg, f"--{key}", key, getattr(args, key))
     if cfg.out:
         _check_writable(cfg.out)
     return cfg
@@ -163,7 +152,7 @@ def _check_writable(out_path: str) -> None:
 
 def _one_state(args) -> tuple[RunConfig, QuantumNumbers]:
     """Configuration and quantum numbers of `state` and `density`."""
-    cfg = _apply_flags(load_config(args.config), args)
+    cfg = _settings(args)
     # argparse makes --l an integer and k is already checked, so only --n can fail
     return cfg, _named("--n", QuantumNumbers, args.n, args.l, cfg.k)
 
@@ -213,7 +202,7 @@ def cmd_table(args) -> int:
 
     JSON carries the reference values of --compare-reference but not trend_agree.
     """
-    cfg = _apply_flags(load_config(args.config), args)
+    cfg = _settings(args)
     header = "n,l,beta,S_r,S_p,total,bbm_bound,satisfied"
     pad = ""
     if args.compare_reference:

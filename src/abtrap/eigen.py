@@ -114,9 +114,9 @@ class Eigenstate:
 
     @property
     def energy(self) -> float:
-        """E = (Theta / r0)^2 / (2m) + k^2 / (2m)."""
-        m = self.params.m
-        return (self.theta / self.params.r0) ** 2 / (2.0 * m) + self.qn.k**2 / (2.0 * m)
+        """E = (Theta / r0)^2 / (2m) + k^2 / (2m); inf, not OverflowError, past the float range."""
+        t, k, m = self.theta / self.params.r0, self.qn.k, self.params.m
+        return t * t / (2.0 * m) + k * k / (2.0 * m)
 
     def radial_wavefunction(self, x):
         """R(x) = a0 J_nu(Theta x) inside the wall x < 1, 0 at and beyond it."""

@@ -6,13 +6,8 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative computation exhausted its budget.
+    """An iterative computation exhausted its budget; `stage` may name the pipeline stage."""
 
-    Carries the best available estimate so callers can inspect or flag it,
-    and optionally the pipeline stage that failed.
-    """
-
-    def __init__(self, message, best=None, stage=None):
+    def __init__(self, message, stage=None):
         super().__init__(message)
-        self.best = best
         self.stage = stage

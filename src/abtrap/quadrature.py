@@ -119,7 +119,7 @@ def integrate_adaptive(
 ) -> QuadResult:
     """Adaptive integral of f over [a, b] to absolute-or-relative tolerance tol.
 
-    Raises ConvergenceError (carrying the best QuadResult) if the subdivision
+    Raises ConvergenceError, naming the value reached, if the subdivision
     budget is exhausted before the summed error estimate meets the target.
     """
     a, b = float(a), float(b)
@@ -136,11 +136,9 @@ def integrate_adaptive(
     counter = 1
     while total_err > max(tol, tol * abs(total_val)):
         if len(heap) >= max_intervals:
-            best = QuadResult(total_val, total_err, evals)
             raise ConvergenceError(
-                f"subdivision budget of {max_intervals} intervals exhausted "
-                f"(error estimate {total_err:.3e})",
-                best=best,
+                f"subdivision budget of {max_intervals} intervals exhausted at "
+                f"{total_val!r} (error estimate {total_err:.3e}, {evals} evaluations)"
             )
         _, _, ia, ib, ival, ierr = heapq.heappop(heap)
         im = 0.5 * (ia + ib)

@@ -5,12 +5,13 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from abtrap.cli import load_config, main
+from abtrap.cli import _settings, build_parser, main
 from abtrap.entropy import BBM_BOUND, EntropyReport, report
 from abtrap.eigen import QuantumNumbers, SystemParams
 from abtrap.errors import ConvergenceError, DomainError
@@ -21,6 +22,11 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def settings(argv):
+    """The settings `main` would run `argv` with."""
+    return _settings(build_parser().parse_args(argv))
 
 
 def run_cli_warned(capsys, argv):
@@ -375,7 +381,7 @@ class TestConfig:
 
         path = tmp_path / "cfg.json"
         path.write_text("{}")
-        cfg = load_config(str(path))
+        cfg = settings(["table", "--config", str(path)])
         assert cfg.params == SystemParams(m=1.0, beta=0.0, r0=1.0, lz=1.0)
         assert cfg.k == 1.0
         assert cfg.betas == [0.2, 0.4, 0.8]
@@ -423,7 +429,7 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"betaz": [0.2]}')
         with pytest.raises(DomainError, match="betaz"):
-            load_config(str(path))
+            settings(["table", "--config", str(path)])
 
     def test_tol_key_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -478,3 +484,59 @@ class TestConfig:
         code, _, err = run_cli(capsys, [*argv, "--out", str(tmp_path / "missing" / "x.json")])
         assert code == 2
         assert field in err
+
+
+Setting = namedtuple("Setting", "field command good flag flag_value bad named held")
+
+SETTINGS = [
+    Setting("params.m", "state", 2, "--m", 3.0, "abc", "--config: params.m: ",
+            lambda c: c.params.m),
+    Setting("params.beta", "state", 0.4, "--beta", 0.3, 1.5, "--config: params.beta: ",
+            lambda c: c.params.beta),
+    Setting("params.r0", "state", 1.5, "--r0", 2.0, -1, "--config: params.r0: ",
+            lambda c: c.params.r0),
+    Setting("params.lz", "state", 3, "--lz", 4.0, 0, "--config: params.lz: ",
+            lambda c: c.params.lz),
+    Setting("params.k", "state", -1.5, "--k", 2.0, "x", "--config: params.k: ", lambda c: c.k),
+    Setting("betas", "table", [0.1], "--betas", [0.3, 0.5], [1.5], "--config: betas: ",
+            lambda c: c.betas),
+    Setting("output.format", "table", "json", "--format", "csv", "xml",
+            "--config: output format ", lambda c: c.fmt),
+    Setting("output.path", "table", "a.csv", "--out", "b.csv", 7, "--config: output.path ",
+            lambda c: c.out),
+]
+
+
+@pytest.mark.parametrize("s", SETTINGS, ids=[s.field for s in SETTINGS])
+class TestSettingsMatrix:
+    """Each setting: the file value applies, its flag wins, and a bad file value
+    exits 2 naming its field (`s.named`) even when the flag replaces it."""
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # output.path and --out are relative
+
+    @staticmethod
+    def argv(s, file_value, flag=True):
+        section, _, key = s.field.rpartition(".")
+        config = {section: {key: file_value}} if section else {key: file_value}
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = [s.command, "--config", "cfg.json"]
+        if s.command == "state":
+            argv += ["--n", "0", "--l", "0"]
+        if flag:
+            values = s.flag_value if isinstance(s.flag_value, list) else [s.flag_value]
+            argv += [s.flag, *map(str, values)]
+        return argv
+
+    def test_file_value_applies(self, s):
+        assert s.held(settings(self.argv(s, s.good, flag=False))) == s.good
+
+    def test_flag_wins(self, s):
+        assert s.held(settings(self.argv(s, s.good))) == s.flag_value
+
+    def test_bad_file_value_exits_2_under_a_good_flag(self, capsys, monkeypatch, s):
+        monkeypatch.setattr("abtrap.cli.report", lambda *a: pytest.fail("a state was computed"))
+        code, out, err = run_cli(capsys, self.argv(s, s.bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {s.named}"), err

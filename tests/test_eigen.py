@@ -125,6 +125,16 @@ class TestSolve:
         st = solve(SystemParams(beta=0.6), QuantumNumbers(0, 0, 3.0))
         assert st.energy >= 3.0**2 / 2.0
 
+    @pytest.mark.parametrize("params, qn, energy", [
+        (SystemParams(r0=1e-160), QuantumNumbers(0, 1), math.inf),
+        (SystemParams(), QuantumNumbers(0, 0, 1e200), math.inf),
+        (SystemParams(beta=0.2, r0=1.7, m=2.0), QuantumNumbers(1, 1, 0.7), 4.1379023512974875),
+    ], ids=["r0=1e-160", "k=1e200", "finite"])
+    def test_energy_is_inf_past_the_float_range(self, params, qn, energy):
+        # the squares are products: a float ** 2 raised OverflowError there;
+        # a finite energy keeps every bit it had
+        assert solve(params, qn).energy == energy
+
 
 class TestNormalization:
     def test_closed_form_ground_value(self):

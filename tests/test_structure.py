@@ -3,13 +3,15 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import abtrap
 import abtrap.cli
 
 PACKAGE = Path(abtrap.__file__).parent
-BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_SPANS = ROOT / "bench" / "spans.py"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -69,3 +71,15 @@ def test_bench_tracer_finds_every_name_it_wraps():
         tracer.uninstall()
     # the bench clears the zero cache between passes
     assert callable(abtrap.specfun.bessel_zero.cache_clear)
+
+
+def test_readme_library_snippet_runs():
+    # the README's Library section is the documented public API; run it as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    assert snippet is not None
+    scope = {}
+    exec(snippet[1], scope)
+    assert scope["state"].energy > 0.0
+    assert scope["profile"].p_max > 0.0
+    assert scope["rep"].satisfied
