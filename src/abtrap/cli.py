@@ -23,7 +23,7 @@ import numpy as np
 
 from .eigen import QuantumNumbers, SystemParams, solve
 from .entropy import BBM_BOUND, report
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, named
 from .momentum import sample_profile
 from .reference import TABLE_BETAS, default_grid_points, reference_row
 
@@ -40,14 +40,25 @@ class RunConfig:
     k: float = 1.0
     fmt: str = "csv"
     out: str | None = None
+    out_source: str = "--out"  # the flag or config field that set `out`
 
 
-_CONFIG_KEYS = {"params", "grid", "betas", "output"}
-_PARAM_KEYS = {"m", "beta", "r0", "lz", "k"}
+# every config field, in the order it is applied, and the flag that overrides it
+_FIELDS = {
+    "grid": None,
+    "params.m": "--m",
+    "params.beta": "--beta",
+    "params.r0": "--r0",
+    "params.lz": "--lz",
+    "params.k": "--k",
+    "betas": "--betas",
+    "output.format": "--format",
+    "output.path": "--out",
+}
 
 
 def _read_config(path: str) -> dict:
-    """The config file as a dict whose fields have their right shapes and names."""
+    """The config file as a dict of dotted field names (`params.m`), each known."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -59,115 +70,94 @@ def _read_config(path: str) -> dict:
         ) from exc
     if not isinstance(raw, dict):
         raise DomainError(f"--config: top level of {path!r} must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise DomainError(f"--config: unknown field(s) {sorted(unknown)} in {path!r}")
+    flat = {key: value for key, value in raw.items() if key not in ("params", "output")}
     for key in ("params", "output"):
         if not isinstance(raw.get(key, {}), dict):
             raise DomainError(f"--config: '{key}' must be an object")
+        flat.update((f"{key}.{name}", value) for name, value in raw.get(key, {}).items())
+    unknown = set(flat) - set(_FIELDS)
+    if unknown:
+        raise DomainError(f"--config: unknown field(s) {sorted(unknown)} in {path!r}")
     for key in ("grid", "betas"):
-        if key in raw and (not isinstance(raw[key], list) or not raw[key]):
+        if key in flat and (not isinstance(flat[key], list) or not flat[key]):
             raise DomainError(f"--config: '{key}' must be a non-empty list")
-    bad = set(raw.get("params", {})) - _PARAM_KEYS
-    if bad:
-        raise DomainError(f"--config: unknown params field(s) {sorted(bad)}")
-    return raw
-
-
-def _named(source: str, build, *args, **kwargs):
-    """Call `build`; a DomainError it raises is re-raised prefixed with `source`."""
-    try:
-        return build(*args, **kwargs)
-    except DomainError as exc:
-        raise DomainError(f"{source}: {exc}") from exc
+    return flat
 
 
 def _set(cfg: RunConfig, source: str, key: str, value) -> None:
-    """Check one setting and store it in `cfg`; an error is prefixed with `source`."""
-    if key == "k":
-        cfg.k = _named(source, QuantumNumbers, 0, 0, value).k
+    """Check the value of config field `key` and store it in `cfg`; an error names `source`."""
+    if key == "grid":
+        cfg.grid = []
+        for item in value:
+            if not isinstance(item, dict) or not {"n", "l"} <= set(item):
+                raise DomainError(f"{source} entries need 'n' and 'l', got {item!r}")
+            extra = set(item) - {"n", "l"}
+            if extra:
+                # every row runs with params.k; a per-row key would be dropped
+                raise DomainError(f"--config: unknown grid field(s) {sorted(extra)} in {item!r}")
+            n = named(f"{source} n", QuantumNumbers, item["n"], 0).n
+            cfg.grid.append((n, named(f"{source} l", QuantumNumbers, 0, item["l"]).l))
+    elif key == "params.k":
+        cfg.k = named(source, QuantumNumbers, 0, 0, value).k
     elif key == "betas":
-        cfg.betas = [_named(source, SystemParams, beta=b).beta for b in value]
-    elif key == "format":
+        cfg.betas = [named(source, SystemParams, beta=b).beta for b in value]
+    elif key == "output.format":
         cfg.fmt = str(value)
         if cfg.fmt not in ("csv", "json"):
             raise DomainError(f"{source} must be csv or json, got {cfg.fmt!r}")
-    elif key == "out":
+    elif key == "output.path":
         if value is not None and not isinstance(value, str):
             raise DomainError(f"{source} must be a string, got {value!r}")
-        cfg.out = value
+        cfg.out, cfg.out_source = value, source
     else:
-        cfg.params = _named(source, replace, cfg.params, **{key: value})
+        cfg.params = named(source, replace, cfg.params, **{key.removeprefix("params."): value})
 
 
 def _settings(args) -> RunConfig:
-    """Defaults, then the --config file, then the flags; --out is checked here.
+    """Defaults, then the --config file, then the flags; the output path is checked here.
 
     Every value goes through `_set`, so a file value is checked even when a
     flag replaces it, and a flag, set last, wins.
     """
     cfg = RunConfig()
-    if args.config is not None:
-        raw = _read_config(args.config)
-        grid = []
-        for item in raw.get("grid", ()):
-            if not isinstance(item, dict) or not {"n", "l"} <= set(item):
-                raise DomainError(f"--config: grid entries need 'n' and 'l', got {item!r}")
-            extra = set(item) - {"n", "l"}
-            if extra:
-                # every row runs with params.k; a per-row key would be dropped
-                raise DomainError(f"--config: unknown grid field(s) {sorted(extra)} in {item!r}")
-            n = _named("--config: grid n", QuantumNumbers, item["n"], 0).n
-            l = _named("--config: grid l", QuantumNumbers, 0, item["l"]).l
-            grid.append((n, l))
-        if grid:
-            cfg.grid = grid
-        for key, value in raw.get("params", {}).items():
-            _set(cfg, f"--config: params.{key}", key, value)
-        if "betas" in raw:
-            _set(cfg, "--config: betas", "betas", raw["betas"])
-        output = raw.get("output", {})
-        if "format" in output:
-            _set(cfg, "--config: output format", "format", output["format"])
-        if "path" in output:
-            _set(cfg, "--config: output.path", "out", output["path"])
-    for key in ("m", "beta", "r0", "lz", "k", "betas", "format", "out"):
-        if getattr(args, key, None) is not None:
-            _set(cfg, f"--{key}", key, getattr(args, key))
+    flat = {} if args.config is None else _read_config(args.config)
+    for key in _FIELDS:
+        if key in flat:
+            _set(cfg, f"--config: {key}", key, flat[key])
+    for key, flag in _FIELDS.items():
+        if flag and getattr(args, flag[2:], None) is not None:
+            _set(cfg, flag, key, getattr(args, flag[2:]))
     if cfg.out:
-        _check_writable(cfg.out)
+        named(cfg.out_source, _write, cfg.out)
     return cfg
 
 
-def _check_writable(out_path: str) -> None:
-    """Open `out_path` for appending and close it, leaving no new file behind."""
-    existed = os.path.exists(out_path)
+def _write(path: str, text: str | None = None) -> None:
+    """Write `text` to `path`; with no text, check that it can be written and leave no new file."""
+    existed = os.path.exists(path)
     try:
-        open(out_path, "a").close()
+        with open(path, "a" if text is None else "w", encoding="utf-8", newline="") as fh:
+            fh.write(text or "")
     except OSError as exc:
-        raise DomainError(f"--out: cannot write {out_path!r}: {exc.strerror or exc}") from exc
-    if not existed:
-        os.remove(out_path)
+        raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    if text is None and not existed:
+        os.remove(path)
 
 
 def _one_state(args) -> tuple[RunConfig, QuantumNumbers]:
     """Configuration and quantum numbers of `state` and `density`."""
     cfg = _settings(args)
     # argparse makes --l an integer and k is already checked, so only --n can fail
-    return cfg, _named("--n", QuantumNumbers, args.n, args.l, cfg.k)
+    return cfg, named("--n", QuantumNumbers, args.n, args.l, cfg.k)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.5f}"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DomainError(f"--out: cannot write {out_path!r}: {exc.strerror or exc}") from exc
+def _emit(text: str, cfg: RunConfig) -> None:
+    if cfg.out:
+        named(cfg.out_source, _write, cfg.out, text)
     else:
         sys.stdout.write(text)
 
@@ -193,7 +183,7 @@ def _report_payload(rep) -> dict:
 def cmd_state(args) -> int:
     cfg, qn = _one_state(args)
     rep = report(cfg.params, qn)
-    _emit(json.dumps(_report_payload(rep)) + "\n", cfg.out)
+    _emit(json.dumps(_report_payload(rep)) + "\n", cfg)
     return 0
 
 
@@ -243,7 +233,7 @@ def cmd_table(args) -> int:
             entries.append(entry)
             lines.append(line)
     text = json.dumps(entries, indent=2) if cfg.fmt == "json" else "\n".join(lines)
-    _emit(text + "\n", cfg.out)
+    _emit(text + "\n", cfg)
     return 3 if failed else 0
 
 
@@ -251,26 +241,24 @@ def cmd_density(args) -> int:
     cfg, qn = _one_state(args)
     if args.samples < 64:
         raise DomainError(f"--samples must be >= 64, got {args.samples}")
-    try:
-        state = solve(cfg.params, qn)
-    except (ConvergenceError, ArithmeticError) as exc:
-        raise ConvergenceError(f"solve: {exc}", stage="solve") from exc
+    state = named("solve", solve, cfg.params, qn)
     # radial marginals from the unit cylinder, trapezoid-normalized to 1: 2 pi Lz rho(r) r
     # = 2 pi rho(x) x / r0 at r = r0 x, and 2 pi rho(p) p = r0 2 pi rho(x) x at p = x / r0
     r0 = cfg.params.r0
     with np.errstate(over="ignore"):  # an overflow is refused below
         if args.space == "position":
             xs = np.linspace(0.0, 1.0, args.samples)
-            coords, dens = r0 * xs, 2.0 * math.pi * state.position_density(xs) * xs / r0
+            rho = named("density", state.position_density, xs)
+            coords, dens = r0 * xs, 2.0 * math.pi * rho * xs / r0
         else:
-            xs, _, rho = sample_profile(state, args.samples).T
+            xs, _, rho = named("density", sample_profile, state, args.samples).T
             coords, dens = xs / r0, r0 * (2.0 * math.pi * rho * xs)
     if not (np.isfinite(coords).all() and np.isfinite(dens).all()):
         raise ConvergenceError(f"density: r0 = {r0!r} overflows the profile", stage="density")
     lines = ["coordinate,density"]
     for x, d in zip(coords, dens):
         lines.append(f"{_fmt(x)},{_fmt(d)}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", cfg)
     return 0
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import QuantumNumbers, SystemParams, solve
-from .errors import ConvergenceError
+from .errors import named
 from .momentum import MomentumProfile, build_profile
 from .quadrature import density_integrals, subdivide
 
@@ -105,17 +105,12 @@ def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
     """solve -> momentum profile -> entropies -> BBM check, deterministically.
 
     S_r and S_p each come from one fixed rule, so there is no tolerance. A
-    ConvergenceError or ArithmeticError becomes a ConvergenceError prefixed by its stage.
+    ConvergenceError or ArithmeticError becomes a ConvergenceError named by its stage.
     """
-    stage = "solve"
-    try:
-        state = solve(params, qn)
-        stage = "momentum-profile"
-        profile = build_profile(state)
-        stage = "position-entropy"
-        s_r = shannon_position(state)
-    except (ConvergenceError, ArithmeticError) as exc:
-        raise ConvergenceError(f"{stage}: {exc}", stage=stage) from exc
+    # each stage is looked up when called, so that a tracer can rebind it
+    state = named("solve", solve, params, qn)
+    profile = named("momentum-profile", build_profile, state)
+    s_r = named("position-entropy", shannon_position, state)
     s_p = shannon_momentum(profile)
     bound, ok = bbm_check(s_r, s_p)
     return EntropyReport(

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that names where one came from."""
 
 
 class DomainError(ValueError):
@@ -11,3 +11,17 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, stage=None):
         super().__init__(message)
         self.stage = stage
+
+
+def named(source: str, call, *args, **kwargs):
+    """`call(*args, **kwargs)`, with a failure prefixed by `source`, where it came from.
+
+    A DomainError stays one (`source` is a flag or config field); a ConvergenceError
+    or ArithmeticError becomes a ConvergenceError whose `stage` is `source`.
+    """
+    try:
+        return call(*args, **kwargs)
+    except DomainError as exc:
+        raise DomainError(f"{source}: {exc}") from exc
+    except (ConvergenceError, ArithmeticError) as exc:
+        raise ConvergenceError(f"{source}: {exc}", stage=source) from exc

@@ -365,6 +365,35 @@ class TestDensityCommand:
         assert out == ""
         assert err == "error: solve: bessel_zero: no root\n"
 
+    @pytest.mark.parametrize("error", [ConvergenceError, OverflowError])
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_sampling_failure_names_its_stage(self, capsys, monkeypatch, space, error):
+        # the sampling after solve is the `density` stage, in either space
+        def boom(*args, **kwargs):
+            raise error("bessel_j: no convergence")
+
+        if space == "position":
+            monkeypatch.setattr("abtrap.eigen.Eigenstate.position_density", boom)
+        else:
+            monkeypatch.setattr("abtrap.cli.sample_profile", boom)
+        code, out, err = run_cli(
+            capsys, ["density", "--space", space, "--n", "0", "--l", "0", "--beta", "0.2"]
+        )
+        assert (code, out, err) == (3, "", "error: density: bessel_j: no convergence\n")
+
+    def test_order_past_the_recurrence_bound_names_the_density_stage(self, capsys):
+        # `state` names this failure `momentum-profile`; `density` runs no profile
+        code, out, err = run_cli(
+            capsys,
+            ["density", "--space", "momentum", "--n", "0", "--l", "60000", "--beta", "0.4",
+             "--samples", "64"],
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: density: bessel_j: order 59999.599999999999 needs a recurrence of "
+            "120498 steps, more than 100000\n"
+        )
+
     @pytest.mark.parametrize("space", ["position", "momentum"])
     def test_small_sample_count_exits_2(self, capsys, space):
         code, _, err = run_cli(
@@ -452,6 +481,13 @@ class TestConfig:
         assert "--out" in err
         assert calls == []
 
+    def test_unwritable_config_path_names_the_field(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text('{"output": {"path": "missing/x.csv"}}')
+        code, out, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--config", "cfg.json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --config: output.path: cannot write 'missing/x.csv': "), err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["table", "--config", "/nonexistent/cfg.json"])
         assert code == 2
@@ -475,6 +511,7 @@ class TestConfig:
             ('{"grid": [{"n": -1, "l": 0}]}', "grid n"),
             ('{"betas": [1.5]}', "betas"),
             ("{}", "--out"),  # written to a directory that does not exist
+            ('{"output": {"formt": "json"}}', "output.formt"),
         ],
     )
     def test_bad_value_exits_2_naming_the_field(self, capsys, tmp_path, config, field):
@@ -501,7 +538,7 @@ SETTINGS = [
     Setting("betas", "table", [0.1], "--betas", [0.3, 0.5], [1.5], "--config: betas: ",
             lambda c: c.betas),
     Setting("output.format", "table", "json", "--format", "csv", "xml",
-            "--config: output format ", lambda c: c.fmt),
+            "--config: output.format ", lambda c: c.fmt),
     Setting("output.path", "table", "a.csv", "--out", "b.csv", 7, "--config: output.path ",
             lambda c: c.out),
 ]

@@ -227,6 +227,18 @@ class TestReport:
             report(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
         assert err.value.stage == "momentum-profile"
 
+    def test_position_entropy_failure_names_its_stage(self, monkeypatch):
+        import abtrap.entropy as entropy_mod
+
+        def boom(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(entropy_mod, "shannon_position", boom)
+        with pytest.raises(ConvergenceError) as err:
+            report(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
+        assert err.value.stage == "position-entropy"
+        assert str(err.value) == "position-entropy: math range error"
+
     def test_solve_failure_names_its_stage(self, monkeypatch):
         import abtrap.entropy as entropy_mod
 
