@@ -62,12 +62,12 @@ def _read_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"--config: cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"--config: malformed JSON in {path!r}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, ValueError) as exc:  # also not UTF-8, or an int past Python's digit limit
+        raise DomainError(f"--config: cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DomainError(f"--config: top level of {path!r} must be a JSON object")
     flat = {key: value for key, value in raw.items() if key not in ("params", "output")}
@@ -147,8 +147,9 @@ def _write(path: str, text: str | None = None) -> None:
 def _one_state(args) -> tuple[RunConfig, QuantumNumbers]:
     """Configuration and quantum numbers of `state` and `density`."""
     cfg = _settings(args)
-    # argparse makes --l an integer and k is already checked, so only --n can fail
-    return cfg, named("--n", QuantumNumbers, args.n, args.l, cfg.k)
+    # k is already checked, and n by the first call, so the second can fail only on --l
+    named("--n", QuantumNumbers, args.n, 0)
+    return cfg, named("--l", QuantumNumbers, args.n, args.l, cfg.k)
 
 
 def _fmt(x: float) -> str:
@@ -175,7 +176,7 @@ def _report_payload(rep) -> dict:
         "S_r": round(rep.s_r, 5),
         "S_p": round(rep.s_p, 5),
         "total": round(rep.total, 5),
-        "bbm_bound": round(rep.bbm_bound, 5),
+        "bbm_bound": round(BBM_BOUND, 5),
         "satisfied": rep.satisfied,
     }
 
@@ -215,7 +216,7 @@ def cmd_table(args) -> int:
             entry = _report_payload(rep)
             line = (
                 f"{n},{l},{_fmt(beta)},{_fmt(rep.s_r)},{_fmt(rep.s_p)},"
-                f"{_fmt(rep.total)},{_fmt(rep.bbm_bound)},{'true' if rep.satisfied else 'false'}"
+                f"{_fmt(rep.total)},{_fmt(BBM_BOUND)},{'true' if rep.satisfied else 'false'}"
             )
             ref = reference_row(n, l, beta) if args.compare_reference else None
             if ref is None:

@@ -17,6 +17,7 @@ rescales it, and the entropies shift by ln(r0^2 Lz) (see the entropy module).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,9 @@ __all__ = [
 
 
 def _finite(value, message: str) -> float:
-    """`value` as a float; a bool, a non-number or a non-finite number raises `message`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """`value` as a float; a bool, a non-number or one that is not a finite float raises `message`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):  # exact for an int, false for nan
         raise DomainError(f"{message}, got {value!r}")
     return float(value)
 
@@ -80,6 +82,8 @@ class QuantumNumbers:
             raise DomainError(f"radial index n must be an integer >= 0, got {self.n!r}")
         if not isinstance(self.l, (int, np.integer)) or isinstance(self.l, bool):
             raise DomainError(f"angular momentum l must be an integer, got {self.l!r}")
+        for name in ("n", "l"):  # int() takes a numpy integer to a Python one
+            _finite(int(getattr(self, name)), f"{name} must lie within the float range")
         object.__setattr__(self, "k", _finite(self.k, "wavenumber k must be finite"))
 
 

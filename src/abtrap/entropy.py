@@ -45,7 +45,6 @@ __all__ = [
     "SINC_ENTROPY_CONST",
     "shannon_position",
     "shannon_momentum",
-    "bbm_check",
     "report",
 ]
 
@@ -83,26 +82,27 @@ def shannon_momentum(profile: MomentumProfile) -> float:
     return transverse + _LONGITUDINAL_ENTROPY - _log_box(profile.state.params)
 
 
-def bbm_check(s_r: float, s_p: float) -> tuple[float, bool]:
-    """The BBM entropic uncertainty bound and whether S_r + S_p meets it."""
-    return BBM_BOUND, (s_r + s_p) >= BBM_BOUND - 1e-9
-
-
 @dataclass(frozen=True)
 class EntropyReport:
-    """Consolidated entropies for one state, in nats."""
+    """Entropies of one state, in nats; the total and the BBM check are derived from them."""
 
     params: SystemParams
     qn: QuantumNumbers
     s_r: float
     s_p: float
-    total: float
-    bbm_bound: float
-    satisfied: bool
+
+    @property
+    def total(self) -> float:
+        return self.s_r + self.s_p
+
+    @property
+    def satisfied(self) -> bool:
+        """Whether S_r + S_p meets the BBM bound, with a 1e-9 slack for rounding."""
+        return self.total >= BBM_BOUND - 1e-9
 
 
 def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
-    """solve -> momentum profile -> entropies -> BBM check, deterministically.
+    """solve -> momentum profile -> entropies, deterministically.
 
     S_r and S_p each come from one fixed rule, so there is no tolerance. A
     ConvergenceError or ArithmeticError becomes a ConvergenceError named by its stage.
@@ -111,14 +111,4 @@ def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
     state = named("solve", solve, params, qn)
     profile = named("momentum-profile", build_profile, state)
     s_r = named("position-entropy", shannon_position, state)
-    s_p = shannon_momentum(profile)
-    bound, ok = bbm_check(s_r, s_p)
-    return EntropyReport(
-        params=params,
-        qn=qn,
-        s_r=s_r,
-        s_p=s_p,
-        total=s_r + s_p,
-        bbm_bound=bound,
-        satisfied=ok,
-    )
+    return EntropyReport(params, qn, s_r, shannon_momentum(profile))

@@ -62,8 +62,7 @@ one period of chi vary slowly in p, and are integrated in t = P / p over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,18 +98,15 @@ class _AmplitudeEvaluator:
         self._weighted = weights * state.radial_wavefunction(nodes) * nodes
         self._order = abs(state.qn.l)
 
-    def __call__(self, p):
-        arr = np.asarray(p, dtype=float)
-        scalar = arr.ndim == 0
-        ps = np.atleast_1d(arr)
-        out = np.empty_like(ps)
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        """phi at each point of the 1-D array `p`."""
+        out = np.empty(p.size)
         chunk = max(1, 200_000 // self._nodes.size)
-        for start in range(0, ps.size, chunk):
-            block = ps[start:start + chunk]
-            args = np.multiply.outer(block, self._nodes)
+        for start in range(0, p.size, chunk):
+            args = np.multiply.outer(p[start:start + chunk], self._nodes)
             vals = bessel_j(self._order, args.ravel()).reshape(args.shape)
             out[start:start + chunk] = vals @ self._weighted
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        return out
 
 
 def _p_max(state: Eigenstate) -> float:
@@ -268,15 +264,14 @@ def _amplitude_breakpoints(
     return x
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MomentumProfile:
-    """Transverse momentum profile with its integrals, on the unit cylinder.
+    """Integrals of the transverse momentum profile, on the unit cylinder.
 
-    Momenta are in units of 1 / r0. `amplitude` is the profile's vectorized
-    amplitude function, valid on [0, p_max]. `captured_norm` and
-    `inner_entropy` are the norm and the transverse entropy
-    -2 pi int rho ln rho p dp on [0, p_max]; `tail_norm` and `tail_entropy`
-    are those of the tail model past p_max.
+    Momenta are in units of 1 / r0. `captured_norm` and `inner_entropy` are
+    the norm and the transverse entropy -2 pi int rho ln rho p dp on
+    [0, p_max]; `tail_norm` and `tail_entropy` are those of the tail model
+    past p_max.
     """
 
     state: Eigenstate
@@ -285,7 +280,6 @@ class MomentumProfile:
     tail_norm: float
     inner_entropy: float
     tail_entropy: float
-    amplitude: Callable = field(repr=False)
 
 
 def build_profile(state: Eigenstate) -> MomentumProfile:
@@ -320,7 +314,6 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
         tail_norm=tail_norm,
         inner_entropy=inner_entropy,
         tail_entropy=tail_entropy,
-        amplitude=evaluator,
     )
 
 

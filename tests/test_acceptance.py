@@ -12,7 +12,7 @@ from abtrap.cli import main as cli_main
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
 from abtrap.entropy import SINC_ENTROPY_CONST, shannon_momentum, shannon_position
 from abtrap.errors import ConvergenceError
-from abtrap.momentum import build_profile
+from abtrap.momentum import _AmplitudeEvaluator, build_profile
 from abtrap.reference import REFERENCE_ROWS, TABLE_BETAS, default_grid_points
 from abtrap.specfun import bessel_j, bessel_zero
 
@@ -141,7 +141,7 @@ def test_criterion_6_oracle_equivalence(grid_pipelines):
         worst_r = max(worst_r, abs(s_r_oracle - pl.s_r))
 
         dense = np.linspace(0.0, prof.p_max, 40001)
-        spline = CubicSpline(dense, prof.amplitude(dense))
+        spline = CubicSpline(dense, _AmplitudeEvaluator(st)(dense))
 
         def mom_integrand(p):
             rho = spline(p) ** 2

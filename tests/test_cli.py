@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 from abtrap.cli import _settings, build_parser, main
-from abtrap.entropy import BBM_BOUND, EntropyReport, report
+from abtrap.entropy import EntropyReport, report
 from abtrap.eigen import QuantumNumbers, SystemParams
 from abtrap.errors import ConvergenceError, DomainError
 from abtrap.reference import REFERENCE_ROWS
+
+
+# an integer past the float range, about 1.8e308
+HUGE_INT = "1" + "0" * 400
 
 
 def run_cli(capsys, argv):
@@ -43,8 +47,7 @@ def fake_report(fail=None):
     def fake(params, qn):
         if (qn.n, qn.l, params.beta) == fail:
             raise ConvergenceError("synthetic failure", stage="solve")
-        s_r, s_p = 1.0 + qn.n, 6.0 + params.beta
-        return EntropyReport(params, qn, s_r, s_p, s_r + s_p, BBM_BOUND, True)
+        return EntropyReport(params, qn, 1.0 + qn.n, 6.0 + params.beta)
 
     return fake
 
@@ -175,6 +178,16 @@ class TestStateCommand:
         code, _, err = run_cli(capsys, ["state", "--n", "-1", "--l", "0", "--beta", "0.2"])
         assert code == 2
         assert "--n" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", HUGE_INT), ("--l", HUGE_INT), ("--l", "-" + HUGE_INT),
+    ], ids=["n", "l", "-l"])
+    def test_integer_past_the_float_range_exits_2(self, capsys, flag, value):
+        # such an int once reached solve and exited 3 on its OverflowError
+        argv = {"--n": "1", "--l": "0", flag: value}
+        code, out, err = run_cli(capsys, ["state", *(a for kv in argv.items() for a in kv)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: {flag[2:]} must lie within the float range, got ")
 
     def test_missing_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["state", "--l", "0", "--beta", "0.2"])
@@ -454,6 +467,17 @@ class TestConfig:
         assert code == 2
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b'{"params": {"m": 1' + b"0" * 5000 + b"}}",
+    ], ids=["not-utf-8", "past-the-int-digit-limit"])
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, content):
+        # json.load raises a ValueError other than JSONDecodeError on both
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --config: cannot read {str(path)!r}: "), err
+
     def test_unknown_field_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"betaz": [0.2]}')
@@ -512,6 +536,12 @@ class TestConfig:
             ('{"betas": [1.5]}', "betas"),
             ("{}", "--out"),  # written to a directory that does not exist
             ('{"output": {"formt": "json"}}', "output.formt"),
+            # an int past the float range once exited 3 on an OverflowError
+            pytest.param(f'{{"params": {{"m": {HUGE_INT}}}}}', "params.m", id="huge-m"),
+            pytest.param(f'{{"params": {{"k": {HUGE_INT}}}}}', "params.k", id="huge-k"),
+            pytest.param(f'{{"betas": [{HUGE_INT}]}}', "betas", id="huge-beta"),
+            pytest.param(f'{{"grid": [{{"n": {HUGE_INT}, "l": 0}}]}}', "grid n", id="huge-n"),
+            pytest.param(f'{{"grid": [{{"n": 0, "l": -{HUGE_INT}}}]}}', "grid l", id="huge-l"),
         ],
     )
     def test_bad_value_exits_2_naming_the_field(self, capsys, tmp_path, config, field):

@@ -51,6 +51,21 @@ class TestParams:
         with pytest.raises(DomainError):
             QuantumNumbers(0, 0, math.inf)
 
+    def test_integers_past_the_float_range_rejected(self):
+        big = 10**400
+        for kwargs in ({"m": big}, {"r0": big}, {"lz": -big}):
+            with pytest.raises(DomainError, match="finite number"):
+                SystemParams(**kwargs)
+        for n, l, k in ((big, 0, 1.0), (0, big, 1.0), (0, -big, 1.0), (0, 0, big)):
+            with pytest.raises(DomainError):
+                QuantumNumbers(n, l, k)
+
+    def test_numpy_integers_accepted(self):
+        qn = QuantumNumbers(np.int64(2), np.int64(-1))
+        assert (qn.n, qn.l) == (2, -1)
+        state = solve(SystemParams(beta=0.2), qn)
+        assert state.theta == solve(SystemParams(beta=0.2), QuantumNumbers(2, -1)).theta
+
     def test_bools_rejected_and_numbers_stored_as_float(self):
         for kwargs in ({"m": True}, {"beta": False}, {"r0": True}, {"lz": True}):
             with pytest.raises(DomainError, match="finite number"):

@@ -7,15 +7,15 @@ import pytest
 
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
 from abtrap.entropy import (
+    BBM_BOUND,
     SINC_ENTROPY_CONST,
     EntropyReport,
-    bbm_check,
     report,
     shannon_momentum,
     shannon_position,
 )
 from abtrap.errors import ConvergenceError
-from abtrap.momentum import build_profile
+from abtrap.momentum import _AmplitudeEvaluator, build_profile
 from abtrap.quadrature import integrate_adaptive
 
 from oracles import lommel_momentum_entropy, midpoint, position_entropy_ref
@@ -158,7 +158,7 @@ class TestShannonMomentum:
         pl = ground_pipeline
         prof = pl.profile
         dense_p = np.linspace(0.0, prof.p_max, 40001)
-        spline = CubicSpline(dense_p, prof.amplitude(dense_p))
+        spline = CubicSpline(dense_p, _AmplitudeEvaluator(prof.state)(dense_p))
 
         def integrand(p):
             rho = spline(p) ** 2
@@ -171,19 +171,21 @@ class TestShannonMomentum:
 
 class TestBBMCheck:
     def test_three_dimensional_bound(self):
-        bound, _ = bbm_check(5.0, 5.0)
-        assert bound == pytest.approx(6.4341896575482005, rel=1e-15, abs=0)
-        assert f"{bound:.5f}" == "6.43419"
+        assert BBM_BOUND == pytest.approx(6.4341896575482005, rel=1e-15, abs=0)
+        assert f"{BBM_BOUND:.5f}" == "6.43419"
 
     def test_reference_row_satisfied(self):
-        bound, ok = bbm_check(9.74631, 0.06678)
-        assert ok and 9.81309 >= bound
+        rep = entropies(9.74631, 0.06678)
+        assert rep.satisfied and rep.total == 9.74631 + 0.06678 >= BBM_BOUND
 
     def test_slack_absorbs_rounding(self):
-        bound, ok = bbm_check(3.0, bound_minus(3.0, 1e-10))
-        assert ok
-        _, ok = bbm_check(3.0, bound_minus(3.0, 1e-6))
-        assert not ok
+        assert entropies(3.0, bound_minus(3.0, 1e-10)).satisfied
+        assert not entropies(3.0, bound_minus(3.0, 1e-6)).satisfied
+
+
+def entropies(s_r, s_p):
+    """A report holding the given entropies; its total and BBM check follow from them."""
+    return EntropyReport(SystemParams(), QuantumNumbers(0, 0), s_r, s_p)
 
 
 def bound_minus(s_r, eps):
@@ -201,8 +203,7 @@ class TestReport:
         rep = report(pl.params, pl.qn)
         assert rep.s_r == pytest.approx(pl.s_r, abs=1e-9)
         assert rep.s_p == pytest.approx(pl.s_p, abs=1e-9)
-        assert rep.bbm_bound == pytest.approx(6.4341896575482005, rel=1e-15, abs=0)
-        assert rep.satisfied == (rep.total >= rep.bbm_bound - 1e-9)
+        assert rep.satisfied == (rep.total >= BBM_BOUND - 1e-9)
 
     def test_deterministic(self):
         params, qn = SystemParams(beta=0.4), QuantumNumbers(0, 0, 1.0)
@@ -269,5 +270,8 @@ class TestReport:
     def test_report_is_frozen_dataclass(self, ground_pipeline):
         rep = report(ground_pipeline.params, ground_pipeline.qn)
         assert isinstance(rep, EntropyReport)
+        # the report holds what the pipeline computed; the total is derived
+        assert [f.name for f in dataclasses.fields(rep)] == ["params", "qn", "s_r", "s_p"]
+        assert rep.total == rep.s_r + rep.s_p
         with pytest.raises(dataclasses.FrozenInstanceError):
-            rep.total = 0.0
+            rep.s_p = 0.0

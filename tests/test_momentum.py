@@ -66,7 +66,7 @@ def _j0(x):
 def _scan_maxima(prof):
     """Principal maxima of the profile's density on 2048 uniform points of [0, p_max]."""
     ps = np.linspace(0.0, prof.p_max, 2048)
-    return principal_maxima(ps, prof.amplitude(ps) ** 2)
+    return principal_maxima(ps, _AmplitudeEvaluator(prof.state)(ps) ** 2)
 
 
 class TestProfile:
@@ -77,9 +77,9 @@ class TestProfile:
         states = ((0, 0, 0.0, 1.0), (0, 1, 0.99, 1.0), (1, 1, 0.8, 1.0), (12, 0, 0.95, 0.05))
         for n, l, beta, k in states:
             st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, k))
-            prof = build_profile(st)
-            for p in (0.0, 0.7, st.theta, 2.9 * st.theta, 25.0, prof.p_max / 2, prof.p_max):
-                assert float(prof.amplitude(p)) == pytest.approx(
+            ps = np.array([0.0, 0.7, st.theta, 2.9 * st.theta, 25.0, _p_max(st) / 2, _p_max(st)])
+            for p, phi in zip(ps, _AmplitudeEvaluator(st)(ps)):
+                assert phi == pytest.approx(
                     radial_amplitude(st, p, tol=1e-12), abs=1e-12
                 ), (n, l, beta, k, p)
 
@@ -88,22 +88,22 @@ class TestProfile:
         # linear interpolation of the scan alone does not
         for n, l, beta in ((2, -2, 0.4), (0, 0, 0.8)):
             st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
-            prof = build_profile(st)
-            ps = np.linspace(0.0, prof.p_max, math.ceil(8.0 * prof.p_max / math.pi) + 1)
-            amps = prof.amplitude(ps)
+            amplitude, p_max = _AmplitudeEvaluator(st), _p_max(st)
+            ps = np.linspace(0.0, p_max, math.ceil(8.0 * p_max / math.pi) + 1)
+            amps = amplitude(ps)
             i = np.flatnonzero(np.sign(amps[:-1]) * np.sign(amps[1:]) < 0)
             lo, hi = ps[i], ps[i + 1]
             secant = lo + (hi - lo) * amps[i] / (amps[i] - amps[i + 1])
             f_lo = amps[i]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                right = np.sign(prof.amplitude(mid)) == np.sign(f_lo)
+                right = np.sign(amplitude(mid)) == np.sign(f_lo)
                 lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
             roots = 0.5 * (lo + hi)
-            refined = _amplitude_breakpoints(prof.amplitude, ps, amps)
+            refined = _amplitude_breakpoints(amplitude, ps, amps)
             assert refined.size == roots.size > 20, (n, l, beta)
-            assert np.max(np.abs(refined - roots)) <= 1e-9 * prof.p_max, (n, l, beta)
-            assert np.max(np.abs(secant - roots)) > 1e-9 * prof.p_max, (n, l, beta)
+            assert np.max(np.abs(refined - roots)) <= 1e-9 * p_max, (n, l, beta)
+            assert np.max(np.abs(secant - roots)) > 1e-9 * p_max, (n, l, beta)
 
     def test_bessel_block_size(self, monkeypatch):
         # (1,1,0.8) took 3 188 884 Bessel points with one-oscillation r-panels
@@ -128,7 +128,7 @@ class TestProfile:
         assert np.all(dens >= 0.0)
         assert np.allclose(dens, amps**2, rtol=0, atol=1e-15)
         # the samples are the amplitude the profile integrates
-        assert np.array_equal(amps, prof.amplitude(ps))
+        assert np.array_equal(amps, _AmplitudeEvaluator(st)(ps))
 
     def test_sample_knee_ignores_the_density_peak(self):
         # on (1,1,0.8) the density peaks at 1.21 Theta / r0, and the last of
@@ -163,9 +163,10 @@ class TestProfile:
         assert prof.captured_norm >= 1.0 - 1e-6
 
     def test_norm_by_direct_quadrature(self, ground_beta0):
-        _, prof = ground_beta0
+        st, prof = ground_beta0
+        amplitude = _AmplitudeEvaluator(st)
         res = integrate_adaptive(
-            lambda p: 2.0 * math.pi * prof.amplitude(p) ** 2 * p, 0.0, prof.p_max, 1e-9
+            lambda p: 2.0 * math.pi * amplitude(p) ** 2 * p, 0.0, prof.p_max, 1e-9
         )
         assert res.value == pytest.approx(prof.captured_norm, abs=1e-7)
 
