@@ -240,8 +240,8 @@ def cmd_table(args) -> int:
 
 def cmd_density(args) -> int:
     cfg, qn = _one_state(args)
-    if args.samples < 64:
-        raise DomainError(f"--samples must be >= 64, got {args.samples}")
+    if not 64 <= args.samples <= 1_000_000:  # checked before any array is allocated
+        raise DomainError(f"--samples must lie in [64, 1000000], got {args.samples}")
     state = named("solve", solve, cfg.params, qn)
     # radial marginals from the unit cylinder, trapezoid-normalized to 1: 2 pi Lz rho(r) r
     # = 2 pi rho(x) x / r0 at r = r0 x, and 2 pi rho(p) p = r0 2 pi rho(x) x at p = x / r0

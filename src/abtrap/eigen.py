@@ -35,11 +35,18 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    """repr of `value`; an int past the float range by its size, as its digits may pass repr's limit."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 def _finite(value, message: str) -> float:
     """`value` as a float; a bool, a non-number or one that is not a finite float raises `message`."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number and abs(value) <= sys.float_info.max):  # exact for an int, false for nan
-        raise DomainError(f"{message}, got {value!r}")
+        raise DomainError(f"{message}, got {_shown(value)}")
     return float(value)
 
 
@@ -79,9 +86,9 @@ class QuantumNumbers:
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 0:
-            raise DomainError(f"radial index n must be an integer >= 0, got {self.n!r}")
+            raise DomainError(f"radial index n must be an integer >= 0, got {_shown(self.n)}")
         if not isinstance(self.l, (int, np.integer)) or isinstance(self.l, bool):
-            raise DomainError(f"angular momentum l must be an integer, got {self.l!r}")
+            raise DomainError(f"angular momentum l must be an integer, got {_shown(self.l)}")
         for name in ("n", "l"):  # int() takes a numpy integer to a Python one
             _finite(int(getattr(self, name)), f"{name} must lie within the float range")
         object.__setattr__(self, "k", _finite(self.k, "wavenumber k must be finite"))

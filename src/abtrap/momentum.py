@@ -15,16 +15,18 @@ density per p dp dp_theta is uniform in the momentum angle and equals
 
 The longitudinal factor is handled analytically in the entropy module.
 
-`build_profile` uses the package's one rule, `smoothed_gauss_legendre`, in
-both variables. In x it builds phi as one weighted sum over fixed nodes, on
-panels two oscillations of J_L(p_max x) wide; its smoothing map
+Each state has one plan, `_AmplitudeEvaluator`: it fixes p_max once, and
+`build_profile` and `sample_profile` read it from there. `build_profile` uses
+the package's one rule, `smoothed_gauss_legendre`, in both variables. In x
+the plan builds phi as one weighted sum over fixed nodes, on panels two
+oscillations of J_L(p_max x) wide; its smoothing map
 u = 3 s^2 - 2 s^3 turns the x^(nu+L+1) behaviour of the integrand at the
 origin into s^(2 nu+2 L+3), which Gauss-Legendre integrates without grading.
 On [0, p_max], p_max = 5 (Theta + 20), a scan of 8 points per pi brackets
 the amplitude's sign changes, and regula falsi puts each on its root.
 One batch of p-nodes, split there, gives the captured norm and the transverse
-entropy through `density_integrals`. Past p_max, phi follows a tail model
-(L = |l|): origin terms plus the wall part of Green's identity,
+entropy through `density_integrals`. Past p_max, phi follows a tail model,
+`_Tail` (L = |l|): origin terms plus the wall part of Green's identity,
 
     phi(p) ~ sum_{j=0..2} C_j p^-(nu+2+2j)
              + sum_{m=0..2} p^-2(m+1) [f_m'(1) J_L(p) - f_m(1) p J_L'(p)].
@@ -54,9 +56,10 @@ between its zeros. Past P, J_L and J_{L+1} take Hankel's P and Q from
 `specfun.hankel_pq`, so phi = o(p) + A(p) cos chi + B(p) sin chi, with o the
 origin terms and chi = p - L pi/2 - pi/4; the means of rho and rho ln rho over
 one period of chi vary slowly in p, and are integrated in t = P / p over
-(0, 1], out to p = inf. The profile carries the tail's norm and entropy, and
-`build_profile` fails when the norm misses 1 by more than 1e-7.
-`sample_profile` tabulates the amplitude alone.
+(0, 1], out to p = inf. `build_profile` builds one `_Tail`, whose
+coefficients are formed once; the profile carries the tail's norm and
+entropy, and fails when the norm misses 1 by more than 1e-7.
+`sample_profile` tabulates the plan's amplitude alone and builds no tail.
 """
 
 from __future__ import annotations
@@ -84,16 +87,18 @@ _NORM_DEFECT = 1e-7
 
 
 class _AmplitudeEvaluator:
-    """Vectorized phi(p) by `smoothed_gauss_legendre` on a fixed radial grid.
+    """The momentum plan of one state: p_max, and phi(p) on a fixed radial grid.
 
-    [0, 1] is split at the radial nodes and cut to panels no wider than two
-    oscillations of the kernel at p_max, 4 pi / p_max; that keeps phi within
-    3e-13 of a four times finer grid for every p <= p_max.
+    phi is a vectorized `smoothed_gauss_legendre` sum. [0, 1] is split at the
+    radial nodes and cut to panels no wider than two oscillations of the kernel
+    at p_max, 4 pi / p_max; that keeps phi within 3e-13 of a four times finer
+    grid for every p <= p_max.
     """
 
     def __init__(self, state: Eigenstate):
+        self.p_max = _p_max(state)
         edges = [0.0, *state.radial_nodes(), 1.0]
-        nodes, weights = smoothed_gauss_legendre(subdivide(edges, 4.0 * math.pi / _p_max(state), 1))
+        nodes, weights = smoothed_gauss_legendre(subdivide(edges, 4.0 * math.pi / self.p_max, 1))
         self._nodes = nodes
         self._weighted = weights * state.radial_wavefunction(nodes) * nodes
         self._order = abs(state.qn.l)
@@ -114,121 +119,105 @@ def _p_max(state: Eigenstate) -> float:
     return 5.0 * (state.theta + 20.0)
 
 
-def _tail_coefficients(state: Eigenstate) -> tuple[tuple[float, ...], np.ndarray]:
-    """(E, G) of the tail model; see `_tail_amplitude` and `_tail_average`.
-
-    E_j = C_j Theta^-(nu+2j), j = 0, 1, 2, its Gamma ratio formed in logs,
-    is finite at any order. G holds the wall part from Green's identity,
-
-        p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p) + G3 p^-5 J_{L+1}(p).
-    """
-    nu, theta = state.nu, state.theta
-    order = abs(state.qn.l)
-    origin = []
-    for j in range(3):
-        x = 0.5 * (order - nu) - j
-        if x <= 0.0 and x == math.floor(x):  # 1 / Gamma(x) vanishes at its poles
-            origin.append(0.0)
-            continue
-        sign = (-1.0) ** (j + min(math.floor(x), 0))  # that of (-1)^j Gamma(x)
-        log_ratio = (math.lgamma(0.5 * (order + nu) + j + 1.0) - math.lgamma(x)
-                     - math.lgamma(nu + j + 1.0) - math.lgamma(j + 1.0))
-        origin.append(sign * 2.0 * state.a0 * math.exp(log_ratio))
-    slope = -state.a0 * theta * bessel_j(nu + 1.0, theta)  # R'(1)
-    c = order * order - nu * nu
-    g0 = theta**2 + c
-    green = slope * np.array([1.0, g0, g0 * g0 - (20.0 + 4.0 * order) * c, 4.0 * c])
-    return tuple(origin), green
-
-
-def _origin_part(state: Eigenstate, origin, p):
-    """sum_j E_j (Theta / p)^(nu+2j) / p^2, by Horner in (Theta / p)^2."""
-    x = state.theta / p  # below 1 / 5 past p_max
-    smooth = 0.0
-    for e in origin[::-1]:
-        smooth = smooth * x * x + e
-    return smooth * x**state.nu / (p * p)
-
-
-def _bessel_factor(green, p):
-    """p^-2 (G0 + G1 p^-2 + G2 p^-4), the factor of J_L(p) in the wall part."""
-    inv2 = 1.0 / (p * p)
-    return inv2 * (green[0] + inv2 * (green[1] + inv2 * green[2]))
-
-
-def _tail_amplitude(state: Eigenstate, coefficients, p):
-    """The tail model of phi with J_L(p) and J_{L+1}(p) exact,
+class _Tail:
+    """The tail model of phi past p_max, with J_L(p) and J_{L+1}(p) exact,
 
         sum_j E_j (Theta / p)^(nu+2j) / p^2
-        + p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p) + G3 p^-5 J_{L+1}(p),
+        + p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p) + G3 p^-5 J_{L+1}(p).
 
-    from `coefficients = (E, G)`. The first terms left out fall as p^-(nu+8)
-    and p^-15/2, so it is accurate only well past p_max / 2.
+    `origin` holds E_j = C_j Theta^-(nu+2j), j = 0, 1, 2, its Gamma ratio formed
+    in logs, finite at any order; `green` holds G, the wall part from Green's
+    identity. The first terms left out fall as p^-(nu+8) and p^-15/2, so the
+    model is accurate only well past p_max / 2.
     """
-    origin, green = coefficients
-    order = abs(state.qn.l)
-    wall = (_bessel_factor(green, p) * bessel_j(order, p)
-            + green[3] / p**5 * bessel_j(order + 1, p))
-    return _origin_part(state, origin, p) + wall
 
+    def __init__(self, state: Eigenstate):
+        order, nu, theta = abs(state.qn.l), state.nu, state.theta
+        self.order, self.nu, self.theta = order, nu, theta
+        origin = []
+        for j in range(3):
+            x = 0.5 * (order - nu) - j
+            if x <= 0.0 and x == math.floor(x):  # 1 / Gamma(x) vanishes at its poles
+                origin.append(0.0)
+                continue
+            sign = (-1.0) ** (j + min(math.floor(x), 0))  # that of (-1)^j Gamma(x)
+            log_ratio = (math.lgamma(0.5 * (order + nu) + j + 1.0) - math.lgamma(x)
+                         - math.lgamma(nu + j + 1.0) - math.lgamma(j + 1.0))
+            origin.append(sign * 2.0 * state.a0 * math.exp(log_ratio))
+        self.origin = tuple(origin)
+        slope = -state.a0 * theta * bessel_j(nu + 1.0, theta)  # R'(1)
+        c = order * order - nu * nu
+        g0 = theta**2 + c
+        self.green = slope * np.array([1.0, g0, g0 * g0 - (20.0 + 4.0 * order) * c, 4.0 * c])
 
-def _tail_average(state: Eigenstate, coefficients, p) -> tuple[np.ndarray, np.ndarray]:
-    """Means of rho and of rho ln rho of the tail model over one period of chi.
+    def _origin_part(self, p):
+        """sum_j E_j (Theta / p)^(nu+2j) / p^2, by Horner in (Theta / p)^2."""
+        x = self.theta / p  # below 1 / 5 past p_max
+        smooth = 0.0
+        for e in self.origin[::-1]:
+            smooth = smooth * x * x + e
+        return smooth * x**self.nu / (p * p)
 
-    At each p the model is o + A cos chi + B sin chi, with chi = p - (2L+1) pi / 4,
-    o the origin part, A = s (F P_L + g Q_{L+1}) and B = s (g P_{L+1} - F Q_L):
-    s = sqrt(2 / (pi p)), F = `_bessel_factor`, g = G3 p^-5, and P, Q from
-    `hankel_pq` at p. The means are taken on the midpoint nodes _PHASES,
-    with o, A and B held at p.
-    """
-    origin, green = coefficients
-    order = abs(state.qn.l)
-    p_l, q_l = hankel_pq(order, p)
-    p_next, q_next = hankel_pq(order + 1, p)
-    scale = np.sqrt(2.0 / (math.pi * p))
-    factor, g = _bessel_factor(green, p), green[3] / p**5
-    a = scale * (factor * p_l + g * q_next)
-    b = scale * (g * p_next - factor * q_l)
-    amp = (_origin_part(state, origin, p)[:, None] + a[:, None] * np.cos(_PHASES)
-           + b[:, None] * np.sin(_PHASES))
-    rho = amp * amp
-    return rho.mean(axis=1), rho_ln_rho(rho).mean(axis=1)
+    def _bessel_factor(self, p):
+        """p^-2 (G0 + G1 p^-2 + G2 p^-4), the factor of J_L(p) in the wall part."""
+        inv2 = 1.0 / (p * p)
+        return inv2 * (self.green[0] + inv2 * (self.green[1] + inv2 * self.green[2]))
 
+    def __call__(self, p):
+        """The model at each point of `p`."""
+        wall = (self._bessel_factor(p) * bessel_j(self.order, p)
+                + self.green[3] / p**5 * bessel_j(self.order + 1, p))
+        return self._origin_part(p) + wall
 
-def _tail_integrals(state: Eigenstate, p_max: float) -> tuple[float, float]:
-    """Norm and transverse entropy of the tail model from p_max on.
+    def average(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """Means of rho and of rho ln rho of the model over one period of chi.
 
-    On the near band [p_max, P], P about _NEAR_BAND p_max, panels run between
-    the model's zeros, where rho ln rho has its cusps: McMahon's zeros of
-    J_L(p), moved by the origin part. P is the last of them. Past P the
-    phase means of `_tail_average` vary slowly; they are integrated in
-    t = P / p on smoothed Gauss-Legendre panels of (0, 1], which reach p = inf.
-    """
-    order = abs(state.qn.l)
-    coefficients = _tail_coefficients(state)
-    # the k-th zero of J_L lies near (k + L/2 - 1/4) pi
-    shift = 0.5 * order - 0.25
-    ks = np.arange(math.floor(p_max / math.pi - shift) + 1,
-                   math.floor(_NEAR_BAND * p_max / math.pi - shift) + 1)
-    zeros = mcmahon_zero(order, ks)[0]
-    # near a zero z of J_L(p) the model is o + D sin(p - z), with o its origin
-    # part and D = -p^-2 (G0 + G1 p^-2 + G2 p^-4) J_{L+1}(z), so o moves the
-    # model's zero by arcsin(-o / D); where |o| > |D| rho has no zero, and the
-    # edge stays a quarter period off
-    origin, green = coefficients
-    slope = -_bessel_factor(green, zeros) * bessel_j(order + 1, zeros)
-    zeros = zeros + np.arcsin(np.clip(-_origin_part(state, origin, zeros) / slope, -1.0, 1.0))
-    zeros = zeros[zeros > p_max]
-    edges = np.concatenate([[p_max], zeros])
-    norm, entropy = density_integrals(
-        edges, lambda p: _tail_amplitude(state, coefficients, p) ** 2
-    )
-    far = edges[-1]
-    t, weights = smoothed_gauss_legendre(_FAR_EDGES)
-    p = far / t
-    rho, rho_log = _tail_average(state, coefficients, p)
-    measure = 2.0 * math.pi * weights * p * far / (t * t)  # 2 pi p dp
-    return norm + float(np.sum(measure * rho)), entropy - float(np.sum(measure * rho_log))
+        At each p the model is o + A cos chi + B sin chi, with chi = p - (2L+1) pi / 4,
+        o the origin part, A = s (F P_L + g Q_{L+1}) and B = s (g P_{L+1} - F Q_L):
+        s = sqrt(2 / (pi p)), F the factor of J_L(p), g = G3 p^-5, and P, Q from
+        `hankel_pq` at p. The means are taken on the midpoint nodes _PHASES,
+        with o, A and B held at p.
+        """
+        p_l, q_l = hankel_pq(self.order, p)
+        p_next, q_next = hankel_pq(self.order + 1, p)
+        scale = np.sqrt(2.0 / (math.pi * p))
+        factor, g = self._bessel_factor(p), self.green[3] / p**5
+        a = scale * (factor * p_l + g * q_next)
+        b = scale * (g * p_next - factor * q_l)
+        amp = (self._origin_part(p)[:, None] + a[:, None] * np.cos(_PHASES)
+               + b[:, None] * np.sin(_PHASES))
+        rho = amp * amp
+        return rho.mean(axis=1), rho_ln_rho(rho).mean(axis=1)
+
+    def integrals(self, p_max: float) -> tuple[float, float]:
+        """Norm and transverse entropy of the model from p_max on.
+
+        On the near band [p_max, P], P about _NEAR_BAND p_max, panels run between
+        the model's zeros, where rho ln rho has its cusps: McMahon's zeros of
+        J_L(p), moved by the origin part. P is the last of them. Past P the
+        phase means of `average` vary slowly; they are integrated in
+        t = P / p on smoothed Gauss-Legendre panels of (0, 1], which reach p = inf.
+        """
+        # the k-th zero of J_L lies near (k + L/2 - 1/4) pi
+        shift = 0.5 * self.order - 0.25
+        ks = np.arange(math.floor(p_max / math.pi - shift) + 1,
+                       math.floor(_NEAR_BAND * p_max / math.pi - shift) + 1)
+        zeros = mcmahon_zero(self.order, ks)[0]
+        # near a zero z of J_L(p) the model is o + D sin(p - z), with o its origin
+        # part and D = -p^-2 (G0 + G1 p^-2 + G2 p^-4) J_{L+1}(z), so o moves the
+        # model's zero by arcsin(-o / D); where |o| > |D| rho has no zero, and the
+        # edge stays a quarter period off
+        slope = -self._bessel_factor(zeros) * bessel_j(self.order + 1, zeros)
+        zeros = zeros + np.arcsin(np.clip(-self._origin_part(zeros) / slope, -1.0, 1.0))
+        zeros = zeros[zeros > p_max]
+        edges = np.concatenate([[p_max], zeros])
+        norm, entropy = density_integrals(edges, lambda p: self(p) ** 2)
+        far = edges[-1]
+        t, weights = smoothed_gauss_legendre(_FAR_EDGES)
+        p = far / t
+        rho, rho_log = self.average(p)
+        measure = 2.0 * math.pi * weights * p * far / (t * t)  # 2 pi p dp
+        return norm + float(np.sum(measure * rho)), entropy - float(np.sum(measure * rho_log))
 
 
 def _amplitude_breakpoints(
@@ -292,15 +281,15 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
     panels no wider than pi, gives the captured norm and transverse
     entropy; the tail model gives both past p_max.
     """
-    p_max = _p_max(state)
     evaluator = _AmplitudeEvaluator(state)
+    p_max = evaluator.p_max
     # 8 scan points per pi bracket the breakpoints
     p_scan = np.linspace(0.0, p_max, math.ceil(8.0 * p_max / math.pi) + 1)
     amp_scan = evaluator(p_scan)
     breakpoints = _amplitude_breakpoints(evaluator, p_scan, amp_scan)
     edges = subdivide([0.0, *breakpoints, p_max], math.pi, 1)
     captured_norm, inner_entropy = density_integrals(edges, lambda p: evaluator(p) ** 2)
-    tail_norm, tail_entropy = _tail_integrals(state, p_max)
+    tail_norm, tail_entropy = _Tail(state).integrals(p_max)
     defect = abs(1.0 - captured_norm - tail_norm)
     if not defect <= _NORM_DEFECT:  # a NaN defect fails too
         raise ConvergenceError(
@@ -324,12 +313,12 @@ def sample_profile(state: Eigenstate, count: int) -> np.ndarray:
     most of the density lies; the rest run on to p_max. The amplitude is the
     one `build_profile` integrates, but no integral is taken.
     """
-    p_max = _p_max(state)
+    evaluator = _AmplitudeEvaluator(state)
     p_knee = 2.5 * state.theta
     n_near = int(0.7 * count)
     grid = np.unique(np.concatenate([
         np.linspace(0.0, p_knee, n_near),
-        np.linspace(p_knee, p_max, count - n_near + 1),
+        np.linspace(p_knee, evaluator.p_max, count - n_near + 1),
     ]))
-    amp = _AmplitudeEvaluator(state)(grid)
+    amp = evaluator(grid)
     return np.column_stack([grid, amp, amp**2])

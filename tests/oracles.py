@@ -247,3 +247,30 @@ def principal_maxima(ps, dens) -> list[float]:
         if dens[i] > dens[i - 1] and dens[i] >= dens[i + 1] and dens[i] >= floor:
             out.append(float(ps[i]))
     return out
+
+
+def mean_p_squared(state) -> float:
+    """<p^2> of the transverse momentum on the unit cylinder, from the position side.
+
+    R = a0 J_nu(Theta x) solves -(1/x)(x R')' + nu^2 R / x^2 = Theta^2 R and
+    vanishes at the wall, so the kinetic integral gives
+    <p^2> = Theta^2 + (L^2 - nu^2) <x^-2>, with
+    <x^-2> = 2 pi a0^2 int_0^1 J_nu(Theta x)^2 dx / x. scipy's `quad` takes
+    x^(2 nu - 1) as an algebraic weight and the smooth (J_nu(Theta x) / x^nu)^2
+    as the integrand. No momentum-space quantity enters.
+    """
+    from scipy.integrate import quad
+    from scipy.special import jv
+
+    order, nu, theta = abs(state.qn.l), state.nu, state.theta
+    c = order * order - nu * nu
+    if c == 0.0:  # nu = L, where <x^-2> may diverge (nu = 0) but does not enter
+        return theta * theta
+    at_zero = (0.5 * theta) ** (2.0 * nu) / math.gamma(nu + 1.0) ** 2
+
+    def smooth(x):
+        return (jv(nu, theta * x) / x**nu) ** 2 if x > 0.0 else at_zero
+
+    inner, _ = quad(smooth, 0.0, 1.0, weight="alg", wvar=(2.0 * nu - 1.0, 0.0),
+                    epsabs=0.0, epsrel=1e-12)
+    return theta * theta + c * 2.0 * math.pi * state.a0**2 * inner

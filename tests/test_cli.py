@@ -71,13 +71,13 @@ class TestStateCommand:
         # profile refuses it rather than print a wrong S_p
         import abtrap.momentum as momentum_mod
 
-        tail_integrals = momentum_mod._tail_integrals
+        tail_integrals = momentum_mod._Tail.integrals
 
-        def off(state, p_max):
-            norm, entropy = tail_integrals(state, p_max)
+        def off(tail, p_max):
+            norm, entropy = tail_integrals(tail, p_max)
             return norm - 1e-6, entropy
 
-        monkeypatch.setattr(momentum_mod, "_tail_integrals", off)
+        monkeypatch.setattr(momentum_mod._Tail, "integrals", off)
         code, out, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--beta", "0.2"])
         assert code == 3
         assert out == ""
@@ -415,6 +415,15 @@ class TestDensityCommand:
         )
         assert code == 2
         assert "--samples" in err
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_huge_sample_count_exits_2(self, capsys, space):
+        # 10^12 samples once reached numpy and ended in a memory-error traceback;
+        # the bound is checked before the state is solved or an array allocated
+        argv = ["density", "--space", space, "--n", "0", "--l", "0", "--samples", str(10**12)]
+        assert run_cli(capsys, argv) == (
+            2, "", "error: --samples must lie in [64, 1000000], got 1000000000000\n"
+        )
 
 
 class TestConfig:

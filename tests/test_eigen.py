@@ -60,6 +60,19 @@ class TestParams:
             with pytest.raises(DomainError):
                 QuantumNumbers(n, l, k)
 
+    @pytest.mark.parametrize("build", [
+        lambda big: QuantumNumbers(big, 0),
+        lambda big: QuantumNumbers(-big, 0),
+        lambda big: QuantumNumbers(0, big),
+        lambda big: QuantumNumbers(0, 0, k=big),
+        lambda big: SystemParams(m=big),
+    ], ids=["n", "-n", "l", "k", "m"])
+    def test_integers_past_the_digit_limit_named_by_size(self, build):
+        # repr of an int past 4300 digits raises ValueError, so the message
+        # gives the value's size in bits
+        with pytest.raises(DomainError, match=r"got (a negative|an) integer of 16610 bits$"):
+            build(10**5000)
+
     def test_numpy_integers_accepted(self):
         qn = QuantumNumbers(np.int64(2), np.int64(-1))
         assert (qn.n, qn.l) == (2, -1)

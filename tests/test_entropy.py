@@ -18,7 +18,7 @@ from abtrap.errors import ConvergenceError
 from abtrap.momentum import _AmplitudeEvaluator, build_profile
 from abtrap.quadrature import integrate_adaptive
 
-from oracles import lommel_momentum_entropy, midpoint, position_entropy_ref
+from oracles import lommel_momentum_entropy, mean_p_squared, midpoint, position_entropy_ref
 
 
 # S_z of the plane wave on the unit box lz = 1
@@ -167,6 +167,21 @@ class TestShannonMomentum:
         brute = -2.0 * math.pi * midpoint(integrand, 0.0, prof.p_max, 10**6)
         brute += prof.tail_entropy + UNIT_LONGITUDINAL
         assert pl.s_p == pytest.approx(brute, abs=1e-5)
+
+
+class TestGaussianBound:
+    def test_transverse_entropy_below_gaussian_bound(self, grid_pipelines):
+        # of all 2-D densities with second moment <p^2>, the Gaussian has the
+        # largest entropy, 1 + ln(pi <p^2>). <p^2> comes from the position side
+        # alone, so this bounds the momentum pipeline independently. The slack
+        # is 0.0765 at (0,0,0), 0.19 to 0.95 on the grid and 1.38 at (0,20,0.5)
+        profiles = [pl.profile for key, pl in grid_pipelines.items() if isinstance(key, tuple)]
+        for n, l, beta in ((0, 0, 0.0), (0, 20, 0.5)):
+            profiles.append(build_profile(solve(SystemParams(beta=beta), QuantumNumbers(n, l))))
+        for prof in profiles:
+            transverse = prof.inner_entropy + prof.tail_entropy
+            slack = 1.0 + math.log(math.pi * mean_p_squared(prof.state)) - transverse
+            assert 0.05 < slack < 1.5, (prof.state.qn, slack)
 
 
 class TestBBMCheck:

@@ -11,8 +11,7 @@ from abtrap.momentum import (
     _AmplitudeEvaluator,
     _amplitude_breakpoints,
     _p_max,
-    _tail_amplitude,
-    _tail_coefficients,
+    _Tail,
     build_profile,
     sample_profile,
 )
@@ -237,7 +236,7 @@ class TestTailModel:
         # nu = |l| at beta = 0, so 1 / Gamma((|l| - nu) / 2) sits on a pole
         for n, l in ((0, 0), (1, 1), (2, -2)):
             st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
-            assert _tail_coefficients(st)[0][0] == 0.0
+            assert _Tail(st).origin[0] == 0.0
 
     def test_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 = -0.4;
@@ -250,13 +249,13 @@ class TestTailModel:
             2 * st.a0 / mp.gamma(nu + 1)
             * mp.gamma((order + nu + 2) / 2) * mp.rgamma((order - nu) / 2)
         )
-        assert _tail_coefficients(st)[0][0] == pytest.approx(float(expect), rel=1e-12, abs=0)
+        assert _Tail(st).origin[0] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
     def test_second_origin_term_vanishes_without_defect(self):
         # (|l| - nu) / 2 - 1 = -1 at beta = 0, another pole of Gamma
         for n, l in ((0, 0), (1, 1), (2, -2)):
             st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
-            assert _tail_coefficients(st)[0][1] == 0.0
+            assert _Tail(st).origin[1] == 0.0
 
     def test_second_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 1 = -1.4;
@@ -269,7 +268,7 @@ class TestTailModel:
             -2 * st.a0 / mp.gamma(nu + 2)
             * mp.gamma((order + nu + 4) / 2) * mp.rgamma((order - nu - 2) / 2)
         )
-        assert _tail_coefficients(st)[0][1] == pytest.approx(float(expect), rel=1e-12, abs=0)
+        assert _Tail(st).origin[1] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
     def test_third_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 2 = -2.4;
@@ -282,26 +281,47 @@ class TestTailModel:
             2 * st.a0 / (2 * mp.gamma(nu + 3))
             * mp.gamma((order + nu + 6) / 2) * mp.rgamma((order - nu - 4) / 2)
         )
-        assert _tail_coefficients(st)[0][2] == pytest.approx(float(expect), rel=1e-12, abs=0)
+        assert _Tail(st).origin[2] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
     def test_origin_terms_finite_at_high_order(self):
         # (Theta / 2)^(nu+2) alone overflows at nu = 159.5, Theta = 169.8
         st = solve(SystemParams(beta=0.5), QuantumNumbers(0, 160, 1.0))
-        origin, green = _tail_coefficients(st)
-        assert all(math.isfinite(e) and e != 0.0 for e in origin)
-        assert np.all(np.isfinite(green))
+        tail = _Tail(st)
+        assert all(math.isfinite(e) and e != 0.0 for e in tail.origin)
+        assert np.all(np.isfinite(tail.green))
 
     def test_coefficients_built_once_per_profile(self, monkeypatch):
+        # build_profile forms the tail's coefficients once; sample_profile
+        # tabulates the amplitude and forms none
+        calls = []
+
+        class Counting(_Tail):
+            def __init__(self, state):
+                calls.append(state)
+                super().__init__(state)
+
+        st = solve(SystemParams(beta=0.8), QuantumNumbers(2, 1, 1.0))
+        monkeypatch.setattr(momentum_mod, "_Tail", Counting)
+        build_profile(st)
+        assert calls == [st]
+        sample_profile(st, 64)
+        assert calls == [st]
+
+    def test_p_max_fixed_once_per_plan(self, monkeypatch):
+        # the evaluator fixes p_max, and build_profile and sample_profile read
+        # it from there rather than work it out again
         calls = []
 
         def counting(state):
             calls.append(state)
-            return _tail_coefficients(state)
+            return _p_max(state)
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(2, 1, 1.0))
-        monkeypatch.setattr(momentum_mod, "_tail_coefficients", counting)
-        build_profile(st)
+        monkeypatch.setattr(momentum_mod, "_p_max", counting)
+        assert build_profile(st).p_max == _p_max(st)
         assert calls == [st]
+        assert sample_profile(st, 64)[-1, 0] == _p_max(st)
+        assert calls == [st, st]
 
     @pytest.mark.parametrize("n, l, r0", [(0, 0, 1.0), (1, -3, 1.0), (2, 2, 1.7)])
     def test_wall_terms_match_lommel_expansion(self, n, l, r0):
@@ -318,9 +338,9 @@ class TestTailModel:
             alpha = mp.mpf(st.theta)
             amp = st.a0 * alpha * mp.besselj(abs(l) + 1, alpha)
             green = [float(-amp * alpha ** (2 * m)) for m in range(3)] + [0.0]
-        origin, got_green = _tail_coefficients(st)
-        assert origin == (0.0, 0.0, 0.0)
-        np.testing.assert_allclose(got_green, green, rtol=1e-12, atol=0)
+        tail = _Tail(st)
+        assert tail.origin == (0.0, 0.0, 0.0)
+        np.testing.assert_allclose(tail.green, green, rtol=1e-12, atol=0)
 
     def test_green_terms_match_bessel_operator(self):
         # f_0 = R, f_1 = B R = g R and f_2 = B f_1 at the wall x = 1, by mpmath
@@ -340,7 +360,7 @@ class TestTailModel:
             df2 = -d[3] - d[2] + d[1] + order**2 * (d[1] - 2 * d[0])
             expect = [mp.diff(rad, 1), d[1], df2 - order * f2, f2]
         np.testing.assert_allclose(
-            _tail_coefficients(st)[1], [float(e) for e in expect], rtol=1e-12, atol=0
+            _Tail(st).green, [float(e) for e in expect], rtol=1e-12, atol=0
         )
 
     def test_residual_falls_at_seventh_order(self):
@@ -354,7 +374,7 @@ class TestTailModel:
             for p in (0.25 * _p_max(st), 0.5 * _p_max(st)):
                 ps = np.linspace(0.9 * p, p, 200)
                 exact = _AmplitudeEvaluator(st)(ps)
-                model = _tail_amplitude(st, _tail_coefficients(st), ps)
+                model = _Tail(st)(ps)
                 residuals.append(np.max(np.abs(exact - model)))
             assert residuals[1] <= residuals[0] / 2**7, (n, l, beta, residuals)
 
@@ -365,7 +385,7 @@ class TestTailModel:
         st = solve(SystemParams(beta=0.5), QuantumNumbers(0, l, 1.0))
         ps = np.linspace(0.9 * _p_max(st), _p_max(st), 200)
         exact = _AmplitudeEvaluator(st)(ps)
-        model = _tail_amplitude(st, _tail_coefficients(st), ps)
+        model = _Tail(st)(ps)
         assert np.max(np.abs(exact - model)) <= 1e-9
 
     @pytest.mark.parametrize("n, l, beta", [(1, 1, 0.8), (2, 1, 0.8), (0, 1, 0.99)])
@@ -373,9 +393,9 @@ class TestTailModel:
         # past the near band the tail is period-averaged; doubling the band
         # moves its norm and entropy by 4e-14 and 1.2e-12 at most here
         st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
-        norm, entropy = momentum_mod._tail_integrals(st, _p_max(st))
+        norm, entropy = _Tail(st).integrals(_p_max(st))
         monkeypatch.setattr(momentum_mod, "_NEAR_BAND", 2.0 * momentum_mod._NEAR_BAND)
-        wide_norm, wide_entropy = momentum_mod._tail_integrals(st, _p_max(st))
+        wide_norm, wide_entropy = _Tail(st).integrals(_p_max(st))
         assert norm == pytest.approx(wide_norm, abs=1e-9)
         assert entropy == pytest.approx(wide_entropy, abs=1e-9)
 
