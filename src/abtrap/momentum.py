@@ -15,21 +15,22 @@ density per p dp dp_theta is uniform in the momentum angle and equals
 
 The longitudinal factor is handled analytically in the entropy module.
 
-Each state has one plan, `_AmplitudeEvaluator`: it fixes p_max once, and
-`build_profile` and `sample_profile` read it from there. `build_profile` uses
-the package's one rule, `smoothed_gauss_legendre`, in both variables. In x
-the plan builds phi as one weighted sum over fixed nodes, on panels two
-oscillations of J_L(p_max x) wide; its smoothing map
-u = 3 s^2 - 2 s^3 turns the x^(nu+L+1) behaviour of the integrand at the
-origin into s^(2 nu+2 L+3), which Gauss-Legendre integrates without grading.
-On [0, p_max], p_max = 5 (Theta + 20), a scan of 8 points per pi brackets
-the amplitude's sign changes, and regula falsi puts each on its root.
-One batch of p-nodes, split there, gives the captured norm and the transverse
-entropy through `density_integrals`. Past p_max, phi follows a tail model,
-`_Tail` (L = |l|): origin terms plus the wall part of Green's identity,
+Each state has one plan, `_AmplitudeEvaluator`: it builds the state's tail
+model, `_Tail`, and fixes p_max from it once; `build_profile` and
+`sample_profile` read both from there. `build_profile` uses the package's one
+rule, `smoothed_gauss_legendre`, in both variables. In x the plan builds phi
+as one weighted sum over fixed nodes, on panels two oscillations of
+J_L(p_max x) wide; its smoothing map u = 3 s^2 - 2 s^3 turns the x^(nu+L+1)
+behaviour of the integrand at the origin into s^(2 nu+2 L+3), which
+Gauss-Legendre integrates without grading except for L = 0, 0 < nu < 1/2. On
+[0, p_max] a scan of 8 points per pi brackets the amplitude's sign changes,
+and regula falsi puts each on its root. One batch of p-nodes, split there,
+gives the captured norm and the transverse entropy through
+`density_integrals`. Past p_max, phi follows the tail model (L = |l|,
+M = _ORDER = 3): origin terms plus the wall part of Green's identity,
 
-    phi(p) ~ sum_{j=0..2} C_j p^-(nu+2+2j)
-             + sum_{m=0..2} p^-2(m+1) [f_m'(1) J_L(p) - f_m(1) p J_L'(p)].
+    phi(p) ~ sum_{j=0..M} C_j p^-(nu+2+2j)
+             + sum_{m=0..M} p^-2(m+1) [f_m'(1) J_L(p) - f_m(1) p J_L'(p)].
 
 The origin terms are the terms x^(nu+2j) of the ascending series of R,
 through the Weber-Schafheitlin integrals of x^(nu+2j+1) J_L(p x) (Watson,
@@ -42,24 +43,32 @@ which vanish at beta = 0, where nu = L. The wall terms come from Green's
 identity for the Bessel operator B f = -(1/x)(x f')' + L^2 f / x^2 (Watson
 sec. 5.11; Wong, Asymptotic Approximations of Integrals, ch. II): since
 B J_L(p x) = p^2 J_L(p x), each pass moves B onto f_m, with f_0 = R and
-f_{m+1} = B f_m. Here B R = g R, g = Theta^2 + c / x^2 and c = L^2 - nu^2,
-so with s = R'(1) = -a0 Theta J_{nu+1}(Theta) and g0 = Theta^2 + c,
+f_{m+1} = B f_m. R solves R'' = -R' / x - (Theta^2 - nu^2 / x^2) R, so each
+f_m is a R + b R' with a and b polynomials in 1 / x, B acts on their
+coefficients, and one loop, `_green_passes`, gives f_m(1) and f_m'(1) for
+any m. With s = R'(1) = -a0 Theta J_{nu+1}(Theta), c = L^2 - nu^2 and
+g0 = Theta^2 + c,
 
-    f_0(1) = f_1(1) = 0,   f_0'(1) = s,   f_1'(1) = g0 s,
-    f_2(1) = 4 c s,        f_2'(1) = (g0^2 - 20 c) s.
+    f_0(1) = f_1(1) = 0,      f_0'(1) = s,   f_1'(1) = g0 s,
+    f_2(1) = 4 c s,           f_2'(1) = (g0^2 - 20 c) s,
+    f_3(1) = 12 c s (g0 - 8), f_3'(1) = s [g0^3 - 84 c g0 + (640 + 32 L^2 - 40 c) c].
 
 The series runs in (Theta^2 + |c|) / p^2, not in Hankel's L^2 / p, because
-J_L(p) and J_{L+1}(p) are kept exact. The first terms left out fall as
-p^-(nu+8) and p^-15/2. The tail is integrated on two scales. On the near
-band [p_max, P], P about 20 p_max, the exact model is integrated on panels
+J_L(p) and J_{L+1}(p) are kept exact. The first terms left out, j = m = 4,
+fall as p^-(nu+10) and p^-19/2, and p_max is where they would move the
+transverse entropy past p_max by _TAIL_TOL = 1e-11: `_Tail.truncation`
+bounds that per unit ln p from the terms' envelopes, and `_p_max` sums it
+from p = inf down. When nu << L the origin series runs in about
+(L Theta / 2 p)^2, so p_max grows with L Theta; on the default grid it is
+25 to 120, 9 to 12 Theta. The tail is integrated on two scales. On the near
+band [p_max, P], P about 40 p_max, the exact model is integrated on panels
 between its zeros. Past P, J_L and J_{L+1} take Hankel's P and Q from
 `specfun.hankel_pq`, so phi = o(p) + A(p) cos chi + B(p) sin chi, with o the
 origin terms and chi = p - L pi/2 - pi/4; the means of rho and rho ln rho over
 one period of chi vary slowly in p, and are integrated in t = P / p over
-(0, 1], out to p = inf. `build_profile` builds one `_Tail`, whose
-coefficients are formed once; the profile carries the tail's norm and
-entropy, and fails when the norm misses 1 by more than 1e-7.
-`sample_profile` tabulates the plan's amplitude alone and builds no tail.
+(0, 1], out to p = inf. The profile carries the tail's norm and entropy, and
+fails when the norm misses 1 by more than 1e-7. `sample_profile` tabulates
+the plan's amplitude alone and integrates no tail.
 """
 
 from __future__ import annotations
@@ -76,29 +85,42 @@ from .specfun import bessel_j, hankel_pq, mcmahon_zero
 
 __all__ = ["MomentumProfile", "build_profile", "sample_profile"]
 
-# the tail's near band runs from p_max to P = _NEAR_BAND * p_max; past P the
+# the tail's near band runs from p_max to P, about _NEAR_BAND * p_max; past P the
 # model is averaged over its phase chi on _PHASES and integrated in t = P / p
 # on the panels between _FAR_EDGES, graded by 4 towards t = 0 (p = inf)
-_NEAR_BAND = 20.0
+_NEAR_BAND = 40.0
 _FAR_EDGES = np.concatenate([[0.0], 4.0 ** -np.arange(7.0, -1.0, -1.0)])
 _PHASES = 2.0 * math.pi * (np.arange(40) + 0.5) / 40
 # build_profile fails when the norm misses 1 by more than this
 _NORM_DEFECT = 1e-7
+# the tail model keeps the origin terms j <= _ORDER and the Green passes m <= _ORDER
+_ORDER = 3
+# p_max is where the terms the tail model leaves out move the entropy past it by
+# this much; it is sought on p = Theta e^u, u < _LOG_SPAN in steps of _LOG_STEP
+_TAIL_TOL = 1e-11
+_LOG_SPAN = 12.0
+_LOG_STEP = 1.0 / 32.0
 
 
 class _AmplitudeEvaluator:
-    """The momentum plan of one state: p_max, and phi(p) on a fixed radial grid.
+    """The momentum plan of one state: its tail model, p_max, and phi(p) on a fixed radial grid.
 
     phi is a vectorized `smoothed_gauss_legendre` sum. [0, 1] is split at the
     radial nodes and cut to panels no wider than two oscillations of the kernel
-    at p_max, 4 pi / p_max; that keeps phi within 3e-13 of a four times finer
-    grid for every p <= p_max.
+    at p_max, 4 pi / p_max. The integrand R(x) J_L(p x) x behaves as x^(nu+L+1)
+    at the origin, s^(2 nu+2 L+3) after the smoothing map; for L = 0 and
+    0 < nu < 1/2 that power is fractional and below 4, and the first panel is
+    cut at 1/16 and 1/4 of its width. That keeps phi within 3e-13 of a four
+    times finer grid for every p <= p_max (4e-12 at (0,0,0.2) without the cuts).
     """
 
     def __init__(self, state: Eigenstate):
-        self.p_max = _p_max(state)
-        edges = [0.0, *state.radial_nodes(), 1.0]
-        nodes, weights = smoothed_gauss_legendre(subdivide(edges, 4.0 * math.pi / self.p_max, 1))
+        self.tail = _Tail(state)
+        self.p_max = _p_max(self.tail)
+        edges = subdivide([0.0, *state.radial_nodes(), 1.0], 4.0 * math.pi / self.p_max, 1)
+        if state.qn.l == 0 and 0.0 < state.nu < 0.5:
+            edges = np.concatenate([[0.0], edges[1] / np.array([16.0, 4.0]), edges[1:]])
+        nodes, weights = smoothed_gauss_legendre(edges)
         self._nodes = nodes
         self._weighted = weights * state.radial_wavefunction(nodes) * nodes
         self._order = abs(state.qn.l)
@@ -114,76 +136,149 @@ class _AmplitudeEvaluator:
         return out
 
 
-def _p_max(state: Eigenstate) -> float:
-    """Edge of the sampled profile, far enough out for the tail model to hold."""
-    return 5.0 * (state.theta + 20.0)
+def _p_max(tail: _Tail) -> float:
+    """Edge of the sampled profile: where the tail's truncation error past it is _TAIL_TOL.
+
+    The bound `tail.truncation` is summed from the top of the grid
+    p = Theta e^u, u < _LOG_SPAN in steps of _LOG_STEP, down by the trapezoid
+    rule; p_max is the first p where that sum falls to _TAIL_TOL, interpolated
+    in its logarithm.
+    """
+    u = np.arange(0.0, _LOG_SPAN, _LOG_STEP)
+    density = tail.truncation(tail.theta * np.exp(u))
+    past = np.cumsum(0.5 * _LOG_STEP * (density[:0:-1] + density[-2::-1]))[::-1]
+    i = np.searchsorted(-past, -_TAIL_TOL)  # past falls with u
+    if 0 < i < past.size:
+        fall = math.log(past[i - 1] / past[i])
+        return tail.theta * math.exp(u[i - 1] + _LOG_STEP * math.log(past[i - 1] / _TAIL_TOL) / fall)
+    return tail.theta * math.exp(u[i])  # at an end of the grid
+
+
+def _origin_term(order: int, nu: float, j: int, a0: float) -> float:
+    """E_j = C_j Theta^-(nu+2j), its Gamma ratio formed in logs, finite at any order."""
+    x = 0.5 * (order - nu) - j
+    if x <= 0.0 and x == math.floor(x):  # 1 / Gamma(x) vanishes at its poles
+        return 0.0
+    sign = (-1.0) ** (j + min(math.floor(x), 0))  # that of (-1)^j Gamma(x)
+    log_ratio = (math.lgamma(0.5 * (order + nu) + j + 1.0) - math.lgamma(x)
+                 - math.lgamma(nu + j + 1.0) - math.lgamma(j + 1.0))
+    return sign * 2.0 * a0 * math.exp(log_ratio)
+
+
+def _times_y(c: np.ndarray, power: int = 1) -> np.ndarray:
+    """The polynomial in y with coefficients `c` (lowest first), times y^power."""
+    return np.concatenate([np.zeros(power), c[:-power]])
+
+
+def _green_passes(order: int, nu: float, theta: float, count: int) -> np.ndarray:
+    """(f_m(1), f_m'(1)) / R'(1) for m < count, with f_0 = R and f_{m+1} = B f_m.
+
+    Each f_m is a R + b R', a and b polynomials in y = 1 / x, since
+    R'' = -R' / x - (Theta^2 - nu^2 y^2) R and d/dx = -y^2 d/dy; B acts on
+    the pair (a, b). At the wall R = 0, so f_m(1) = b(1) R'(1), and f_m'(1)
+    is the R' part of f_m' at y = 1.
+    """
+    size = 2 * count + 2
+    degree = np.arange(size)
+
+    def d_dx(c):
+        return -_times_y(degree * c)
+
+    def times_q(c):  # times Theta^2 - nu^2 y^2
+        return theta * theta * c - nu * nu * _times_y(c, 2)
+
+    a, b = np.eye(1, size)[0], np.zeros(size)  # f_0 = R
+    values = []
+    for _ in range(count):
+        # f_m' = da R + db R'
+        da, db = d_dx(a) - times_q(b), a + d_dx(b) - _times_y(b)
+        values.append((b.sum(), db.sum()))
+        # f_{m+1} = -f_m'' - f_m' / x + L^2 f_m / x^2
+        a, b = (-d_dx(da) + times_q(db) - _times_y(da) + order**2 * _times_y(a, 2),
+                -da - d_dx(db) + order**2 * _times_y(b, 2))
+    return np.array(values)
 
 
 class _Tail:
     """The tail model of phi past p_max, with J_L(p) and J_{L+1}(p) exact,
 
-        sum_j E_j (Theta / p)^(nu+2j) / p^2
-        + p^-2 (G0 + G1 p^-2 + G2 p^-4) J_L(p) + G3 p^-5 J_{L+1}(p).
+        sum_{j<=M} E_j (Theta / p)^(nu+2j) / p^2
+        + sum_{m<=M} p^-2(m+1) [W_m J_L(p) + V_m p J_{L+1}(p)],   M = _ORDER.
 
-    `origin` holds E_j = C_j Theta^-(nu+2j), j = 0, 1, 2, its Gamma ratio formed
-    in logs, finite at any order; `green` holds G, the wall part from Green's
-    identity. The first terms left out fall as p^-(nu+8) and p^-15/2, so the
-    model is accurate only well past p_max / 2.
+    `origin` holds E_j, `green` the rows (W_m) and (V_m) of the wall part:
+    W_m = f_m'(1) - L f_m(1) and V_m = f_m(1), by the recurrence of
+    `_green_passes`. The terms j = M + 1 and m = M + 1, the first left out,
+    are kept for `truncation`.
     """
 
     def __init__(self, state: Eigenstate):
         order, nu, theta = abs(state.qn.l), state.nu, state.theta
         self.order, self.nu, self.theta = order, nu, theta
-        origin = []
-        for j in range(3):
-            x = 0.5 * (order - nu) - j
-            if x <= 0.0 and x == math.floor(x):  # 1 / Gamma(x) vanishes at its poles
-                origin.append(0.0)
-                continue
-            sign = (-1.0) ** (j + min(math.floor(x), 0))  # that of (-1)^j Gamma(x)
-            log_ratio = (math.lgamma(0.5 * (order + nu) + j + 1.0) - math.lgamma(x)
-                         - math.lgamma(nu + j + 1.0) - math.lgamma(j + 1.0))
-            origin.append(sign * 2.0 * state.a0 * math.exp(log_ratio))
-        self.origin = tuple(origin)
-        slope = -state.a0 * theta * bessel_j(nu + 1.0, theta)  # R'(1)
-        c = order * order - nu * nu
-        g0 = theta**2 + c
-        self.green = slope * np.array([1.0, g0, g0 * g0 - (20.0 + 4.0 * order) * c, 4.0 * c])
+        origin = [_origin_term(order, nu, j, state.a0) for j in range(_ORDER + 2)]
+        self.origin, self._next_origin = tuple(origin[:-1]), origin[-1]
+        # R'(1) = -a0 Theta J_{nu+1}(Theta), where |a0 J_{nu+1}(Theta)| = 1 / sqrt(pi)
+        # by the normalization, and R changes sign n times before the wall
+        slope = -(-1.0) ** state.qn.n * theta / math.sqrt(math.pi)
+        value, deriv = slope * _green_passes(order, nu, theta, _ORDER + 2).T
+        green = np.array([deriv - order * value, value])
+        self.green, self._next_green = green[:, :-1], green[:, -1]
 
     def _origin_part(self, p):
         """sum_j E_j (Theta / p)^(nu+2j) / p^2, by Horner in (Theta / p)^2."""
-        x = self.theta / p  # below 1 / 5 past p_max
+        x = self.theta / p  # below 1 past p_max
         smooth = 0.0
         for e in self.origin[::-1]:
             smooth = smooth * x * x + e
         return smooth * x**self.nu / (p * p)
 
-    def _bessel_factor(self, p):
-        """p^-2 (G0 + G1 p^-2 + G2 p^-4), the factor of J_L(p) in the wall part."""
+    def _wall_factors(self, p):
+        """The factors of J_L(p) and of J_{L+1}(p) in the wall part."""
         inv2 = 1.0 / (p * p)
-        return inv2 * (self.green[0] + inv2 * (self.green[1] + inv2 * self.green[2]))
+        bessel = next_bessel = 0.0
+        for w, v in self.green.T[::-1]:
+            bessel = bessel * inv2 + w
+            next_bessel = next_bessel * inv2 + v
+        return bessel * inv2, next_bessel / p
 
     def __call__(self, p):
         """The model at each point of `p`."""
-        wall = (self._bessel_factor(p) * bessel_j(self.order, p)
-                + self.green[3] / p**5 * bessel_j(self.order + 1, p))
+        factor, next_factor = self._wall_factors(p)
+        wall = factor * bessel_j(self.order, p) + next_factor * bessel_j(self.order + 1, p)
         return self._origin_part(p) + wall
+
+    def truncation(self, p):
+        """Bound on how much the first terms left out move the transverse entropy,
+        per unit ln p, at each point of `p`.
+
+        The entropy moves by 2 pi int (1 + ln rho) 2 phi dphi p dp; this takes
+        |phi| and the terms left out, dphi, at their envelopes, with
+        |J_L|, |J_{L+1}| <= sqrt(2 / (pi p)), and 1 + |ln rho| for |1 + ln rho|.
+        """
+        envelope = np.sqrt(2.0 / (math.pi * p))
+        factor, next_factor = self._wall_factors(p)
+        phi = np.abs(self._origin_part(p)) + envelope * (np.abs(factor) + np.abs(next_factor))
+        inv2 = 1.0 / (p * p)
+        w, v = self._next_green
+        dphi = (abs(self._next_origin) * (self.theta / p) ** (self.nu + 2 * _ORDER + 2)
+                + envelope * (abs(w) * inv2 + abs(v) / p) * inv2**_ORDER) * inv2
+        log_rho = 2.0 * np.log(np.maximum(phi, 1e-300))
+        return 4.0 * math.pi * p * p * phi * dphi * (1.0 + np.abs(log_rho))
 
     def average(self, p) -> tuple[np.ndarray, np.ndarray]:
         """Means of rho and of rho ln rho of the model over one period of chi.
 
         At each p the model is o + A cos chi + B sin chi, with chi = p - (2L+1) pi / 4,
-        o the origin part, A = s (F P_L + g Q_{L+1}) and B = s (g P_{L+1} - F Q_L):
-        s = sqrt(2 / (pi p)), F the factor of J_L(p), g = G3 p^-5, and P, Q from
-        `hankel_pq` at p. The means are taken on the midpoint nodes _PHASES,
-        with o, A and B held at p.
+        o the origin part, A = s (F P_L + H Q_{L+1}) and B = s (H P_{L+1} - F Q_L):
+        s = sqrt(2 / (pi p)), F and H the factors of J_L(p) and J_{L+1}(p), and
+        P, Q from `hankel_pq` at p. The means are taken on the midpoint nodes
+        _PHASES, with o, A and B held at p.
         """
         p_l, q_l = hankel_pq(self.order, p)
         p_next, q_next = hankel_pq(self.order + 1, p)
         scale = np.sqrt(2.0 / (math.pi * p))
-        factor, g = self._bessel_factor(p), self.green[3] / p**5
-        a = scale * (factor * p_l + g * q_next)
-        b = scale * (g * p_next - factor * q_l)
+        factor, next_factor = self._wall_factors(p)
+        a = scale * (factor * p_l + next_factor * q_next)
+        b = scale * (next_factor * p_next - factor * q_l)
         amp = (self._origin_part(p)[:, None] + a[:, None] * np.cos(_PHASES)
                + b[:, None] * np.sin(_PHASES))
         rho = amp * amp
@@ -194,25 +289,29 @@ class _Tail:
 
         On the near band [p_max, P], P about _NEAR_BAND p_max, panels run between
         the model's zeros, where rho ln rho has its cusps: McMahon's zeros of
-        J_L(p), moved by the origin part. P is the last of them. Past P the
-        phase means of `average` vary slowly; they are integrated in
+        J_L(p), moved by the origin part. P lies midway between the last two.
+        Past P the phase means of `average` vary slowly; they are integrated in
         t = P / p on smoothed Gauss-Legendre panels of (0, 1], which reach p = inf.
         """
-        # the k-th zero of J_L lies near (k + L/2 - 1/4) pi
+        # the k-th zero of J_L lies near (k + L/2 - 1/4) pi; the zero before
+        # p_max is kept too, since the origin part can move it past p_max
         shift = 0.5 * self.order - 0.25
-        ks = np.arange(math.floor(p_max / math.pi - shift) + 1,
+        ks = np.arange(max(math.floor(p_max / math.pi - shift), 1),
                        math.floor(_NEAR_BAND * p_max / math.pi - shift) + 1)
         zeros = mcmahon_zero(self.order, ks)[0]
         # near a zero z of J_L(p) the model is o + D sin(p - z), with o its origin
-        # part and D = -p^-2 (G0 + G1 p^-2 + G2 p^-4) J_{L+1}(z), so o moves the
+        # part and D = -F(z) J_{L+1}(z), F the factor of J_L, so o moves the
         # model's zero by arcsin(-o / D); where |o| > |D| rho has no zero, and the
         # edge stays a quarter period off
-        slope = -self._bessel_factor(zeros) * bessel_j(self.order + 1, zeros)
+        slope = -self._wall_factors(zeros)[0] * bessel_j(self.order + 1, zeros)
         zeros = zeros + np.arcsin(np.clip(-self._origin_part(zeros) / slope, -1.0, 1.0))
         zeros = zeros[zeros > p_max]
-        edges = np.concatenate([[p_max], zeros])
+        # rho is even in the phase about each extremum of A cos chi + B sin chi,
+        # midway between two zeros, so the phase means' error from starting at
+        # P falls to second order when P is there rather than on a zero
+        far = 0.5 * (zeros[-2] + zeros[-1])
+        edges = np.concatenate([[p_max], zeros[:-1], [far]])
         norm, entropy = density_integrals(edges, lambda p: self(p) ** 2)
-        far = edges[-1]
         t, weights = smoothed_gauss_legendre(_FAR_EDGES)
         p = far / t
         rho, rho_log = self.average(p)
@@ -289,7 +388,7 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
     breakpoints = _amplitude_breakpoints(evaluator, p_scan, amp_scan)
     edges = subdivide([0.0, *breakpoints, p_max], math.pi, 1)
     captured_norm, inner_entropy = density_integrals(edges, lambda p: evaluator(p) ** 2)
-    tail_norm, tail_entropy = _Tail(state).integrals(p_max)
+    tail_norm, tail_entropy = evaluator.tail.integrals(p_max)
     defect = abs(1.0 - captured_norm - tail_norm)
     if not defect <= _NORM_DEFECT:  # a NaN defect fails too
         raise ConvergenceError(

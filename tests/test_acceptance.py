@@ -23,6 +23,8 @@ BBM_BOUND = 3.0 * (1.0 + math.log(math.pi))
 SLACK = 1e-9
 # `abtrap table --compare-reference`, byte for byte
 REFERENCE_TABLE = Path(__file__).parent / "data" / "table_compare_reference.csv"
+# `abtrap table --betas 0 0.2 0.4 0.8`, byte for byte
+FOUR_BETA_TABLE = Path(__file__).parent / "data" / "table_four_betas.csv"
 
 
 def test_criterion_1_bbm_bound(grid_pipelines):
@@ -207,6 +209,16 @@ class TestCriterion8CLI:
         # and every printed byte is pinned
         assert out.encode("utf-8") == REFERENCE_TABLE.read_bytes()
         print("ACCEPTANCE 8a PASS: table --compare-reference emits all 27 reference rows")
+
+    def test_four_beta_table_pinned(self, capsys):
+        # all 36 rows the momentum path prints at the table's betas, 27 of
+        # them at beta > 0, where no closed form checks S_p
+        code = cli_main(["table", "--betas", "0", "0.2", "0.4", "0.8"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.splitlines()) == 37
+        assert out.encode("utf-8") == FOUR_BETA_TABLE.read_bytes()
+        print("ACCEPTANCE 8d PASS: table --betas 0 0.2 0.4 0.8 prints the pinned 36 rows")
 
     def test_byte_stability(self, capsys):
         code1 = cli_main(["table", "--betas", "0.2", "--compare-reference"])

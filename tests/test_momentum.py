@@ -18,7 +18,13 @@ from abtrap.momentum import (
 from abtrap.quadrature import integrate_adaptive
 from abtrap.specfun import bessel_j
 
-from oracles import midpoint, momentum_density, principal_maxima, radial_amplitude
+from oracles import (
+    lommel_transverse,
+    midpoint,
+    momentum_density,
+    principal_maxima,
+    radial_amplitude,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,18 +82,21 @@ class TestProfile:
         states = ((0, 0, 0.0, 1.0), (0, 1, 0.99, 1.0), (1, 1, 0.8, 1.0), (12, 0, 0.95, 0.05))
         for n, l, beta, k in states:
             st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, k))
-            ps = np.array([0.0, 0.7, st.theta, 2.9 * st.theta, 25.0, _p_max(st) / 2, _p_max(st)])
-            for p, phi in zip(ps, _AmplitudeEvaluator(st)(ps)):
+            amplitude = _AmplitudeEvaluator(st)
+            p_max = amplitude.p_max
+            ps = np.array([0.0, 0.7, st.theta, 2.9 * st.theta, 25.0, p_max / 2, p_max])
+            for p, phi in zip(ps, amplitude(ps)):
                 assert phi == pytest.approx(
                     radial_amplitude(st, p, tol=1e-12), abs=1e-12
                 ), (n, l, beta, k, p)
 
     def test_breakpoints_on_the_roots(self):
         # regula falsi puts each sign change on a root of the amplitude; the
-        # linear interpolation of the scan alone does not
+        # linear interpolation of the scan alone does not (34 and 12 roots)
         for n, l, beta in ((2, -2, 0.4), (0, 0, 0.8)):
             st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
-            amplitude, p_max = _AmplitudeEvaluator(st), _p_max(st)
+            amplitude = _AmplitudeEvaluator(st)
+            p_max = amplitude.p_max
             ps = np.linspace(0.0, p_max, math.ceil(8.0 * p_max / math.pi) + 1)
             amps = amplitude(ps)
             i = np.flatnonzero(np.sign(amps[:-1]) * np.sign(amps[1:]) < 0)
@@ -100,15 +109,17 @@ class TestProfile:
                 lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
             roots = 0.5 * (lo + hi)
             refined = _amplitude_breakpoints(amplitude, ps, amps)
-            assert refined.size == roots.size > 20, (n, l, beta)
+            assert refined.size == roots.size >= 10, (n, l, beta)
             assert np.max(np.abs(refined - roots)) <= 1e-9 * p_max, (n, l, beta)
             assert np.max(np.abs(secant - roots)) > 1e-9 * p_max, (n, l, beta)
 
     def test_bessel_block_size(self, monkeypatch):
         # (1,1,0.8) took 3 188 884 Bessel points with one-oscillation r-panels
-        # and a 2048-point scan, and 1 021 684 with the two-term tail's
-        # p_max = 10 (Theta + 20) / r0; the count is deterministic, unlike a timing.
-        # It is 290 082 now, 32 021 of them J_L and J_{L+1} on the tail's near band
+        # and a 2048-point scan, 1 021 684 with the two-term tail's
+        # p_max = 10 (Theta + 20) / r0, and 290 082 with p_max = 5 (Theta + 20);
+        # the count is deterministic, unlike a timing. It is 130 947 with p_max
+        # from the tail's truncation error (72.9 here, 129.1 before), 37 147 of
+        # them J_L and J_{L+1} on the tail's near band
         points = []
 
         def counting(nu, x):
@@ -117,7 +128,7 @@ class TestProfile:
 
         monkeypatch.setattr(momentum_mod, "bessel_j", counting)
         build_profile(solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0)))
-        assert sum(points) <= 0.3 * 1_021_684
+        assert sum(points) <= 130_947
 
     def test_samples_sorted_and_consistent(self, ground_beta0):
         st, prof = ground_beta0
@@ -140,8 +151,8 @@ class TestProfile:
 
     def test_samples_take_one_amplitude_batch(self, monkeypatch, capsys):
         # `density --space momentum` evaluates the amplitude on its samples
-        # only: 4096 points times the 220 r-nodes, 901 120 Bessel points on
-        # (1,1,0.8); building the profile as well would add about 290 000
+        # only: 4096 points times the 140 r-nodes, 573 440 Bessel points on
+        # (1,1,0.8); building the profile as well would add about 131 000
         points = []
 
         def counting(nu, x):
@@ -153,13 +164,17 @@ class TestProfile:
         monkeypatch.setattr(momentum_mod, "bessel_j", counting)
         argv = ["density", "--space", "momentum", "--n", "1", "--l", "1", "--beta", "0.8"]
         assert cli.main([*argv, "--samples", "4096"]) == 0
-        assert sum(points) == 4096 * r_nodes == 901_120
+        assert sum(points) == 4096 * r_nodes == 573_440
 
     def test_captured_norm_with_tail_correction(self, ground_beta0):
-        _, prof = ground_beta0
-        assert prof.captured_norm + prof.tail_norm == pytest.approx(1.0, abs=1e-6)
-        # the ground profile captures essentially everything even uncorrected
-        assert prof.captured_norm >= 1.0 - 1e-6
+        # at beta = 0 the Lommel closed form gives the density past p_max, so
+        # the tail model's norm and entropy there have an exact reference
+        # (8.2e-5 and 1.5e-3 here; the model is within 2e-13 and 3e-12)
+        st, prof = ground_beta0
+        assert prof.captured_norm + prof.tail_norm == pytest.approx(1.0, abs=1e-10)
+        norm, entropy = lommel_transverse(0, st.theta, prof.p_max)
+        assert prof.tail_norm == pytest.approx(norm, abs=1e-12)
+        assert prof.tail_entropy == pytest.approx(entropy, abs=2e-11)
 
     def test_norm_by_direct_quadrature(self, ground_beta0):
         st, prof = ground_beta0
@@ -255,7 +270,7 @@ class TestTailModel:
         # (|l| - nu) / 2 - 1 = -1 at beta = 0, another pole of Gamma
         for n, l in ((0, 0), (1, 1), (2, -2)):
             st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
-            assert _Tail(st).origin[1] == 0.0
+            assert _Tail(st).origin[1:] == (0.0, 0.0, 0.0)
 
     def test_second_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 1 = -1.4;
@@ -283,6 +298,19 @@ class TestTailModel:
         )
         assert _Tail(st).origin[2] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
+    def test_fourth_origin_term_past_gamma_pole(self):
+        # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 3 = -3.4;
+        # E_3 = C_3 Theta^-(nu+6)
+        import mpmath as mp
+
+        st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
+        nu, order = mp.mpf(st.nu), 1
+        expect = (
+            -2 * st.a0 / (6 * mp.gamma(nu + 4))
+            * mp.gamma((order + nu + 8) / 2) * mp.rgamma((order - nu - 6) / 2)
+        )
+        assert _Tail(st).origin[3] == pytest.approx(float(expect), rel=1e-12, abs=0)
+
     def test_origin_terms_finite_at_high_order(self):
         # (Theta / 2)^(nu+2) alone overflows at nu = 159.5, Theta = 169.8
         st = solve(SystemParams(beta=0.5), QuantumNumbers(0, 160, 1.0))
@@ -291,8 +319,9 @@ class TestTailModel:
         assert np.all(np.isfinite(tail.green))
 
     def test_coefficients_built_once_per_profile(self, monkeypatch):
-        # build_profile forms the tail's coefficients once; sample_profile
-        # tabulates the amplitude and forms none
+        # each plan forms the tail's coefficients once, since p_max follows
+        # from them: build_profile integrates that tail, and sample_profile
+        # only tabulates the amplitude up to its p_max
         calls = []
 
         class Counting(_Tail):
@@ -305,30 +334,31 @@ class TestTailModel:
         build_profile(st)
         assert calls == [st]
         sample_profile(st, 64)
-        assert calls == [st]
+        assert calls == [st, st]
 
     def test_p_max_fixed_once_per_plan(self, monkeypatch):
         # the evaluator fixes p_max, and build_profile and sample_profile read
         # it from there rather than work it out again
         calls = []
 
-        def counting(state):
-            calls.append(state)
-            return _p_max(state)
+        def counting(tail):
+            calls.append(tail)
+            return _p_max(tail)
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(2, 1, 1.0))
+        p_max = _p_max(_Tail(st))
         monkeypatch.setattr(momentum_mod, "_p_max", counting)
-        assert build_profile(st).p_max == _p_max(st)
-        assert calls == [st]
-        assert sample_profile(st, 64)[-1, 0] == _p_max(st)
-        assert calls == [st, st]
+        assert build_profile(st).p_max == p_max
+        assert len(calls) == 1
+        assert sample_profile(st, 64)[-1, 0] == p_max
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("n, l, r0", [(0, 0, 1.0), (1, -3, 1.0), (2, 2, 1.7)])
     def test_wall_terms_match_lommel_expansion(self, n, l, r0):
         # at beta = 0 the Lommel integral gives phi(p) = A J_L(p) / (Theta^2 - p^2)
         # on the unit cylinder, A = a0 Theta J_{L+1}(Theta). Expanding
         # 1 / (Theta^2 - p^2) in p^-2 gives the Green coefficients
-        # -A (1, Theta^2, Theta^4) and no J_{L+1} term, whatever the box r0;
+        # W_m = -A Theta^(2m), m = 0..3, and no J_{L+1} term, whatever the box r0;
         # the Hankel envelopes of J_L and J_{L+1} past P are pinned by
         # specfun's `hankel_pq` test
         import mpmath as mp
@@ -337,67 +367,75 @@ class TestTailModel:
         with mp.workdps(30):
             alpha = mp.mpf(st.theta)
             amp = st.a0 * alpha * mp.besselj(abs(l) + 1, alpha)
-            green = [float(-amp * alpha ** (2 * m)) for m in range(3)] + [0.0]
+            green = [[float(-amp * alpha ** (2 * m)) for m in range(4)], [0.0] * 4]
         tail = _Tail(st)
-        assert tail.origin == (0.0, 0.0, 0.0)
+        assert tail.origin == (0.0, 0.0, 0.0, 0.0)
         np.testing.assert_allclose(tail.green, green, rtol=1e-12, atol=0)
 
     def test_green_terms_match_bessel_operator(self):
-        # f_0 = R, f_1 = B R = g R and f_2 = B f_1 at the wall x = 1, by mpmath
-        # derivatives of h = g R; with p J_L'(p) = L J_L(p) - p J_{L+1}(p), the
-        # m-th pass gives p^-2(m+1) [(f_m' - L f_m) J_L + f_m p J_{L+1}]
+        # f_0 = R, f_1 = B R = g R and f_{m+1} = B f_m = -f_m'' - f_m' / x + L^2 f_m / x^2,
+        # each pass by mpmath derivatives of the one before, through f_3 at the
+        # wall x = 1; with p J_L'(p) = L J_L(p) - p J_{L+1}(p), the m-th pass gives
+        # p^-2(m+1) [(f_m' - L f_m) J_L + f_m p J_{L+1}]
         import mpmath as mp
 
-        st = solve(SystemParams(beta=0.5), QuantumNumbers(1, -3, 1.0))
-        order = 3
-        with mp.workdps(30):
-            nu, a = mp.mpf(st.nu), mp.mpf(st.theta)
-            c = order**2 - nu**2  # -3.25
-            rad = lambda x: st.a0 * mp.besselj(nu, a * x)  # noqa: E731
-            h = lambda x: (a**2 + c / x**2) * rad(x)  # noqa: E731
-            d = [mp.diff(h, 1, k) for k in range(4)]
-            f2 = -d[2] - d[1] + order**2 * d[0]
-            df2 = -d[3] - d[2] + d[1] + order**2 * (d[1] - 2 * d[0])
-            expect = [mp.diff(rad, 1), d[1], df2 - order * f2, f2]
-        np.testing.assert_allclose(
-            _Tail(st).green, [float(e) for e in expect], rtol=1e-12, atol=0
-        )
+        for n, l, beta in ((1, -3, 0.5), (0, 2, 0.8), (2, 5, 0.3)):
+            st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+            order = abs(l)
+            with mp.workdps(25):
+                nu, a = mp.mpf(st.nu), mp.mpf(st.theta)
+                rad = lambda x: st.a0 * mp.besselj(nu, a * x)  # noqa: E731
+                passes = [rad, lambda x: (a**2 + (order**2 - nu**2) / x**2) * rad(x)]
+                for _ in range(2):
+                    passes.append(
+                        lambda x, f=passes[-1]: (
+                            -mp.diff(f, x, 2) - mp.diff(f, x) / x + order**2 * f(x) / x**2
+                        )
+                    )
+                value = [f(1) for f in passes]
+                slope = [mp.diff(f, 1) for f in passes]
+            expect = np.array([[float(d - order * v) for v, d in zip(value, slope)],
+                               [float(v) for v in value]])
+            green = _Tail(st).green
+            # f_0(1) = f_1(1) = 0 exactly in the model, and to Theta's rounding here
+            np.testing.assert_allclose(green[0], expect[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(green[1, 2:], expect[1, 2:], rtol=1e-12, atol=0)
+            assert np.all(green[1, :2] == 0.0)
+            assert np.all(np.abs(expect[1, :2]) <= 1e-12 * np.abs(expect[0, :2]))
 
-    def test_residual_falls_at_seventh_order(self):
-        # the first terms left out fall as p^-15/2 (wall) and p^-(nu+8)
-        # (origin), so from p_max / 4 to p_max / 2 the residual falls by 2^7 or
-        # more (2^8.0 to 2^8.9 measured); by p_max it nears the evaluator's
-        # 3e-13 on (0,0,0.2)
+    def test_residual_falls_at_ninth_order(self):
+        # the first terms left out fall as p^-19/2 (wall) and p^-(nu+10)
+        # (origin), so from p_max / 4 to p_max / 2 the residual falls by 2^9 or
+        # more (2^10.2 to 2^12.1 measured)
         for n, l, beta in ((1, 1, 0.8), (2, -2, 0.0), (0, 0, 0.2)):
             st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+            amplitude = _AmplitudeEvaluator(st)
             residuals = []
-            for p in (0.25 * _p_max(st), 0.5 * _p_max(st)):
+            for p in (0.25 * amplitude.p_max, 0.5 * amplitude.p_max):
                 ps = np.linspace(0.9 * p, p, 200)
-                exact = _AmplitudeEvaluator(st)(ps)
-                model = _Tail(st)(ps)
-                residuals.append(np.max(np.abs(exact - model)))
-            assert residuals[1] <= residuals[0] / 2**7, (n, l, beta, residuals)
+                residuals.append(np.max(np.abs(amplitude(ps) - amplitude.tail(ps))))
+            assert residuals[1] <= residuals[0] / 2**9, (n, l, beta, residuals)
 
     @pytest.mark.parametrize("l", [20, 25])
     def test_residual_small_at_large_l(self, l):
         # J_L(p r0) is exact in the model, so the Hankel ratio (4 L^2 - 1) / (8 p r0),
-        # 0.89 and 1.2 at p_max here, does not enter; 6.9e-11 and 1.1e-10 measured
+        # 0.89 and 1.2 at p_max here, does not enter; 1.1e-12 measured at both
         st = solve(SystemParams(beta=0.5), QuantumNumbers(0, l, 1.0))
-        ps = np.linspace(0.9 * _p_max(st), _p_max(st), 200)
-        exact = _AmplitudeEvaluator(st)(ps)
-        model = _Tail(st)(ps)
-        assert np.max(np.abs(exact - model)) <= 1e-9
+        amplitude = _AmplitudeEvaluator(st)
+        ps = np.linspace(0.9 * amplitude.p_max, amplitude.p_max, 200)
+        assert np.max(np.abs(amplitude(ps) - amplitude.tail(ps))) <= 1e-11
 
     @pytest.mark.parametrize("n, l, beta", [(1, 1, 0.8), (2, 1, 0.8), (0, 1, 0.99)])
     def test_tail_converged_in_near_band(self, monkeypatch, n, l, beta):
         # past the near band the tail is period-averaged; doubling the band
-        # moves its norm and entropy by 4e-14 and 1.2e-12 at most here
+        # moves its norm and entropy by 1.3e-13 and 3.5e-12 at most here
         st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
-        norm, entropy = _Tail(st).integrals(_p_max(st))
+        tail = _Tail(st)
+        norm, entropy = tail.integrals(_p_max(tail))
         monkeypatch.setattr(momentum_mod, "_NEAR_BAND", 2.0 * momentum_mod._NEAR_BAND)
-        wide_norm, wide_entropy = _Tail(st).integrals(_p_max(st))
-        assert norm == pytest.approx(wide_norm, abs=1e-9)
-        assert entropy == pytest.approx(wide_entropy, abs=1e-9)
+        wide_norm, wide_entropy = tail.integrals(_p_max(tail))
+        assert norm == pytest.approx(wide_norm, abs=1e-11)
+        assert entropy == pytest.approx(wide_entropy, abs=1e-11)
 
 
 class TestPhaseIndependence:
