@@ -46,7 +46,6 @@ class RunConfig:
 # every config field, in the order it is applied, and the flag that overrides it
 _FIELDS = {
     "grid": None,
-    "params.m": "--m",
     "params.beta": "--beta",
     "params.r0": "--r0",
     "params.lz": "--lz",
@@ -58,7 +57,7 @@ _FIELDS = {
 
 
 def _read_config(path: str) -> dict:
-    """The config file as a dict of dotted field names (`params.m`), each known."""
+    """The config file as a dict of dotted field names (`params.beta`), each known."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -170,7 +169,6 @@ def _report_payload(rep) -> dict:
         "l": qn.l,
         "k": qn.k,
         "beta": params.beta,
-        "m": params.m,
         "r0": params.r0,
         "lz": params.lz,
         "S_r": round(rep.s_r, 5),
@@ -252,7 +250,7 @@ def cmd_density(args) -> int:
             rho = named("density", state.position_density, xs)
             coords, dens = r0 * xs, 2.0 * math.pi * rho * xs / r0
         else:
-            xs, _, rho = named("density", sample_profile, state, args.samples).T
+            xs, rho = named("density", sample_profile, state, args.samples).T
             coords, dens = xs / r0, r0 * (2.0 * math.pi * rho * xs)
     if not (np.isfinite(coords).all() and np.isfinite(dens).all()):
         raise ConvergenceError(f"density: r0 = {r0!r} overflows the profile", stage="density")
@@ -266,7 +264,6 @@ def cmd_density(args) -> int:
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--m", type=float, help="mass (default 1)")
     sub.add_argument("--r0", type=float, help="hard-wall radius (default 1)")
     sub.add_argument("--lz", type=float, help="z-box length (default 1)")
     sub.add_argument("--k", type=float, help="longitudinal wavenumber (default 1)")

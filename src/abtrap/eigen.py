@@ -25,14 +25,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .specfun import bessel_j, bessel_zero
 
-__all__ = [
-    "SystemParams",
-    "QuantumNumbers",
-    "Eigenstate",
-    "effective_order",
-    "normalize",
-    "solve",
-]
+__all__ = ["SystemParams", "QuantumNumbers", "Eigenstate", "solve"]
 
 
 def _shown(value) -> str:
@@ -94,12 +87,7 @@ class QuantumNumbers:
         object.__setattr__(self, "k", _finite(self.k, "wavenumber k must be finite"))
 
 
-def effective_order(l: int, beta: float, k: float) -> float:
-    """Effective Bessel order |l - beta*k| produced by the dislocation."""
-    return abs(l - beta * k)
-
-
-def normalize(nu: float, theta: float) -> float:
+def _normalize(nu: float, theta: float) -> float:
     """Normalization constant a0 on the unit cylinder, from the closed-form norm.
 
     When Theta is a zero of J_nu the Lommel identity gives
@@ -156,6 +144,6 @@ def solve(params: SystemParams, qn: QuantumNumbers) -> Eigenstate:
     The library indexes positive Bessel zeros from 1, so the ground state
     n = 0 maps to the first zero (j = n + 1).
     """
-    nu = effective_order(qn.l, params.beta, qn.k)
+    nu = abs(qn.l - params.beta * qn.k)  # the dislocation's effective Bessel order
     theta = bessel_zero(nu, qn.n + 1)
-    return Eigenstate(params=params, qn=qn, nu=nu, theta=theta, a0=normalize(nu, theta))
+    return Eigenstate(params=params, qn=qn, nu=nu, theta=theta, a0=_normalize(nu, theta))

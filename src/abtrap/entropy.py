@@ -42,18 +42,15 @@ from .quadrature import density_integrals, subdivide
 __all__ = [
     "BBM_BOUND",
     "EntropyReport",
-    "SINC_ENTROPY_CONST",
     "shannon_position",
     "shannon_momentum",
     "report",
 ]
 
-# entropy of the unit-scale sinc^2 density: 2 (1 - euler_gamma)
-SINC_ENTROPY_CONST = 2.0 * (1.0 - float(np.euler_gamma))
 # the three-dimensional BBM bound 3 (1 + ln pi) on S_r + S_p
 BBM_BOUND = 3.0 * (1.0 + math.log(math.pi))
-# S_z on the unit box Lz = 1
-_LONGITUDINAL_ENTROPY = math.log(2.0 * math.pi) + SINC_ENTROPY_CONST
+# S_z on the unit box Lz = 1: ln 2 pi plus the unit-scale sinc^2 entropy 2 (1 - euler_gamma)
+_LONGITUDINAL_ENTROPY = math.log(2.0 * math.pi) + 2.0 * (1.0 - float(np.euler_gamma))
 
 
 def _log_box(params: SystemParams) -> float:

@@ -68,7 +68,7 @@ origin terms and chi = p - L pi/2 - pi/4; the means of rho and rho ln rho over
 one period of chi vary slowly in p, and are integrated in t = P / p over
 (0, 1], out to p = inf. The profile carries the tail's norm and entropy, and
 fails when the norm misses 1 by more than 1e-7. `sample_profile` tabulates
-the plan's amplitude alone and integrates no tail.
+the square of the plan's amplitude alone and integrates no tail.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ class _AmplitudeEvaluator:
         nodes, weights = smoothed_gauss_legendre(edges)
         self._nodes = nodes
         self._weighted = weights * state.radial_wavefunction(nodes) * nodes
-        self._order = abs(state.qn.l)
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         """phi at each point of the 1-D array `p`."""
@@ -131,7 +130,7 @@ class _AmplitudeEvaluator:
         chunk = max(1, 200_000 // self._nodes.size)
         for start in range(0, p.size, chunk):
             args = np.multiply.outer(p[start:start + chunk], self._nodes)
-            vals = bessel_j(self._order, args.ravel()).reshape(args.shape)
+            vals = bessel_j(self.tail.order, args.ravel()).reshape(args.shape)
             out[start:start + chunk] = vals @ self._weighted
         return out
 
@@ -147,11 +146,8 @@ def _p_max(tail: _Tail) -> float:
     u = np.arange(0.0, _LOG_SPAN, _LOG_STEP)
     density = tail.truncation(tail.theta * np.exp(u))
     past = np.cumsum(0.5 * _LOG_STEP * (density[:0:-1] + density[-2::-1]))[::-1]
-    i = np.searchsorted(-past, -_TAIL_TOL)  # past falls with u
-    if 0 < i < past.size:
-        fall = math.log(past[i - 1] / past[i])
-        return tail.theta * math.exp(u[i - 1] + _LOG_STEP * math.log(past[i - 1] / _TAIL_TOL) / fall)
-    return tail.theta * math.exp(u[i])  # at an end of the grid
+    # past falls with u; np.interp clamps to the grid at either end
+    return tail.theta * math.exp(np.interp(-math.log(_TAIL_TOL), -np.log(past), u[:-1]))
 
 
 def _origin_term(order: int, nu: float, j: int, a0: float) -> float:
@@ -406,11 +402,11 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
 
 
 def sample_profile(state: Eigenstate, count: int) -> np.ndarray:
-    """Rows (p r0, amplitude, density) of `state` on `count` points of [0, p_max].
+    """Rows (p r0, density) of `state` on `count` points of [0, p_max].
 
     70% of the points lie below the knee 2.5 Theta (below p_max), where
-    most of the density lies; the rest run on to p_max. The amplitude is the
-    one `build_profile` integrates, but no integral is taken.
+    most of the density lies; the rest run on to p_max. The density is the
+    square of the amplitude `build_profile` integrates, but no integral is taken.
     """
     evaluator = _AmplitudeEvaluator(state)
     p_knee = 2.5 * state.theta
@@ -419,5 +415,4 @@ def sample_profile(state: Eigenstate, count: int) -> np.ndarray:
         np.linspace(0.0, p_knee, n_near),
         np.linspace(p_knee, evaluator.p_max, count - n_near + 1),
     ]))
-    amp = evaluator(grid)
-    return np.column_stack([grid, amp, amp**2])
+    return np.column_stack([grid, evaluator(grid) ** 2])

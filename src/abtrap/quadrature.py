@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "QuadResult",
     "density_integrals",
     "integrate_adaptive",
     "integrate_oscillatory",

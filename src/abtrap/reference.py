@@ -1,6 +1,6 @@
 """Embedded reference data for the default sweep.
 
-`REFERENCE_ROWS` holds published reference values of the two entropies for
+`_REFERENCE_ROWS` holds published reference values of the two entropies for
 the standard (n, l, beta) grid of this system. The absolute values embed a
 parameter set (mass, wavenumber, wall radius, z normalization) that is not
 part of this package's defaults, so they are used for trend comparison only,
@@ -10,10 +10,10 @@ never for absolute assertions. The default sweep is the published grid: its
 
 from __future__ import annotations
 
-__all__ = ["TABLE_BETAS", "REFERENCE_ROWS", "default_grid_points", "reference_row"]
+__all__ = ["TABLE_BETAS", "default_grid_points", "reference_row"]
 
 # (n, l, beta) -> (S_r, S_p, S_r + S_p), verbatim as published
-REFERENCE_ROWS: dict[tuple[int, int, float], tuple[float, float, float]] = {
+_REFERENCE_ROWS: dict[tuple[int, int, float], tuple[float, float, float]] = {
     (0, 0, 0.2): (9.74631, 0.06678, 9.81309),
     (0, 0, 0.4): (9.74262, 0.07558, 9.81821),
     (0, 0, 0.8): (9.74040, 0.12158, 9.86199),
@@ -43,14 +43,14 @@ REFERENCE_ROWS: dict[tuple[int, int, float], tuple[float, float, float]] = {
     (2, 2, 0.8): (9.74272, 0.91082, 10.65351),
 }
 
-TABLE_BETAS: tuple[float, ...] = tuple(dict.fromkeys(beta for _, _, beta in REFERENCE_ROWS))
+TABLE_BETAS: tuple[float, ...] = tuple(dict.fromkeys(beta for _, _, beta in _REFERENCE_ROWS))
 
 
 def reference_row(n: int, l: int, beta: float):
     """Published (S_r, S_p, total) for a grid point, or None if absent."""
-    return REFERENCE_ROWS.get((n, l, round(float(beta), 10)))
+    return _REFERENCE_ROWS.get((n, l, round(float(beta), 10)))
 
 
 def default_grid_points() -> list[tuple[int, int]]:
     """The (n, l) combinations of the default sweep, in emission order."""
-    return list(dict.fromkeys((n, l) for n, l, _ in REFERENCE_ROWS))
+    return list(dict.fromkeys((n, l) for n, l, _ in _REFERENCE_ROWS))

@@ -203,8 +203,7 @@ def _j_miller(nu: float, x: np.ndarray) -> np.ndarray:
     kmax = m_start // 2
     coefs = np.empty(kmax + 1)
     coefs[0] = math.gamma(mu + 1.0)
-    if kmax >= 1:
-        coefs[1] = (mu + 2.0) * coefs[0]
+    coefs[1] = (mu + 2.0) * coefs[0]
     for k in range(2, kmax + 1):
         coefs[k] = coefs[k - 1] * (mu + 2.0 * k) * (mu + k - 1.0) / ((mu + 2.0 * k - 2.0) * k)
 

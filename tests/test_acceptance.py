@@ -10,10 +10,10 @@ import pytest
 
 from abtrap.cli import main as cli_main
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
-from abtrap.entropy import SINC_ENTROPY_CONST, shannon_momentum, shannon_position
+from abtrap.entropy import shannon_momentum, shannon_position
 from abtrap.errors import ConvergenceError
 from abtrap.momentum import _AmplitudeEvaluator, build_profile
-from abtrap.reference import REFERENCE_ROWS, TABLE_BETAS, default_grid_points
+from abtrap.reference import _REFERENCE_ROWS, TABLE_BETAS, default_grid_points
 from abtrap.specfun import bessel_j, bessel_zero
 
 from conftest import Pipeline
@@ -44,10 +44,10 @@ def test_criterion_1_bbm_bound(grid_pipelines):
 
 def test_criterion_2_trends(grid_pipelines):
     # reference anchors embedded verbatim
-    assert REFERENCE_ROWS[(0, 0, 0.2)][1] == 0.06678
-    assert REFERENCE_ROWS[(0, 0, 0.8)][1] == 0.12158
-    assert REFERENCE_ROWS[(0, 0, 0.2)][2] == 9.81309
-    assert REFERENCE_ROWS[(0, 0, 0.8)][2] == 9.86199
+    assert _REFERENCE_ROWS[(0, 0, 0.2)][1] == 0.06678
+    assert _REFERENCE_ROWS[(0, 0, 0.8)][1] == 0.12158
+    assert _REFERENCE_ROWS[(0, 0, 0.2)][2] == 9.81309
+    assert _REFERENCE_ROWS[(0, 0, 0.8)][2] == 9.86199
 
     for n, l in default_grid_points():
         sp = [grid_pipelines[(n, l, b)].s_p for b in TABLE_BETAS]
@@ -154,7 +154,7 @@ def test_criterion_6_oracle_equivalence(grid_pipelines):
         s_p_oracle = (
             -2.0 * math.pi * midpoint(mom_integrand, 0.0, prof.p_max, 10**6)
             + prof.tail_entropy
-            + math.log(2.0 * math.pi) + SINC_ENTROPY_CONST
+            + math.log(2.0 * math.pi) + 2.0 * (1.0 - float(np.euler_gamma))
         )
         worst_p = max(worst_p, abs(s_p_oracle - pl.s_p))
 
@@ -196,7 +196,7 @@ class TestCriterion8CLI:
         assert len(lines) == 28
         assert lines[0].endswith(",ref_S_r,ref_S_p,ref_total,trend_agree")
         # all 27 embedded reference rows appear, 5-decimal formatted
-        for (n, l, beta), (sr, sp, tot) in REFERENCE_ROWS.items():
+        for (n, l, beta), (sr, sp, tot) in _REFERENCE_ROWS.items():
             matching = [
                 ln for ln in lines[1:] if ln.startswith(f"{n},{l},{beta:.5f},")
             ]

@@ -15,7 +15,7 @@ from abtrap.cli import _settings, build_parser, main
 from abtrap.entropy import EntropyReport, report
 from abtrap.eigen import QuantumNumbers, SystemParams
 from abtrap.errors import ConvergenceError, DomainError
-from abtrap.reference import REFERENCE_ROWS
+from abtrap.reference import _REFERENCE_ROWS
 
 
 # an integer past the float range, about 1.8e308
@@ -60,7 +60,7 @@ class TestStateCommand:
         assert code == 0
         payload = json.loads(out)
         assert list(payload) == [
-            "n", "l", "k", "beta", "m", "r0", "lz",
+            "n", "l", "k", "beta", "r0", "lz",
             "S_r", "S_p", "total", "bbm_bound", "satisfied",
         ]
         assert payload["satisfied"] is True
@@ -145,7 +145,7 @@ class TestStateCommand:
 
     @pytest.mark.parametrize("l", ["1000000000", "1000000000000000"])
     def test_order_past_the_recurrence_bound_exits_3(self, capsys, l):
-        # normalize's J_{nu+1}(Theta) would recur through l orders; bessel_j
+        # _normalize's J_{nu+1}(Theta) would recur through l orders; bessel_j
         # refuses that before it allocates or loops
         start = time.perf_counter()
         code, out, err = run_cli(capsys, ["state", "--n", "0", "--beta", "0.4", "--l", l])
@@ -155,11 +155,11 @@ class TestStateCommand:
 
     @pytest.mark.parametrize("flags, row", [
         (["--n", "4", "--l", "20", "--beta", "0.3"],
-         '{"n": 4, "l": 20, "k": 1.0, "beta": 0.3, "m": 1.0, "r0": 1.0, "lz": 1.0, '
+         '{"n": 4, "l": 20, "k": 1.0, "beta": 0.3, "r0": 1.0, "lz": 1.0, '
          '"S_r": 0.56559, "S_p": 10.29106, "total": 10.85666, "bbm_bound": 6.43419, '
          '"satisfied": true}'),
         (["--n", "0", "--l", "20", "--beta", "0.5"],
-         '{"n": 0, "l": 20, "k": 1.0, "beta": 0.5, "m": 1.0, "r0": 1.0, "lz": 1.0, '
+         '{"n": 0, "l": 20, "k": 1.0, "beta": 0.5, "r0": 1.0, "lz": 1.0, '
          '"S_r": 0.26705, "S_p": 9.92296, "total": 10.19, "bbm_bound": 6.43419, '
          '"satisfied": true}'),
     ], ids=["4,20,0.3", "0,20,0.5"])
@@ -210,6 +210,12 @@ class TestStateCommand:
         code = main(["state", "--n", "0", "--l", "0", "--whatever", "1"])
         capsys.readouterr()
         assert code == 2
+
+    def test_mass_flag_is_rejected(self, capsys):
+        # the mass enters only Eigenstate.energy, which no command prints
+        code, out, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--m", "2"])
+        assert (code, out) == (2, "")
+        assert "--m" in err
 
     def test_tol_flag_is_rejected(self, capsys):
         # S_r has a fixed rule, so there is no tolerance to set
@@ -291,9 +297,9 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, ["table", "--compare-reference", "--format", "json"])
         assert code == 0
         payload = json.loads(out)
-        assert len(payload) == len(REFERENCE_ROWS)
+        assert len(payload) == len(_REFERENCE_ROWS)
         for entry in payload:
-            ref = REFERENCE_ROWS[(entry["n"], entry["l"], entry["beta"])]
+            ref = _REFERENCE_ROWS[(entry["n"], entry["l"], entry["beta"])]
             assert (entry["ref_S_r"], entry["ref_S_p"], entry["ref_total"]) == ref
             assert "trend_agree" not in entry
 
@@ -464,10 +470,10 @@ class TestConfig:
 
     def test_integer_params_print_as_floats(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text('{"params": {"m": 2, "k": 1}, "betas": [0], "grid": [{"n": 0, "l": 0}]}')
+        path.write_text('{"params": {"r0": 2, "k": 1}, "betas": [0], "grid": [{"n": 0, "l": 0}]}')
         code, out, _ = run_cli(capsys, ["table", "--config", str(path), "--format", "json"])
         assert code == 0
-        assert '"m": 2.0' in out and '"k": 1.0' in out and '"beta": 0.0' in out
+        assert '"r0": 2.0' in out and '"k": 1.0' in out and '"beta": 0.0' in out
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -477,7 +483,7 @@ class TestConfig:
         assert "line" in err and "column" in err
 
     @pytest.mark.parametrize("content", [
-        b"\xff\xfe{}", b'{"params": {"m": 1' + b"0" * 5000 + b"}}",
+        b"\xff\xfe{}", b'{"params": {"r0": 1' + b"0" * 5000 + b"}}",
     ], ids=["not-utf-8", "past-the-int-digit-limit"])
     def test_undecodable_file_exits_2(self, capsys, tmp_path, content):
         # json.load raises a ValueError other than JSONDecodeError on both
@@ -492,6 +498,14 @@ class TestConfig:
         path.write_text('{"betaz": [0.2]}')
         with pytest.raises(DomainError, match="betaz"):
             settings(["table", "--config", str(path)])
+
+    def test_mass_key_exits_2(self, capsys, tmp_path):
+        # no printed value depends on the mass, so the file cannot set it
+        path = tmp_path / "cfg.json"
+        path.write_text('{"params": {"m": 1.0}}')
+        code, out, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert "unknown field(s) ['params.m']" in err
 
     def test_tol_key_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -529,9 +543,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "config, field",
         [
-            ('{"params": {"m": "abc"}}', "params.m"),
-            ('{"params": {"m": null}}', "params.m"),
-            ('{"params": {"m": true}}', "params.m"),
+            ('{"params": {"m": "abc"}}', "params.m"),  # an unknown field
             ('{"params": {"k": false}}', "params.k"),
             ('{"betas": [true]}', "betas"),
             ('{"grid": [{"n": "a", "l": 0}]}', "grid n"),
@@ -539,14 +551,12 @@ class TestConfig:
             ('{"betas": ["x"]}', "betas"),
             ('{"output": {"path": 7}}', "output.path"),
             ('{"grid": [{"n": 0, "l": 1, "k": 5}]}', "grid field(s) ['k']"),
-            ('{"params": {"m": -1}}', "params.m"),
             ('{"params": {"k": NaN}}', "params.k"),
             ('{"grid": [{"n": -1, "l": 0}]}', "grid n"),
             ('{"betas": [1.5]}', "betas"),
             ("{}", "--out"),  # written to a directory that does not exist
             ('{"output": {"formt": "json"}}', "output.formt"),
             # an int past the float range once exited 3 on an OverflowError
-            pytest.param(f'{{"params": {{"m": {HUGE_INT}}}}}', "params.m", id="huge-m"),
             pytest.param(f'{{"params": {{"k": {HUGE_INT}}}}}', "params.k", id="huge-k"),
             pytest.param(f'{{"betas": [{HUGE_INT}]}}', "betas", id="huge-beta"),
             pytest.param(f'{{"grid": [{{"n": {HUGE_INT}, "l": 0}}]}}', "grid n", id="huge-n"),
@@ -565,8 +575,6 @@ class TestConfig:
 Setting = namedtuple("Setting", "field command good flag flag_value bad named held")
 
 SETTINGS = [
-    Setting("params.m", "state", 2, "--m", 3.0, "abc", "--config: params.m: ",
-            lambda c: c.params.m),
     Setting("params.beta", "state", 0.4, "--beta", 0.3, 1.5, "--config: params.beta: ",
             lambda c: c.params.beta),
     Setting("params.r0", "state", 1.5, "--r0", 2.0, -1, "--config: params.r0: ",

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from abtrap.eigen import (
-    Eigenstate,
-    QuantumNumbers,
-    SystemParams,
-    effective_order,
-    normalize,
-    solve,
-)
+from abtrap.eigen import Eigenstate, QuantumNumbers, SystemParams, _normalize, solve
 from abtrap.errors import ConvergenceError, DomainError
 from abtrap.reference import TABLE_BETAS, default_grid_points
 from abtrap.specfun import bessel_zero
@@ -91,13 +84,17 @@ class TestParams:
 
 
 class TestEffectiveOrder:
+    @staticmethod
+    def nu(l, beta, k):
+        return solve(SystemParams(beta=beta), QuantumNumbers(0, l, k)).nu
+
     def test_arithmetic(self):
-        assert effective_order(0, 0.4, 1.0) == pytest.approx(0.4, abs=0)
-        assert effective_order(-1, 0.2, 1.0) == pytest.approx(1.2, abs=0)
+        assert self.nu(0, 0.4, 1.0) == pytest.approx(0.4, abs=0)
+        assert self.nu(-1, 0.2, 1.0) == pytest.approx(1.2, abs=0)
 
     def test_defect_free_limit(self):
         for l in (-3, -1, 0, 2, 5):
-            assert effective_order(l, 0.0, 7.3) == abs(l)
+            assert self.nu(l, 0.0, 7.3) == abs(l)
 
 
 class TestSolve:
@@ -166,7 +163,7 @@ class TestSolve:
 
 class TestNormalization:
     def test_closed_form_ground_value(self):
-        a0 = normalize(0.0, Z1)
+        a0 = _normalize(0.0, Z1)
         assert a0 == pytest.approx(A0_GROUND, abs=1e-12)
         assert a0 == pytest.approx(1.08676, abs=5e-6)
 
@@ -178,7 +175,7 @@ class TestNormalization:
     def test_vanishing_j_nu_plus_1_raises(self):
         # J_1(0) = 0: Theta = 0 is no zero of J_0
         with pytest.raises(ConvergenceError, match="normalize"):
-            normalize(0.0, 0.0)
+            _normalize(0.0, 0.0)
 
     def test_box_leaves_the_unit_state_unchanged(self):
         # the state lives on the unit cylinder; r0 and lz enter the energy only

@@ -8,7 +8,6 @@ import pytest
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
 from abtrap.entropy import (
     BBM_BOUND,
-    SINC_ENTROPY_CONST,
     EntropyReport,
     report,
     shannon_momentum,
@@ -22,8 +21,10 @@ from abtrap.reference import default_grid_points
 from oracles import lommel_momentum_entropy, mean_p_squared, midpoint, position_entropy_ref
 
 
+# the entropy 2 (1 - gamma) of the unit-scale sinc^2 density
+SINC_ENTROPY = 2.0 * (1.0 - float(np.euler_gamma))
 # S_z of the plane wave on the unit box lz = 1
-UNIT_LONGITUDINAL = math.log(2.0 * math.pi) + SINC_ENTROPY_CONST
+UNIT_LONGITUDINAL = math.log(2.0 * math.pi) + SINC_ENTROPY
 
 
 class UniformCylinderState:
@@ -91,7 +92,7 @@ class TestShannonMomentum:
         for n, l in ((0, 0), (1, 1), (2, -2), (2, 0)):
             st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
             exact = lommel_momentum_entropy(abs(l), st.theta)
-            assert shannon_momentum(build_profile(st)) == pytest.approx(exact, abs=1e-7), (n, l)
+            assert shannon_momentum(build_profile(st)) == pytest.approx(exact, abs=2e-11), (n, l)
 
     def test_converged_in_p_max(self, monkeypatch):
         # (2,1,0.8) converges slowest of the grid states, and at (0,1,0.99)
@@ -154,10 +155,7 @@ class TestShannonMomentum:
         u_max = cells * math.pi
         tail = ((1.0 - math.log(4.0)) / 2.0) / u_max - (math.log(u_max) + 1.0) / u_max
         c0 = -(2.0 / math.pi) * (total + tail)
-        assert SINC_ENTROPY_CONST == pytest.approx(
-            2.0 * (1.0 - float(np.euler_gamma)), rel=1e-15, abs=0
-        )
-        assert c0 == pytest.approx(SINC_ENTROPY_CONST, abs=1e-7)
+        assert c0 == pytest.approx(SINC_ENTROPY, abs=1e-7)
 
     def test_r0_dilation_shift(self):
         s = 2.0

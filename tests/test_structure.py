@@ -48,6 +48,30 @@ def test_sibling_imports_are_in_the_siblings_all():
     assert missing == []
 
 
+def test_every_public_name_has_a_reader():
+    # a module's `__all__` lists only what a sibling imports, what the package
+    # re-exports, or what the benchmark or the console script names
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and path.stem != "__init__":
+                imported |= {f"{node.module}.{a.name}" for a in node.names}
+    outside = " ".join(
+        (ROOT / name).read_text(encoding="utf-8")
+        for name in ("bench/spans.py", "bench/run.py", "pyproject.toml")
+    )
+    unread = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+        for name in getattr(importlib.import_module(f"abtrap.{path.stem}"), "__all__", ())
+        if f"{path.stem}.{name}" not in imported
+        and name not in abtrap.__all__
+        and not re.search(rf"\b{re.escape(name)}\b", outside)
+    ]
+    assert unread == []
+
+
 def test_package_has_no_assert_statement():
     # `python -O` strips assert, so a check that must hold raises instead
     offenders = [
