@@ -167,14 +167,15 @@ class TestShannonMomentum:
 
     def test_ground_state_vs_riemann_oracle(self, ground_pipeline):
         # midpoint recomputation of the transverse part over [0, p_max], with
-        # the amplitude tabulated on a dense grid and spline-interpolated; the
-        # modelled tail past p_max is taken from the profile
+        # the amplitude's exact radial sum (not the plan's table) on a dense
+        # grid, spline-interpolated; the modelled tail past p_max is taken
+        # from the profile
         from scipy.interpolate import CubicSpline
 
         pl = ground_pipeline
         prof = pl.profile
         dense_p = np.linspace(0.0, prof.p_max, 40001)
-        spline = CubicSpline(dense_p, _AmplitudeEvaluator(prof.state)(dense_p))
+        spline = CubicSpline(dense_p, _AmplitudeEvaluator(prof.state)._block(dense_p))
 
         def integrand(p):
             rho = spline(p) ** 2

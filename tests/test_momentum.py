@@ -90,6 +90,17 @@ class TestProfile:
                     radial_amplitude(st, p, tol=1e-12), abs=1e-12
                 ), (n, l, beta, k, p)
 
+    @pytest.mark.parametrize("n, l, beta", [
+        (0, 0, 0.0), (1, 1, 0.8), (2, -2, 0.4), (0, 1, 0.99), (0, 20, 0.5), (5, 30, 0.5),
+    ])
+    def test_table_matches_exact_sum(self, n, l, beta):
+        # the plan interpolates phi from 24 Chebyshev points per 3 pi of p;
+        # it is within 2.8e-15 of the exact radial sum on [0, p_max] here
+        st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+        plan = _AmplitudeEvaluator(st)
+        ps = np.linspace(0.0, plan.p_max, 5003)
+        assert np.max(np.abs(plan(ps) - plan._block(ps))) <= 1e-13
+
     def test_breakpoints_on_the_roots(self):
         # regula falsi puts each sign change on a root of the amplitude; the
         # linear interpolation of the scan alone does not (34 and 12 roots)
@@ -117,9 +128,11 @@ class TestProfile:
         # (1,1,0.8) took 3 188 884 Bessel points with one-oscillation r-panels
         # and a 2048-point scan, 1 021 684 with the two-term tail's
         # p_max = 10 (Theta + 20) / r0, and 290 082 with p_max = 5 (Theta + 20);
-        # the count is deterministic, unlike a timing. It is 130 947 with p_max
-        # from the tail's truncation error (72.9 here, 129.1 before), 37 147 of
-        # them J_L and J_{L+1} on the tail's near band
+        # the count is deterministic, unlike a timing. It was 130 947 with p_max
+        # from the tail's truncation error (72.9 here, 129.1 before) and the
+        # exact sum at every p; with phi tabulated once, it is 64 027: the
+        # table's 192 points times the 140 r-nodes, 26 880, and 37 147 J_L and
+        # J_{L+1} on the tail's near band
         points = []
 
         def counting(nu, x):
@@ -128,7 +141,7 @@ class TestProfile:
 
         monkeypatch.setattr(momentum_mod, "bessel_j", counting)
         build_profile(solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0)))
-        assert sum(points) <= 130_947
+        assert sum(points) <= 64_027
 
     def test_samples_sorted_and_consistent(self, ground_beta0):
         st, prof = ground_beta0
@@ -148,9 +161,11 @@ class TestProfile:
         assert ps[int(0.7 * count) - 1] == 2.5 * st.theta
 
     def test_samples_take_one_amplitude_batch(self, monkeypatch, capsys):
-        # `density --space momentum` evaluates the amplitude on its samples
-        # only: 4096 points times the 140 r-nodes, 573 440 Bessel points on
-        # (1,1,0.8); building the profile as well would add about 131 000
+        # `density --space momentum` takes the exact sum on the plan's table
+        # only, whatever the sample count: 192 table points times the 140
+        # r-nodes, 26 880 Bessel points on (1,1,0.8) (573 440 at 4096 samples
+        # when each sample took the exact sum); building the profile as well
+        # would add about 37 000
         points = []
 
         def counting(nu, x):
@@ -158,11 +173,15 @@ class TestProfile:
             return bessel_j(nu, x)
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0))
-        r_nodes = _AmplitudeEvaluator(st)._nodes.size
+        plan = _AmplitudeEvaluator(st)
         monkeypatch.setattr(momentum_mod, "bessel_j", counting)
         argv = ["density", "--space", "momentum", "--n", "1", "--l", "1", "--beta", "0.8"]
-        assert cli.main([*argv, "--samples", "4096"]) == 0
-        assert sum(points) == 4096 * r_nodes == 573_440
+        counts = []
+        for samples in ("512", "4096"):
+            points.clear()
+            assert cli.main([*argv, "--samples", samples]) == 0
+            counts.append(sum(points))
+        assert counts == [plan._table.size * plan._nodes.size] * 2 == [26_880] * 2
 
     def test_captured_norm_with_tail_correction(self, ground_beta0):
         # at beta = 0 the Lommel closed form gives the density past p_max, so
