@@ -17,6 +17,7 @@ rescales it, and the entropies shift by ln(r0^2 Lz) (see the entropy module).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -36,8 +37,10 @@ def _shown(value) -> str:
 
 
 def _finite(value, message: str) -> float:
-    """`value` as a float; a bool, a non-number or one that is not a finite float raises `message`."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    """`value` as a float; a bool, a non-real or one that is not a finite float raises `message`."""
+    if isinstance(value, np.generic):
+        value = value.item()  # the Python number a numpy one holds, np.bool_ a bool
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not (number and abs(value) <= sys.float_info.max):  # exact for an int, false for nan
         raise DomainError(f"{message}, got {_shown(value)}")
     return float(value)

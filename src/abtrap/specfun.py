@@ -17,10 +17,11 @@ Evaluation strategy for J_nu(x):
   stays below x (DLMF 10.74(iv); Gil, Segura & Temme, Numerical Methods for
   Special Functions, ch. 4), and starts from J_mu and J_{mu+1} by Hankel,
   mu the fractional part of nu, both in Hankel's range from x = 16,
-* Miller backward recurrence, normalized by the Neumann-type sum
-  sum_k (mu+2k) Gamma(mu+k)/k! * J_{mu+2k}(x) = (x/2)^mu
-  (the k = 0 coefficient read as its mu -> 0 limit Gamma(mu+1)), for the
-  rest, where x <= max(16, nu) bounds its start x + 12 x^(1/3) + 30 + nu.
+* Miller's backward recurrence for the rest, where x <= max(16, nu) bounds
+  its start x + 12 x^(1/3) + 30 + nu, normalized by the Neumann-type sum
+  sum_k (mu+2k) Gamma(mu+k)/k! * J_{mu+2k}(x) = (x/2)^mu (the k = 0
+  coefficient read as its mu -> 0 limit Gamma(mu+1)); it runs on ratios of
+  consecutive orders (Gautschi 1967), which cannot overflow.
 
 Either recurrence longer than _MAX_RECURRENCE steps raises ConvergenceError
 before it allocates or loops.
@@ -57,7 +58,7 @@ __all__ = [
 # recurrence can start here from J_mu and J_{mu+1}
 _HANKEL_FLOOR = 16.0
 # bessel_j raises rather than run a backward (Miller) or forward recurrence
-# of more steps; at nu = 160.5, the largest order tested, Miller takes 416
+# of more steps; at nu = 5000.5, the largest order tested, Miller takes 10236
 _MAX_RECURRENCE = 100_000
 
 
@@ -185,11 +186,14 @@ def _j_forward(nu: float, x: np.ndarray) -> np.ndarray:
     return jc
 
 
-_MILLER_RESCALE = 1e250
-
-
 def _j_miller(nu: float, x: np.ndarray) -> np.ndarray:
-    """Backward (Miller) recurrence normalized by the Neumann-type sum."""
+    """Miller's recurrence on h_m = J_{mu+m}/J_{mu+m-1} = 1/(2(mu+m)/x - h_{m+1}).
+
+    Gautschi's continued fraction (SIAM Rev. 9 (1967) 24), from h = 0 past
+    m_start. One loop nests the Neumann sum S = c_0 + h_1 h_2 (c_1 + h_3 h_4
+    (c_2 + ...)) = (x/2)^mu / J_mu and the product J_nu/J_mu = h_1 ... h_n.
+    A ratio is large only next to a zero of J, so nothing overflows or is rescaled.
+    """
     n_int = int(math.floor(nu))
     mu = nu - n_int
     xmax = float(np.max(x))
@@ -208,28 +212,20 @@ def _j_miller(nu: float, x: np.ndarray) -> np.ndarray:
         coefs[k] = coefs[k - 1] * (mu + 2.0 * k) * (mu + k - 1.0) / ((mu + 2.0 * k - 2.0) * k)
 
     inv_x = 1.0 / x
-    jp = np.zeros_like(x)          # J_{mu+m+1}
-    jc = np.full_like(x, 1e-280)   # J_{mu+m}, arbitrary tiny seed
-    norm = np.zeros_like(x)
-    target = np.zeros_like(x)
-    for m in range(m_start, -1, -1):
-        if m % 2 == 0:
-            norm += coefs[m // 2] * jc
-        if m == n_int:
-            target = jc.copy()
-        if m > 0:
-            jm = (2.0 * (mu + m)) * inv_x * jc - jp
-            jp = jc
-            jc = jm
-            big = np.abs(jc) > _MILLER_RESCALE
-            if np.any(big):
-                scale = np.where(big, 1.0 / _MILLER_RESCALE, 1.0)
-                jc *= scale
-                jp *= scale
-                norm *= scale
-                target *= scale
-    ref = (0.5 * x) ** mu
-    return target * ref / norm
+    h = np.zeros_like(x)  # h_{m+1}, tail neglected at the start
+    total = np.full_like(x, coefs[kmax])
+    ratio = 1.0
+    for m in range(m_start, 0, -1):
+        h = (2.0 * (mu + m)) * inv_x - h
+        # an exact zero denominator is a pole of the ratio; step past it
+        h[h == 0.0] = 1e-300
+        np.divide(1.0, h, out=h)
+        total *= h
+        if m % 2 == 1:
+            total += coefs[m // 2]
+        if m <= n_int:
+            ratio *= h
+    return (0.5 * x) ** mu * ratio / total
 
 
 def _bessel_j_array(nu: float, x: np.ndarray) -> np.ndarray:

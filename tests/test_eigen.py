@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from abtrap.entropy import report
 from abtrap.eigen import Eigenstate, QuantumNumbers, SystemParams, _normalize, solve
 from abtrap.errors import ConvergenceError, DomainError
 from abtrap.reference import TABLE_BETAS, default_grid_points
@@ -71,6 +72,21 @@ class TestParams:
         assert (qn.n, qn.l) == (2, -1)
         state = solve(SystemParams(beta=0.2), qn)
         assert state.theta == solve(SystemParams(beta=0.2), QuantumNumbers(2, -1)).theta
+
+    @pytest.mark.parametrize("field, value, same", [
+        ("k", np.int64(2), 2.0), ("k", np.float32(-1.5), -1.5),
+        ("beta", np.float32(0.5), 0.5), ("r0", np.int64(2), 2.0),
+        ("r0", np.float32(0.25), 0.25), ("lz", np.int64(3), 3.0),
+    ])
+    def test_numpy_reals_report_as_the_equal_float(self, field, value, same):
+        def entropies(v):
+            if field == "k":
+                return report(SystemParams(beta=0.2), QuantumNumbers(0, 1, v))
+            return report(SystemParams(**{"beta": 0.2, field: v}), QuantumNumbers(0, 1))
+
+        assert entropies(value) == entropies(same)
+        with pytest.raises(DomainError, match="got True$"):
+            entropies(np.bool_(True))
 
     def test_bools_rejected_and_numbers_stored_as_float(self):
         for kwargs in ({"m": True}, {"beta": False}, {"r0": True}, {"lz": True}):

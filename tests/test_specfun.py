@@ -122,6 +122,26 @@ class TestBesselJ:
             exact = [float(mp.besselj(160.5, mp.mpf(float(x)))) for x in xs]
         np.testing.assert_allclose(bessel_j(160.5, xs), exact, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("nu, x", [(0.0, 11.791534439014281), (0.0, 14.930917708487787),
+                                       (0.5, 4.0 * math.pi), (1.0, 13.323691936314223),
+                                       (1.19, 12.088240492589039)])
+    def test_miller_at_a_zero_of_j_mu(self, nu, x):
+        # x is a zero of J_mu (mu the fractional part of nu) or of J_1, so the
+        # ratio h_1 = J_{mu+1}/J_mu or h_2 = J_{mu+2}/J_{mu+1} sits next to its
+        # pole; at nu = 1.19 the denominator of h_1 rounds to exactly 0, which
+        # the guard steps past (nan without it); 3e-16 measured
+        with mp.workdps(30):
+            exact = float(mp.besselj(nu, mp.mpf(x)))
+        assert abs(_j_miller(nu, np.array([x]))[0] - exact) <= 1e-15
+
+    def test_order_5000_below_the_turning_point(self):
+        # Miller from 10236 orders up at x = 5000; 2.7e-14 measured. mpmath's
+        # series cancels here, and maxprec lets it work at the precision that takes
+        xs = np.array([4900.0, 4990.0, 5000.0])
+        with mp.workdps(30):
+            exact = [float(mp.besselj(5000.5, mp.mpf(x), maxprec=20000)) for x in xs]
+        np.testing.assert_allclose(bessel_j(5000.5, xs), exact, rtol=5e-14, atol=0)
+
     @pytest.mark.parametrize("x", [50.0, 2e5])
     def test_recurrence_past_the_bound_raises(self, x):
         # Miller at x = 50 and forward recurrence at 2e5 would each run past
