@@ -13,6 +13,7 @@ endings, so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,8 @@ from .momentum import sample_profile
 from .reference import TABLE_BETAS, default_grid_points, reference_row
 
 __all__ = ["main", "entrypoint"]
+
+_CSV_BLOCK = 65_536  # rows per write of the density CSV, about 1.3 MB of text
 
 
 @dataclass
@@ -131,15 +134,15 @@ def _settings(args) -> RunConfig:
     return cfg
 
 
-def _write(path: str, text: str | None = None) -> None:
-    """Write `text` to `path`; with no text, check that it can be written and leave no new file."""
+def _write(path: str, chunks=None) -> None:
+    """Write the strings `chunks` to `path`; with none, check it can be written and add no file."""
     existed = os.path.exists(path)
     try:
-        with open(path, "a" if text is None else "w", encoding="utf-8", newline="") as fh:
-            fh.write(text or "")
+        with open(path, "a" if chunks is None else "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks or ())
     except OSError as exc:
         raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
-    if text is None and not existed:
+    if chunks is None and not existed:
         os.remove(path)
 
 
@@ -155,11 +158,11 @@ def _fmt(x: float) -> str:
     return f"{x:.5f}"
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
+def _emit(chunks, cfg: RunConfig) -> None:
     if cfg.out:
-        named(cfg.out_source, _write, cfg.out, text)
+        named(cfg.out_source, _write, cfg.out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _report_payload(rep) -> dict:
@@ -182,7 +185,7 @@ def _report_payload(rep) -> dict:
 def cmd_state(args) -> int:
     cfg, qn = _one_state(args)
     rep = report(cfg.params, qn)
-    _emit(json.dumps(_report_payload(rep)) + "\n", cfg)
+    _emit([json.dumps(_report_payload(rep)) + "\n"], cfg)
     return 0
 
 
@@ -232,7 +235,7 @@ def cmd_table(args) -> int:
             entries.append(entry)
             lines.append(line)
     text = json.dumps(entries, indent=2) if cfg.fmt == "json" else "\n".join(lines)
-    _emit(text + "\n", cfg)
+    _emit([text + "\n"], cfg)
     return 3 if failed else 0
 
 
@@ -254,10 +257,10 @@ def cmd_density(args) -> int:
             coords, dens = xs / r0, r0 * (2.0 * math.pi * rho * xs)
     if not (np.isfinite(coords).all() and np.isfinite(dens).all()):
         raise ConvergenceError(f"density: r0 = {r0!r} overflows the profile", stage="density")
-    lines = ["coordinate,density"]
-    for x, d in zip(coords, dens):
-        lines.append(f"{_fmt(x)},{_fmt(d)}")
-    _emit("\n".join(lines) + "\n", cfg)
+    rows = (f"{_fmt(x)},{_fmt(d)}\n" for x, d in zip(coords, dens))
+    # formatted and written _CSV_BLOCK rows at a time, the header with the first
+    _emit((("" if start else "coordinate,density\n") + "".join(itertools.islice(rows, _CSV_BLOCK))
+           for start in range(0, coords.size, _CSV_BLOCK)), cfg)
     return 0
 
 

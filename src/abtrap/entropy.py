@@ -95,7 +95,7 @@ class EntropyReport:
     @property
     def satisfied(self) -> bool:
         """Whether S_r + S_p meets the BBM bound, with a 1e-9 slack for rounding."""
-        return self.total >= BBM_BOUND - 1e-9
+        return bool(self.total >= BBM_BOUND - 1e-9)
 
 
 def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
@@ -108,4 +108,4 @@ def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
     state = named("solve", solve, params, qn)
     profile = named("momentum-profile", build_profile, state)
     s_r = named("position-entropy", shannon_position, state)
-    return EntropyReport(params, qn, s_r, shannon_momentum(profile))
+    return EntropyReport(params, qn, float(s_r), float(shannon_momentum(profile)))

@@ -16,22 +16,18 @@ density per p dp dp_theta is uniform in the momentum angle and equals
 The longitudinal factor is handled analytically in the entropy module.
 
 Each state has one plan, `_AmplitudeEvaluator`: it builds the state's tail
-model, `_Tail`, and fixes p_max from it once; `build_profile` and
-`sample_profile` read both from there. `build_profile` uses the package's one
-rule, `smoothed_gauss_legendre`, in both variables. In x the plan builds phi
-as one weighted sum over fixed nodes, on panels two oscillations of
-J_L(p_max x) wide; its smoothing map u = 3 s^2 - 2 s^3 turns the x^(nu+L+1)
-behaviour of the integrand at the origin into s^(2 nu+2 L+3), which
-Gauss-Legendre integrates without grading except for L = 0, 0 < nu < 1/2.
-That sum runs once per plan, on Chebyshev panels 3 pi wide or less: phi is
-entire of exponential type 1, since R lives on [0, 1], so every other value
-is a panel's barycentric interpolant (Berrut and Trefethen, SIAM Rev. 46
-(2004) 501), within 2.8e-15 of the sum. The Bessel work is thus set by p_max
-and the radial grid, not by how many points of phi are asked for. On
-[0, p_max] a scan of 8 points per pi brackets the amplitude's sign changes,
-and regula falsi puts each on its root. One batch of p-nodes, split there,
-gives the captured norm and the transverse entropy through
-`density_integrals`. Past p_max, phi follows the tail model (L = |l|,
+model, `_Tail`, fixes p_max from it once, and tabulates phi on [0, p_max];
+`build_profile` and `sample_profile` read all three from there. The exact phi
+is one weighted sum of `smoothed_gauss_legendre` over fixed x-nodes, on panels
+two oscillations of J_L(p_max x) wide; it runs once per plan, on Chebyshev
+panels 3 pi wide or less, and every other value is a panel's barycentric
+interpolant (Berrut and Trefethen, SIAM Rev. 46 (2004) 501): phi is entire
+of exponential type 1, since R lives on [0, 1]. So p_max and the radial grid
+set the Bessel work, not how many points of phi are asked for. On [0, p_max]
+a scan of 8 points per pi brackets the amplitude's sign changes, and regula
+falsi puts each on its root. One batch of p-nodes, split there and cut to
+panels no wider than pi, gives the captured norm and the transverse entropy
+through `density_integrals`. Past p_max, phi follows the tail model (L = |l|,
 M = _ORDER = 3): origin terms plus the wall part of Green's identity,
 
     phi(p) ~ sum_{j=0..M} C_j p^-(nu+2+2j)
@@ -65,15 +61,13 @@ transverse entropy past p_max by _TAIL_TOL = 1e-11: `_Tail.truncation`
 bounds that per unit ln p from the terms' envelopes, and `_p_max` sums it
 from p = inf down. When nu << L the origin series runs in about
 (L Theta / 2 p)^2, so p_max grows with L Theta; on the default grid it is
-25 to 120, 9 to 12 Theta. The tail is integrated on two scales. On the near
-band [p_max, P], P about 40 p_max, the exact model is integrated on panels
-between its zeros. Past P, J_L and J_{L+1} take Hankel's P and Q from
-`specfun.hankel_pq`, so phi = o(p) + A(p) cos chi + B(p) sin chi, with o the
-origin terms and chi = p - L pi/2 - pi/4; the means of rho and rho ln rho over
-one period of chi vary slowly in p, and are integrated in t = P / p over
-(0, 1], out to p = inf. The profile carries the tail's norm and entropy, and
-fails when the norm misses 1 by more than 1e-7. `sample_profile` tabulates
-the square of the plan's amplitude alone and integrates no tail.
+25 to 120, 9 to 12 Theta. `_Tail.integrals` takes the model on panels
+between its zeros from p_max to P, about 8 p_max, and past P, where it is
+o + R cos(chi - delta) with o the origin terms and chi = p - L pi/2 - pi/4,
+through the closed-form phase means of rho and rho ln rho and four end terms
+at P. The profile carries the tail's norm and entropy, and fails when the
+norm misses 1 by more than 1e-7.
+`sample_profile` tabulates the square of the plan's amplitude alone.
 """
 
 from __future__ import annotations
@@ -85,17 +79,20 @@ import numpy as np
 
 from .eigen import Eigenstate
 from .errors import ConvergenceError
-from .quadrature import density_integrals, rho_ln_rho, smoothed_gauss_legendre, subdivide
-from .specfun import bessel_j, hankel_pq, mcmahon_zero
+from .quadrature import density_integrals, smoothed_gauss_legendre, subdivide
+from .specfun import asymptotic_cutoff, bessel_j, hankel_pq, mcmahon_zero
 
 __all__ = ["MomentumProfile", "build_profile", "sample_profile"]
 
-# the tail's near band runs from p_max to P, about _NEAR_BAND * p_max; past P the
-# model is averaged over its phase chi on _PHASES and integrated in t = P / p
-# on the panels between _FAR_EDGES, graded by 4 towards t = 0 (p = inf)
-_NEAR_BAND = 40.0
+# the tail's near band ends at P, about _NEAR_BAND * p_max; past P the phase means are
+# integrated in t = P / p between _FAR_EDGES, graded by 4 towards t = 0, and the end
+# terms sum _HARMONICS harmonics, row j - 1 of _END_STENCIL the weights of
+# (-1)^j d^(j-1) G_j / dp^(j-1) on P + (-2, -1, 0, 1, 2) h, times h^(j-1)
+_NEAR_BAND = 8.0
 _FAR_EDGES = np.concatenate([[0.0], 4.0 ** -np.arange(7.0, -1.0, -1.0)])
-_PHASES = 2.0 * math.pi * (np.arange(40) + 0.5) / 40
+_HARMONICS = 64
+_END_STENCIL = np.array([[0.0, 0.0, -1.0, 0.0, 0.0], [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12],
+                         [0.0, -1.0, 2.0, -1.0, 0.0], [-0.5, 1.0, 0.0, -1.0, 0.5]])
 # build_profile fails when the norm misses 1 by more than this
 _NORM_DEFECT = 1e-7
 # the tail model keeps the origin terms j <= _ORDER and the Green passes m <= _ORDER
@@ -118,23 +115,16 @@ _SLICE_ELEMENTS = 200_000
 class _AmplitudeEvaluator:
     """The momentum plan of one state: its tail model, p_max, and phi(p) on [0, p_max].
 
-    The exact phi, `_block`, is a vectorized `smoothed_gauss_legendre` sum.
-    [0, 1] is split at the radial nodes and cut to panels no wider than two
-    oscillations of the kernel at p_max, 4 pi / p_max. The integrand
-    R(x) J_L(p x) x behaves as x^(nu+L+1) at the origin, s^(2 nu+2 L+3) after
-    the smoothing map; for L = 0 and 0 < nu < 1/2 that power is fractional and
-    below 4, and the first panel is cut at 1/16 and 1/4 of its width. That
-    keeps phi within 3e-13 of a four times finer grid for every p <= p_max
-    (4e-12 at (0,0,0.2) without the cuts).
-
-    The constructor takes that sum once, at the 24 Chebyshev points of the
-    second kind of each of ceil(p_max / 3 pi) equal panels of [0, p_max];
-    calling the plan evaluates the barycentric interpolant of the panel that
-    holds p, with weights (-1)^j halved at both ends, or the table value where
-    p is a node. It is within 2.8e-15 of `_block` on 5003 points of
-    [0, p_max], on the 36 rows of `abtrap table --betas 0 0.2 0.4 0.8` and
-    eight wide states (5.7e-13 with 16 points per 2 pi). The panel index is
-    clamped to the table; no caller asks for p past p_max.
+    The exact sum `_block` splits [0, 1] at the radial nodes, in panels no
+    wider than 4 pi / p_max. After the smoothing map its integrand behaves as
+    s^(2 nu+2 L+3) at the origin; for L = 0 and 0 < nu < 1/2 that power is
+    fractional and below 4, and the first panel is cut at 1/16 and 1/4 of its
+    width: phi is then within 3e-13 of a four times finer grid for p <= p_max
+    (4e-12 at (0,0,0.2) without the cuts). The table holds the sum at the 24
+    Chebyshev points of the second kind of ceil(p_max / 3 pi) equal panels,
+    with barycentric weights (-1)^j halved at both ends; the interpolant is
+    within 2.8e-15 of `_block` on 5003 points of [0, p_max], on the 36 rows of
+    `abtrap table --betas 0 0.2 0.4 0.8` and eight wide states.
     """
 
     def __init__(self, state: Eigenstate):
@@ -143,9 +133,8 @@ class _AmplitudeEvaluator:
         edges = subdivide([0.0, *state.radial_nodes(), 1.0], 4.0 * math.pi / self.p_max, 1)
         if state.qn.l == 0 and 0.0 < state.nu < 0.5:
             edges = np.concatenate([[0.0], edges[1] / np.array([16.0, 4.0]), edges[1:]])
-        nodes, weights = smoothed_gauss_legendre(edges)
-        self._nodes = nodes
-        self._weighted = weights * state.radial_wavefunction(nodes) * nodes
+        self._nodes, weights = smoothed_gauss_legendre(edges)
+        self._weighted = weights * state.radial_wavefunction(self._nodes) * self._nodes
         panels = math.ceil(self.p_max / _TABLE_WIDTH)
         self._width = self.p_max / panels
         # row j holds phi at node j of every panel
@@ -294,7 +283,12 @@ class _Tail:
         return bessel * inv2, next_bessel / p
 
     def __call__(self, p):
-        """The model at each point of `p`."""
+        """The model at each point of `p`; where all lie past the Hankel cutoffs of
+        both orders, from one P and Q per order: the sums `bessel_j` takes there."""
+        if np.min(p) >= asymptotic_cutoff(self.order + 1):
+            o, a, b = self._phase_form(p)
+            chi = p - (0.5 * self.order + 0.25) * math.pi
+            return o + a * np.cos(chi) + b * np.sin(chi)
         factor, next_factor = self._wall_factors(p)
         wall = factor * bessel_j(self.order, p) + next_factor * bessel_j(self.order + 1, p)
         return self._origin_part(p) + wall
@@ -317,40 +311,35 @@ class _Tail:
         log_rho = 2.0 * np.log(np.maximum(phi, 1e-300))
         return 4.0 * math.pi * p * p * phi * dphi * (1.0 + np.abs(log_rho))
 
-    def average(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """Means of rho and of rho ln rho of the model over one period of chi.
-
-        At each p the model is o + A cos chi + B sin chi, with chi = p - (2L+1) pi / 4,
-        o the origin part, A = s (F P_L + H Q_{L+1}) and B = s (H P_{L+1} - F Q_L):
-        s = sqrt(2 / (pi p)), F and H the factors of J_L(p) and J_{L+1}(p), and
-        P, Q from `hankel_pq` at p. The means are taken on the midpoint nodes
-        _PHASES, with o, A and B held at p.
-        """
+    def _phase_form(self, p):
+        """(o, A, B) of the model o + A cos chi + B sin chi at each point of `p`:
+        A = s (F P_L + H Q_{L+1}) and B = s (H P_{L+1} - F Q_L), s = sqrt(2 / (pi p)),
+        with F, H the factors of J_L(p), J_{L+1}(p) and P, Q from `hankel_pq`."""
         p_l, q_l = hankel_pq(self.order, p)
         p_next, q_next = hankel_pq(self.order + 1, p)
         scale = np.sqrt(2.0 / (math.pi * p))
         factor, next_factor = self._wall_factors(p)
-        a = scale * (factor * p_l + next_factor * q_next)
-        b = scale * (next_factor * p_next - factor * q_l)
-        amp = (self._origin_part(p)[:, None] + a[:, None] * np.cos(_PHASES)
-               + b[:, None] * np.sin(_PHASES))
-        rho = amp * amp
-        return rho.mean(axis=1), rho_ln_rho(rho).mean(axis=1)
+        return (self._origin_part(p), scale * (factor * p_l + next_factor * q_next),
+                scale * (next_factor * p_next - factor * q_l))
 
     def integrals(self, p_max: float) -> tuple[float, float]:
         """Norm and transverse entropy of the model from p_max on.
 
-        On the near band [p_max, P], P about _NEAR_BAND p_max, panels run between
-        the model's zeros, where rho ln rho has its cusps: McMahon's zeros of
-        J_L(p), moved by the origin part. P lies midway between the last two.
-        Past P the phase means of `average` vary slowly; they are integrated in
-        t = P / p on smoothed Gauss-Legendre panels of (0, 1], which reach p = inf.
+        On the near band, panels run between the model's zeros, where rho ln rho
+        has its cusps: McMahon's zeros of J_L(p), moved by the origin part; P
+        lies midway between the last two. Past P, f = 2 pi p rho and
+        2 pi p rho ln rho are periodic in chi: their phase means are integrated
+        in t = P / p, and the rest of f is int_P^inf = sum_j
+        (-1)^j d^(j-1) G_j / dp^(j-1) at P and fixed chi, G_j its j-th
+        antiderivative in chi of mean 0 (Iserles and Norsett, Proc. R. Soc. A
+        461 (2005) 1383), kept to j = 4.
         """
-        # the k-th zero of J_L lies near (k + L/2 - 1/4) pi; the zero before
-        # p_max is kept too, since the origin part can move it past p_max
+        # the k-th zero of J_L lies near (k + L/2 - 1/4) pi; the zero before p_max is
+        # kept too, since the origin part can move it past p_max. Past P the model is
+        # in phase form, so P and its stencil lie past Hankel's cutoff for J_{L+1}
         shift = 0.5 * self.order - 0.25
-        ks = np.arange(max(math.floor(p_max / math.pi - shift), 1),
-                       math.floor(_NEAR_BAND * p_max / math.pi - shift) + 1)
+        end = max(_NEAR_BAND * p_max, 1.01 * asymptotic_cutoff(self.order + 1) + 4.0 * math.pi)
+        ks = np.arange(max(int(p_max / math.pi - shift), 1), int(end / math.pi - shift) + 1)
         zeros = mcmahon_zero(self.order, ks)[0]
         # near a zero z of J_L(p) the model is o + D sin(p - z), with o its origin
         # part and D = -F(z) J_{L+1}(z), F the factor of J_L, so o moves the
@@ -360,16 +349,50 @@ class _Tail:
         zeros = zeros + np.arcsin(np.clip(-self._origin_part(zeros) / slope, -1.0, 1.0))
         zeros = zeros[zeros > p_max]
         # rho is even in the phase about each extremum of A cos chi + B sin chi,
-        # midway between two zeros, so the phase means' error from starting at
-        # P falls to second order when P is there rather than on a zero
+        # midway between two zeros, so the odd end terms nearly vanish there
         far = 0.5 * (zeros[-2] + zeros[-1])
         edges = np.concatenate([[p_max], zeros[:-1], [far]])
         norm, entropy = density_integrals(edges, lambda p: self(p) ** 2)
+        # the far band's nodes P / t, then the end terms' stencil P + (-2..2) h
         t, weights = smoothed_gauss_legendre(_FAR_EDGES)
-        p = far / t
-        rho, rho_log = self.average(p)
-        measure = 2.0 * math.pi * weights * p * far / (t * t)  # 2 pi p dp
-        return norm + float(np.sum(measure * rho)), entropy - float(np.sum(measure * rho_log))
+        step = far / 256.0
+        p = np.concatenate([far / t, far + step * np.arange(-2.0, 3.0)])
+        o, a, b = self._phase_form(p)
+        r, scale = np.hypot(a, b), 2.0 * math.pi * p[:, None]
+        means = scale[:-5] * _phase_harmonics(o[:-5], r[:-5], 1)[..., 0]
+        rho, rho_log = (weights * far / (t * t)) @ means
+        # G_j = Re sum_k c_k e^(ik theta) / (ik)^j, c_k the harmonics of f and
+        # theta = chi - delta at P, where A cos chi + B sin chi = R cos(chi - delta)
+        coefs = scale[-5:, :, None] * _phase_harmonics(o[-5:], r[-5:], _HARMONICS)[..., 1:]
+        k = 1j * np.arange(1, _HARMONICS)
+        wave = np.exp(k * (far - (shift + 0.5) * math.pi - np.arctan2(b[-5:], a[-5:]))[:, None])
+        ends = np.einsum("ji,iqk,ik,jk->q", _END_STENCIL / step ** np.arange(4.0)[:, None],
+                         coefs, wave, k ** -np.arange(1.0, 5.0)[:, None]).real
+        return float(norm + rho + ends[0]), float(entropy - rho_log - ends[1])
+
+
+def _phase_harmonics(o: np.ndarray, r: np.ndarray, count: int) -> np.ndarray:
+    """Cosine coefficients, k < count, of rho = u^2 and rho ln rho, u = o + r cos theta.
+
+    Shape (points, 2, count); k = 0 gives the phase means. With
+    w = o + sgn(o) (o^2 - r^2)^(1/2) and z = -r / w, complex with |z| = 1 where
+    |o| < r, ln|u| = ln(|w| / 2) - 2 sum_k Re(z^k) cos(k theta) / k (Gradshteyn
+    and Ryzhik 1.514 for |o| >= r, 1.448 for |o| < r). rho ln rho = u^2 ln u^2
+    is a five-term convolution of their exponential coefficients: exact, with no
+    phase nodes to alias the cusps of rho ln rho at the zeros of u.
+    """
+    root = np.sqrt(o * o - r * r + 0j)
+    w = o + np.where(o < 0.0, -root, root)
+    k = np.arange(1, count + 2)
+    log = -2.0 * np.real(np.power.outer(-r / w, k)) / k
+    # the exponential coefficients of ln u^2 from -2 to count + 1, and of u^2 from -2 to 2
+    log = np.column_stack([log[:, 1::-1], 2.0 * np.log(0.5 * np.abs(w)), log])
+    square = np.column_stack([0.25 * r * r, o * r, o * o + 0.5 * r * r, o * r, 0.25 * r * r])
+    out = np.zeros((o.size, 2, count))
+    out[:, 0, :3] = square[:, 2:2 + count]
+    out[:, 1] = sum(square[:, j, None] * log[:, j:j + count] for j in range(5))
+    out[..., 1:] *= 2.0
+    return out
 
 
 def _amplitude_breakpoints(
@@ -424,22 +447,12 @@ class MomentumProfile:
 
 
 def build_profile(state: Eigenstate) -> MomentumProfile:
-    """The transverse momentum profile of `state` and its integrals, for `S_p`.
-
-    The amplitude is a weighted sum over x-panels two kernel oscillations at
-    p_max wide, tabulated once on Chebyshev panels of [0, p_max] and
-    interpolated from there. A scan of 8 points per pi brackets its sign changes,
-    each refined by regula falsi; the scan serves nothing else. One batch of
-    composite Gauss-Legendre nodes on [0, p_max], split at them and cut to
-    panels no wider than pi, gives the captured norm and transverse
-    entropy; the tail model gives both past p_max.
-    """
+    """The transverse momentum profile of `state` and its integrals, for `S_p`:
+    the plan's table on [0, p_max], split at its sign changes, and the tail model past it."""
     evaluator = _AmplitudeEvaluator(state)
     p_max = evaluator.p_max
-    # 8 scan points per pi bracket the breakpoints
-    p_scan = np.linspace(0.0, p_max, math.ceil(8.0 * p_max / math.pi) + 1)
-    amp_scan = evaluator(p_scan)
-    breakpoints = _amplitude_breakpoints(evaluator, p_scan, amp_scan)
+    p_scan = np.linspace(0.0, p_max, math.ceil(8.0 * p_max / math.pi) + 1)  # 8 points per pi
+    breakpoints = _amplitude_breakpoints(evaluator, p_scan, evaluator(p_scan))
     edges = subdivide([0.0, *breakpoints, p_max], math.pi, 1)
     captured_norm, inner_entropy = density_integrals(edges, lambda p: evaluator(p) ** 2)
     tail_norm, tail_entropy = evaluator.tail.integrals(p_max)
@@ -449,24 +462,16 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
             f"momentum norm misses 1 by {defect:.1e} (captured {captured_norm:.9f}, "
             f"tail {tail_norm:.3e}); the tail model does not hold past p_max = {p_max:.6g}"
         )
-    return MomentumProfile(
-        state=state,
-        p_max=p_max,
-        captured_norm=captured_norm,
-        tail_norm=tail_norm,
-        inner_entropy=inner_entropy,
-        tail_entropy=tail_entropy,
-    )
+    return MomentumProfile(state=state, p_max=p_max, captured_norm=captured_norm,
+                           tail_norm=tail_norm, inner_entropy=inner_entropy,
+                           tail_entropy=tail_entropy)
 
 
 def sample_profile(state: Eigenstate, count: int) -> np.ndarray:
-    """Rows (p r0, density) of `state` on `count` points of [0, p_max].
-
-    70% of the points lie below the knee 2.5 Theta (below p_max), where
-    most of the density lies; the rest run on to p_max. The density is the
-    square of the amplitude `build_profile` integrates, interpolated from the
-    plan's table, so the count sets no Bessel work; no integral is taken.
-    """
+    """Rows (p r0, density) of `state` on `count` points of [0, p_max], 70% of
+    them below the knee 2.5 Theta, where most of the density lies. The density
+    is the square of the plan's interpolated amplitude, so the count sets no
+    Bessel work."""
     evaluator = _AmplitudeEvaluator(state)
     p_knee = 2.5 * state.theta
     n_near = int(0.7 * count)

@@ -32,7 +32,6 @@ __all__ = [
     "density_integrals",
     "integrate_adaptive",
     "integrate_oscillatory",
-    "rho_ln_rho",
     "smoothed_gauss_legendre",
     "subdivide",
 ]
@@ -220,14 +219,6 @@ def subdivide(edges, width: float, min_parts: int) -> np.ndarray:
     return np.asarray(out)
 
 
-_DENSITY_FLOOR = 1e-300  # 0 ln 0 := 0 guard
-
-
-def rho_ln_rho(rho: np.ndarray) -> np.ndarray:
-    """rho ln rho elementwise, with 0 ln 0 taken as 0."""
-    return np.where(rho > _DENSITY_FLOOR, rho * np.log(np.maximum(rho, _DENSITY_FLOOR)), 0.0)
-
-
 def density_integrals(edges, density: Callable) -> tuple[float, float]:
     """(2 pi int rho x dx, -2 pi int rho ln rho x dx) over the panels between edges.
 
@@ -236,7 +227,8 @@ def density_integrals(edges, density: Callable) -> tuple[float, float]:
     """
     x, weights = smoothed_gauss_legendre(edges)
     rho = np.asarray(density(x), dtype=float)
+    rho_log = np.where(rho > 1e-300, rho * np.log(np.maximum(rho, 1e-300)), 0.0)  # 0 ln 0 := 0
     return (
         2.0 * math.pi * float(np.sum(weights * rho * x)),
-        -2.0 * math.pi * float(np.sum(weights * rho_ln_rho(rho) * x)),
+        -2.0 * math.pi * float(np.sum(weights * rho_log * x)),
     )

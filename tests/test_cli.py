@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abtrap.cli import _settings, build_parser, main
+import abtrap.cli as cli_mod
+import abtrap.entropy as entropy_mod
+from abtrap.cli import _report_payload, _settings, build_parser, main
 from abtrap.entropy import EntropyReport, report
 from abtrap.eigen import QuantumNumbers, SystemParams
 from abtrap.errors import ConvergenceError, DomainError
@@ -65,6 +67,18 @@ class TestStateCommand:
         ]
         assert payload["satisfied"] is True
         assert payload["bbm_bound"] == 6.43419
+
+    def test_numpy_entropies_print_as_json(self, capsys, monkeypatch):
+        # a stage that hands back np.float64 made `satisfied` an np.bool_, which
+        # json cannot dump: `state` ended in a traceback and exit 1
+        rep = EntropyReport(SystemParams(), QuantumNumbers(0, 0), np.float64(1.0), np.float64(6.0))
+        assert type(rep.satisfied) is bool
+        assert json.loads(json.dumps(_report_payload(rep)))["satisfied"] is True
+        monkeypatch.setattr(entropy_mod, "shannon_position", lambda state: np.float64(1.5))
+        rep = entropy_mod.report(SystemParams(beta=0.2), QuantumNumbers(0, 0))
+        assert type(rep.s_r) is float and type(rep.s_p) is float
+        code, out, _ = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--beta", "0.2"])
+        assert code == 0 and json.loads(out)["S_r"] == 1.5
 
     def test_norm_defect_exits_3(self, capsys, monkeypatch):
         # a tail norm 1e-6 off leaves the norm short of 1 by that much; the
@@ -412,6 +426,29 @@ class TestDensityCommand:
             "error: density: bessel_j: order 59999.599999999999 needs a recurrence of "
             "120498 steps, more than 100000\n"
         )
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_blocked_output_equals_the_joined_text(self, capsys, monkeypatch, tmp_path, space):
+        # rows are formatted and written a block at a time: 512 rows, one block
+        # at the default size, are six blocks of 100, with the same bytes on
+        # stdout and in --out
+        argv = ["density", "--space", space, "--n", "1", "--l", "1", "--beta", "0.8"]
+        blocks = []
+        emit = cli_mod._emit
+
+        def counting(chunks, cfg):
+            chunks = list(chunks)
+            blocks.append(len(chunks))
+            emit(chunks, cfg)
+
+        monkeypatch.setattr(cli_mod, "_emit", counting)
+        code, joined, _ = run_cli(capsys, argv)
+        assert code == 0 and blocks == [1] and joined.count("\n") == 513
+        monkeypatch.setattr(cli_mod, "_CSV_BLOCK", 100)
+        assert run_cli(capsys, argv) == (0, joined, "")
+        out = tmp_path / "density.csv"
+        assert run_cli(capsys, [*argv, "--out", str(out)]) == (0, "", "")
+        assert out.read_bytes() == joined.encode() and blocks == [1, 6, 6]
 
     @pytest.mark.parametrize("space", ["position", "momentum"])
     def test_small_sample_count_exits_2(self, capsys, space):

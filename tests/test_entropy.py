@@ -99,7 +99,7 @@ class TestShannonMomentum:
         # nu = 0.01 gives the tail's origin term its slowest decay, so the
         # tail carries the most there; it runs to p = inf at any p_max, and
         # doubling p_max moves the split between the sampled profile and the
-        # exact-J_L near band of the tail
+        # tail's near band
         import abtrap.momentum as momentum_mod
 
         states = [

@@ -130,9 +130,11 @@ class TestProfile:
         # p_max = 10 (Theta + 20) / r0, and 290 082 with p_max = 5 (Theta + 20);
         # the count is deterministic, unlike a timing. It was 130 947 with p_max
         # from the tail's truncation error (72.9 here, 129.1 before) and the
-        # exact sum at every p; with phi tabulated once, it is 64 027: the
+        # exact sum at every p; with phi tabulated once, it was 64 027: the
         # table's 192 points times the 140 r-nodes, 26 880, and 37 147 J_L and
-        # J_{L+1} on the tail's near band
+        # J_{L+1} on the tail's near band. With that band cut to 8 p_max and
+        # taken from one Hankel phase, it is 27 044: the table's 26 880 and 164
+        # J_{L+1} at the McMahon zeros that place the near band's panels
         points = []
 
         def counting(nu, x):
@@ -141,7 +143,7 @@ class TestProfile:
 
         monkeypatch.setattr(momentum_mod, "bessel_j", counting)
         build_profile(solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0)))
-        assert sum(points) <= 64_027
+        assert sum(points) <= 27_044
 
     def test_samples_sorted_and_consistent(self, ground_beta0):
         st, prof = ground_beta0
@@ -165,7 +167,7 @@ class TestProfile:
         # only, whatever the sample count: 192 table points times the 140
         # r-nodes, 26 880 Bessel points on (1,1,0.8) (573 440 at 4096 samples
         # when each sample took the exact sum); building the profile as well
-        # would add about 37 000
+        # would add 164, at the McMahon zeros of the tail's near band
         points = []
 
         def counting(nu, x):
@@ -442,18 +444,40 @@ class TestTailModel:
         ps = np.linspace(0.9 * amplitude.p_max, amplitude.p_max, 200)
         assert np.max(np.abs(amplitude(ps) - amplitude.tail(ps))) <= 1e-11
 
-    @pytest.mark.parametrize("n, l, beta", [(1, 1, 0.8), (2, 1, 0.8), (0, 1, 0.99)])
-    def test_tail_converged_in_near_band(self, monkeypatch, n, l, beta):
-        # past the near band the tail is period-averaged; doubling the band
-        # moves its norm and entropy by 1.3e-13 and 3.5e-12 at most here
+    @pytest.mark.parametrize("n, l, beta", [
+        (1, 1, 0.8), (2, 1, 0.8), (0, 1, 0.99), (0, 0, 0.2), (0, 140, 0.5),
+    ])
+    def test_tail_matches_a_far_start(self, monkeypatch, n, l, beta):
+        # the far band from 8 p_max, with its end terms, against a start at
+        # 160 p_max: within 7.7e-16 and 3.5e-17 here (up to 7.9e-13 and 4.0e-14
+        # with the first two end terms alone, at (0,0,0.2)). At (0,140,0.5) 8 p_max lies below
+        # Hankel's cutoff for J_141, where the far band's phase form fails: the
+        # band reaches past that cutoff (off by 1.7e-7 when it stopped at 8 p_max)
         st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
         tail = _Tail(st)
         norm, entropy = tail.integrals(_p_max(tail))
-        monkeypatch.setattr(momentum_mod, "_NEAR_BAND", 2.0 * momentum_mod._NEAR_BAND)
-        wide_norm, wide_entropy = tail.integrals(_p_max(tail))
-        assert norm == pytest.approx(wide_norm, abs=1e-11)
-        assert entropy == pytest.approx(wide_entropy, abs=1e-11)
+        monkeypatch.setattr(momentum_mod, "_NEAR_BAND", 160.0)
+        far_norm, far_entropy = tail.integrals(_p_max(tail))
+        assert abs(norm - far_norm) <= 1e-13
+        assert abs(entropy - far_entropy) <= 1e-12
 
+    @pytest.mark.parametrize("o, r, tol", [
+        (1.3, 1.0, 1e-14), (-0.4, 1.0, 1e-11), (1.0, 1.0, 1e-14), (-0.7, 0.0, 1e-14),
+        (0.0, 0.8, 1e-9),
+    ])
+    def test_phase_harmonics_in_closed_form(self, o, r, tol):
+        # the means and first harmonics of rho = u^2 and rho ln rho, u = o + r cos theta,
+        # against a 4096-node midpoint sum; where u has simple zeros (|o| < r) the
+        # sum's own error is set by the cusps of rho ln rho there, 2.3e-12 and
+        # 1.3e-10 (3.3e-14 at 65 536 nodes), and elsewhere it is below 4e-15
+        theta = 2.0 * math.pi * (np.arange(4096) + 0.5) / 4096
+        rho = (o + r * np.cos(theta)) ** 2
+        rho_log = np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
+        cosines = np.cos(np.multiply.outer(np.arange(6), theta))
+        expect = np.stack([cosines @ rho, cosines @ rho_log]) / 4096
+        expect[:, 1:] *= 2.0
+        closed = momentum_mod._phase_harmonics(np.array([o]), np.array([r]), 6)[0]
+        assert np.max(np.abs(closed - expect)) <= tol
 
 class TestPhaseIndependence:
     def test_symmetric_when_beta_k_zero(self):
