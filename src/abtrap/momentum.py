@@ -44,15 +44,9 @@ which vanish at beta = 0, where nu = L. The wall terms come from Green's
 identity for the Bessel operator B f = -(1/x)(x f')' + L^2 f / x^2 (Watson
 sec. 5.11; Wong, Asymptotic Approximations of Integrals, ch. II): since
 B J_L(p x) = p^2 J_L(p x), each pass moves B onto f_m, with f_0 = R and
-f_{m+1} = B f_m. R solves R'' = -R' / x - (Theta^2 - nu^2 / x^2) R, so each
-f_m is a R + b R' with a and b polynomials in 1 / x, B acts on their
-coefficients, and one loop, `_green_passes`, gives f_m(1) and f_m'(1) for
-any m. With s = R'(1) = -a0 Theta J_{nu+1}(Theta), c = L^2 - nu^2 and
-g0 = Theta^2 + c,
-
-    f_0(1) = f_1(1) = 0,      f_0'(1) = s,   f_1'(1) = g0 s,
-    f_2(1) = 4 c s,           f_2'(1) = (g0^2 - 20 c) s,
-    f_3(1) = 12 c s (g0 - 8), f_3'(1) = s [g0^3 - 84 c g0 + (640 + 32 L^2 - 40 c) c].
+f_{m+1} = B f_m. Their wall values f_m(1), f_m'(1) are polynomials in
+c = L^2 - nu^2 and Theta^2 times R'(1) = -a0 Theta J_{nu+1}(Theta), tabled
+in closed form by `_wall_values`.
 
 The series runs in (Theta^2 + |c|) / p^2, not in Hankel's L^2 / p, because
 J_L(p) and J_{L+1}(p) are kept exact. The first terms left out, j = m = 4,
@@ -95,7 +89,8 @@ _END_STENCIL = np.array([[0.0, 0.0, -1.0, 0.0, 0.0], [1 / 12, -2 / 3, 0.0, 2 / 3
                          [0.0, -1.0, 2.0, -1.0, 0.0], [-0.5, 1.0, 0.0, -1.0, 0.5]])
 # build_profile fails when the norm misses 1 by more than this
 _NORM_DEFECT = 1e-7
-# the tail model keeps the origin terms j <= _ORDER and the Green passes m <= _ORDER
+# the tail model keeps the origin terms j <= _ORDER and the Green passes m <= _ORDER;
+# `_wall_values` tables the passes m <= _ORDER + 1, so it fixes _ORDER at 3
 _ORDER = 3
 # p_max is where the terms the tail model leaves out move the entropy past it by
 # this much; it is sought on p = Theta e^u, u < _LOG_SPAN in steps of _LOG_STEP
@@ -207,38 +202,25 @@ def _origin_term(order: int, nu: float, j: int, a0: float) -> float:
     return sign * 2.0 * a0 * math.exp(log_ratio)
 
 
-def _times_y(c: np.ndarray, power: int = 1) -> np.ndarray:
-    """The polynomial in y with coefficients `c` (lowest first), times y^power."""
-    return np.concatenate([np.zeros(power), c[:-power]])
+def _wall_values(order: int, nu: float, theta: float) -> np.ndarray:
+    """(f_m(1), f_m'(1)) / R'(1), m <= _ORDER + 1, in c = L^2 - nu^2 and g = Theta^2 + c.
 
-
-def _green_passes(order: int, nu: float, theta: float, count: int) -> np.ndarray:
-    """(f_m(1), f_m'(1)) / R'(1) for m < count, with f_0 = R and f_{m+1} = B f_m.
-
-    Each f_m is a R + b R', a and b polynomials in y = 1 / x, since
-    R'' = -R' / x - (Theta^2 - nu^2 y^2) R and d/dx = -y^2 d/dy; B acts on
-    the pair (a, b). At the wall R = 0, so f_m(1) = b(1) R'(1), and f_m'(1)
-    is the R' part of f_m' at y = 1.
+    Green's passes take f_0 = R and f_{m+1} = B f_m; with R(1) = 0 and
+    R'' = -R' / x - (Theta^2 - nu^2 / x^2) R each f_m is a R + b R', a and b
+    polynomials in 1 / x, and the rows are b(1) and the R' part of f_m' there.
     """
-    size = 2 * count + 2
-    degree = np.arange(size)
-
-    def d_dx(c):
-        return -_times_y(degree * c)
-
-    def times_q(c):  # times Theta^2 - nu^2 y^2
-        return theta * theta * c - nu * nu * _times_y(c, 2)
-
-    a, b = np.eye(1, size)[0], np.zeros(size)  # f_0 = R
-    values = []
-    for _ in range(count):
-        # f_m' = da R + db R'
-        da, db = d_dx(a) - times_q(b), a + d_dx(b) - _times_y(b)
-        values.append((b.sum(), db.sum()))
-        # f_{m+1} = -f_m'' - f_m' / x + L^2 f_m / x^2
-        a, b = (-d_dx(da) + times_q(db) - _times_y(da) + order**2 * _times_y(a, 2),
-                -da - d_dx(db) + order**2 * _times_y(b, 2))
-    return np.array(values)
+    ell = order * order
+    c = (order - nu) * (order + nu)
+    g = theta * theta + c
+    return np.array([
+        (0.0, 1.0),
+        (0.0, g),
+        (4.0 * c, g * g - 20.0 * c),
+        (12.0 * c * (g - 8.0), g**3 - 84.0 * c * g + (640.0 + 32.0 * ell - 40.0 * c) * c),
+        (24.0 * c * (g * g - 24.0 * g + 16.0 * ell - 24.0 * c + 176.0),
+         g**4 + c * (48.0 * ell * c + 128.0 * ell * g - 5376.0 * ell - 208.0 * c * g
+                     + 7248.0 * c - 216.0 * g * g + 5056.0 * g - 36096.0)),
+    ])
 
 
 class _Tail:
@@ -248,8 +230,8 @@ class _Tail:
         + sum_{m<=M} p^-2(m+1) [W_m J_L(p) + V_m p J_{L+1}(p)],   M = _ORDER.
 
     `origin` holds E_j, `green` the rows (W_m) and (V_m) of the wall part:
-    W_m = f_m'(1) - L f_m(1) and V_m = f_m(1), by the recurrence of
-    `_green_passes`. The terms j = M + 1 and m = M + 1, the first left out,
+    W_m = f_m'(1) - L f_m(1) and V_m = f_m(1), from the table of
+    `_wall_values`. The terms j = M + 1 and m = M + 1, the first left out,
     are kept for `truncation`.
     """
 
@@ -261,7 +243,7 @@ class _Tail:
         # R'(1) = -a0 Theta J_{nu+1}(Theta), where |a0 J_{nu+1}(Theta)| = 1 / sqrt(pi)
         # by the normalization, and R changes sign n times before the wall
         slope = -(-1.0) ** state.qn.n * theta / math.sqrt(math.pi)
-        value, deriv = slope * _green_passes(order, nu, theta, _ORDER + 2).T
+        value, deriv = slope * _wall_values(order, nu, theta).T
         green = np.array([deriv - order * value, value])
         self.green, self._next_green = green[:, :-1], green[:, -1]
 

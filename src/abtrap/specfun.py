@@ -118,10 +118,14 @@ def hankel_pq(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hankel's P, Q: J_nu(x) = sqrt(2 / (pi x)) (P cos w - Q sin w), w = x - (nu/2 + 1/4) pi.
 
     P and x Q are polynomials in 1/x^2, summed by Horner's rule up to the
-    smallest term at the smallest x (the series is asymptotic).
+    smallest term at the smallest x (the series is asymptotic). It holds for
+    x >= asymptotic_cutoff(nu); below it raises ConvergenceError.
     """
     mu = 4.0 * nu * nu
     xmin = float(np.min(x))
+    if not xmin >= asymptotic_cutoff(nu):  # a NaN fails too
+        raise ConvergenceError(f"hankel_pq: x = {xmin!r} lies below Hankel's range "
+                               f"x >= {asymptotic_cutoff(nu):.6g} at nu={nu}")
     a = [1.0]
     scaled_prev = 1.0
     for j in range(1, 40):

@@ -5,8 +5,9 @@ values come from a high-precision power series evaluated with mpmath
 arbitrary precision arithmetic (and zeros from bisection on that series),
 brute-force integrals from a plain
 midpoint rule on numpy arrays, the exact beta = 0 momentum entropy from the
-Lommel closed form with scipy Bessel values, and the position entropy from
-mpmath zeros, Bessel values and quadrature.
+Lommel closed form with scipy Bessel values, the position entropy from
+mpmath zeros, Bessel values and quadrature, and the momentum tail's wall
+terms from mpmath's Taylor series of the radial wavefunction at the wall.
 
 The reference paths reuse the package's special functions, radial nodes and
 adaptive quadrature, but not its fixed-grid rules: the Bessel derivative, the
@@ -196,6 +197,37 @@ def lommel_momentum_entropy(order: int, theta: float) -> float:
     the unit box: the `lommel_transverse` entropy plus S_z = ln 2 pi + 2 (1 - gamma)."""
     transverse = lommel_transverse(order, theta)[1]
     return transverse + math.log(2.0 * math.pi) + 2.0 * (1.0 - float(np.euler_gamma))
+
+
+def green_wall_terms(nu: float, n: int, order: int, count: int = 5, dps: int = 40) -> np.ndarray:
+    """Rows (W_m) and (V_m), m < count, of the momentum tail's wall part.
+
+    W_m = f_m'(1) - L f_m(1) and V_m = f_m(1), L = `order`, where f_0 = R and
+    f_{m+1} = B f_m = -f_m'' - f_m' / x + L^2 f_m / x^2. R = a0 J_nu(Theta x)
+    is a Taylor series in t = x - 1 from mpmath's derivatives of J_nu at its
+    (n+1)-th zero Theta, with a0 = 1 / (sqrt(pi) |J_{nu+1}(Theta)|); B acts on
+    it with 1 / x = sum_k (-t)^k, and each pass leaves two fewer exact degrees.
+    """
+    size = 2 * count
+    with mp.workdps(dps):
+        nu = mp.mpf(nu)
+        theta = mp.besseljzero(nu, n + 1)
+        a0 = 1 / (mp.sqrt(mp.pi) * abs(mp.besselj(nu + 1, theta)))
+        f = [a0 * mp.besselj(nu, theta, derivative=k) * theta**k / mp.factorial(k)
+             for k in range(size)]
+
+        def over_x(c):
+            return [mp.fsum((-1) ** (k - i) * c[i] for i in range(k + 1)) for k in range(size)]
+
+        def d_dt(c):
+            return [(k + 1) * c[k + 1] for k in range(size - 1)] + [mp.mpf(0)]
+
+        rows = []
+        for _ in range(count):
+            rows.append((f[1] - order * f[0], f[0]))
+            df = d_dt(f)
+            f = [-a - b + order**2 * c for a, b, c in zip(d_dt(df), over_x(df), over_x(over_x(f)))]
+        return np.array(rows, dtype=float).T
 
 
 def radial_norm_adaptive(state, tol: float = 1e-12) -> float:

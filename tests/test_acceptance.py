@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured numbers once its assertions hold."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -25,6 +26,10 @@ SLACK = 1e-9
 REFERENCE_TABLE = Path(__file__).parent / "data" / "table_compare_reference.csv"
 # `abtrap table --betas 0 0.2 0.4 0.8`, byte for byte
 FOUR_BETA_TABLE = Path(__file__).parent / "data" / "table_four_betas.csv"
+# `abtrap state` rows of wide states, one JSON line each, byte for byte
+WIDE_STATES = Path(__file__).parent / "data" / "state_wide.jsonl"
+# sha256 of `abtrap density --space momentum --samples 4096` on the bench's six states
+DENSITY_HASHES = Path(__file__).parent / "data" / "density_momentum_sha256.json"
 
 
 def test_criterion_1_bbm_bound(grid_pipelines):
@@ -221,6 +226,30 @@ class TestCriterion8CLI:
         assert len(out.splitlines()) == 37
         assert out.encode("utf-8") == FOUR_BETA_TABLE.read_bytes()
         print("ACCEPTANCE 8d PASS: table --betas 0 0.2 0.4 0.8 prints the pinned 36 rows")
+
+    def test_wide_state_rows_pinned(self, capsys):
+        # states past the pinned tables' grid: large n, nu near 0, and large |l|,
+        # where p_max lies below Hankel's cutoff for J_{L+1} and the tail runs
+        # bessel_j, or |c| = |L^2 - nu^2| reaches 280 in the wall terms
+        rows = WIDE_STATES.read_text(encoding="utf-8").splitlines(keepends=True)
+        for row in rows:
+            state = json.loads(row)
+            argv = ["state"]
+            for key in ("n", "l", "k", "beta"):
+                argv += [f"--{key}", repr(state[key])]
+            code = cli_main(argv)
+            assert (code, capsys.readouterr().out) == (0, row)
+        print(f"ACCEPTANCE 8e PASS: {len(rows)} wide state rows print the pinned bytes")
+
+    def test_momentum_densities_pinned(self, capsys):
+        # the printed CSV moves if p_max, and so the table's nodes, moves by an ulp
+        pins = json.loads(DENSITY_HASHES.read_text(encoding="utf-8"))
+        for pin in pins:
+            code = cli_main(["density", "--space", "momentum", "--n", str(pin["n"]),
+                             "--l", str(pin["l"]), "--beta", repr(pin["beta"]), "--samples", "4096"])
+            digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+            assert (code, digest) == (0, pin["sha256"]), pin
+        print(f"ACCEPTANCE 8f PASS: {len(pins)} momentum density CSVs hash as pinned")
 
     def test_byte_stability(self, capsys):
         code1 = cli_main(["table", "--betas", "0.2", "--compare-reference"])

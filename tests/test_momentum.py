@@ -19,6 +19,7 @@ from abtrap.quadrature import integrate_adaptive
 from abtrap.specfun import bessel_j
 
 from oracles import (
+    green_wall_terms,
     lommel_transverse,
     midpoint,
     momentum_density,
@@ -392,35 +393,25 @@ class TestTailModel:
         np.testing.assert_allclose(tail.green, green, rtol=1e-12, atol=0)
 
     def test_green_terms_match_bessel_operator(self):
-        # f_0 = R, f_1 = B R = g R and f_{m+1} = B f_m = -f_m'' - f_m' / x + L^2 f_m / x^2,
-        # each pass by mpmath derivatives of the one before, through f_3 at the
-        # wall x = 1; with p J_L'(p) = L J_L(p) - p J_{L+1}(p), the m-th pass gives
-        # p^-2(m+1) [(f_m' - L f_m) J_L + f_m p J_{L+1}]
-        import mpmath as mp
-
-        for n, l, beta in ((1, -3, 0.5), (0, 2, 0.8), (2, 5, 0.3)):
-            st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
-            order = abs(l)
-            with mp.workdps(25):
-                nu, a = mp.mpf(st.nu), mp.mpf(st.theta)
-                rad = lambda x: st.a0 * mp.besselj(nu, a * x)  # noqa: E731
-                passes = [rad, lambda x: (a**2 + (order**2 - nu**2) / x**2) * rad(x)]
-                for _ in range(2):
-                    passes.append(
-                        lambda x, f=passes[-1]: (
-                            -mp.diff(f, x, 2) - mp.diff(f, x) / x + order**2 * f(x) / x**2
-                        )
-                    )
-                value = [f(1) for f in passes]
-                slope = [mp.diff(f, 1) for f in passes]
-            expect = np.array([[float(d - order * v) for v, d in zip(value, slope)],
-                               [float(v) for v in value]])
-            green = _Tail(st).green
-            # f_0(1) = f_1(1) = 0 exactly in the model, and to Theta's rounding here
-            np.testing.assert_allclose(green[0], expect[0], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(green[1, 2:], expect[1, 2:], rtol=1e-12, atol=0)
-            assert np.all(green[1, :2] == 0.0)
-            assert np.all(np.abs(expect[1, :2]) <= 1e-12 * np.abs(expect[0, :2]))
+        # f_0 = R and f_{m+1} = B f_m = -f_m'' - f_m' / x + L^2 f_m / x^2, each pass
+        # applied to mpmath's Taylor series of R at the wall x = 1; with
+        # p J_L'(p) = L J_L(p) - p J_{L+1}(p), the m-th pass gives
+        # p^-2(m+1) [(f_m' - L f_m) J_L + f_m p J_{L+1}]. Rows m <= 3 and the
+        # first left out, m = 4, within 3.4e-15 here
+        for n, l, beta, k in ((1, -3, 0.5, 1.0), (0, 2, 0.8, 1.0), (2, 5, 0.3, 1.0),
+                              (0, 20, 0.5, 1.0), (1, 30, 0.9, 33.27777777777778),
+                              (10, 10, 0.95, -10.0), (0, 1, 0.99, 1.0), (2, -2, 0.0, 1.0)):
+            st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, k))
+            tail = _Tail(st)
+            green = np.column_stack([tail.green, tail._next_green])
+            expect = green_wall_terms(st.nu, n, abs(l))
+            np.testing.assert_allclose(green[0], expect[0], rtol=1e-14, atol=0)
+            # V_m = f_m(1) vanishes exactly in the model for m <= 1, and for every m
+            # at beta = 0, where c = L^2 - nu^2 = 0; the series has R(1) = 0 to 40 digits
+            zero = green[1] == 0.0
+            assert np.count_nonzero(zero) == (5 if beta == 0.0 else 2) and np.all(zero[:2])
+            np.testing.assert_allclose(green[1, ~zero], expect[1, ~zero], rtol=1e-14, atol=0)
+            assert np.all(np.abs(expect[1, zero]) <= 1e-30 * np.abs(expect[0, zero]))
 
     def test_residual_falls_at_ninth_order(self):
         # the first terms left out fall as p^-19/2 (wall) and p^-(nu+10)

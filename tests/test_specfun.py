@@ -177,6 +177,15 @@ class TestHankelPQ:
         np.testing.assert_allclose(s * (p * np.sin(w) + q * np.cos(w)), y_ref, rtol=0, atol=1e-13)
 
 
+    @pytest.mark.parametrize("nu, x", [(160.0, 10156.46), (0.0, 15.9)])
+    def test_below_the_cutoff_raises(self, nu, x):
+        # below asymptotic_cutoff the series grows from its first term, which
+        # alone gave a J_160(10156.46) 6.0e-3 off where |J| <= 7.9e-3
+        xs = np.array([x, 2.0 * asymptotic_cutoff(nu)])
+        with pytest.raises(ConvergenceError, match=f"x = {x!r} .* at nu={nu}"):
+            hankel_pq(nu, xs)
+
+
 class TestBesselJPrime:
     def test_small_x_leading_term(self):
         # J_0'(x) = -J_1(x) ~ -x/2 for small x
