@@ -13,7 +13,6 @@ endings, so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -77,7 +76,7 @@ def _read_config(path: str) -> dict:
         if not isinstance(raw.get(key, {}), dict):
             raise DomainError(f"--config: '{key}' must be an object")
         flat.update((f"{key}.{name}", value) for name, value in raw.get(key, {}).items())
-    unknown = set(flat) - set(_FIELDS)
+    unknown = set(flat) - set(_FIELDS) | set(raw) - {"grid", "betas", "params", "output"}
     if unknown:
         raise DomainError(f"--config: unknown field(s) {sorted(unknown)} in {path!r}")
     for key in ("grid", "betas"):
@@ -257,10 +256,10 @@ def cmd_density(args) -> int:
             coords, dens = xs / r0, r0 * (2.0 * math.pi * rho * xs)
     if not (np.isfinite(coords).all() and np.isfinite(dens).all()):
         raise ConvergenceError(f"density: r0 = {r0!r} overflows the profile", stage="density")
-    rows = (f"{_fmt(x)},{_fmt(d)}\n" for x, d in zip(coords, dens))
     # formatted and written _CSV_BLOCK rows at a time, the header with the first
-    _emit((("" if start else "coordinate,density\n") + "".join(itertools.islice(rows, _CSV_BLOCK))
-           for start in range(0, coords.size, _CSV_BLOCK)), cfg)
+    _emit((("" if i else "coordinate,density\n") + "".join(map("{:.5f},{:.5f}\n".format,
+           coords[i:i + _CSV_BLOCK].tolist(), dens[i:i + _CSV_BLOCK].tolist()))
+           for i in range(0, coords.size, _CSV_BLOCK)), cfg)
     return 0
 
 

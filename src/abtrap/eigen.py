@@ -121,15 +121,12 @@ class Eigenstate:
         return t * t / (2.0 * m) + k * k / (2.0 * m)
 
     def radial_wavefunction(self, x):
-        """R(x) = a0 J_nu(Theta x) inside the wall x < 1, 0 at and beyond it."""
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        xs = np.atleast_1d(arr)
-        inside = xs < 1.0
-        out = np.zeros_like(xs)
-        if np.any(inside):
-            out[inside] = self.a0 * bessel_j(self.nu, self.theta * xs[inside])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        """R(x) = a0 J_nu(Theta x) inside the wall x < 1, 0 at and beyond it.
+
+        An array x keeps its shape, a scalar gives a numpy float64; a NaN is refused.
+        """
+        wave = self.a0 * bessel_j(self.nu, self.theta * np.minimum(x, 1.0, dtype=float))
+        return np.where(np.less(x, 1.0), wave, 0.0)[()]
 
     def radial_nodes(self) -> list[float]:
         """The x in (0, 1) where R changes sign: the first n zeros of J_nu over Theta."""

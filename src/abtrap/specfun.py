@@ -248,7 +248,7 @@ def _bessel_j_array(nu: float, x: np.ndarray) -> np.ndarray:
 def bessel_j(nu: float, x):
     """Bessel function of the first kind, real order nu >= 0, argument x >= 0.
 
-    Accepts a scalar or a numpy array for x.
+    An array x keeps its shape, a scalar gives a numpy float64; a NaN is refused.
     """
     nu = _check_order(nu)
     arr = np.asarray(x, dtype=float)
@@ -256,9 +256,7 @@ def bessel_j(nu: float, x):
         raise DomainError("bessel_j requires finite x")
     if np.any(arr < 0.0):
         raise DomainError("bessel_j is restricted to x >= 0")
-    scalar = arr.ndim == 0
-    vals = _bessel_j_array(nu, np.atleast_1d(arr))
-    return float(vals[0]) if scalar else vals.reshape(arr.shape)
+    return _bessel_j_array(nu, np.atleast_1d(arr)).reshape(arr.shape)[()]
 
 
 def mcmahon_zero(nu: float, j):
@@ -313,7 +311,7 @@ def bessel_zero(nu: float, j: int) -> float:
     below 1e-15 max(1, x).
     """
     nu = _check_order(nu)
-    if not isinstance(j, (int, np.integer)) or j < 1:
+    if not isinstance(j, (int, np.integer)) or isinstance(j, bool) or j < 1:
         raise DomainError(f"zero index must be a positive integer, got {j!r}")
     j = int(j)
 

@@ -593,6 +593,11 @@ class TestConfig:
             ('{"betas": [1.5]}', "betas"),
             ("{}", "--out"),  # written to a directory that does not exist
             ('{"output": {"formt": "json"}}', "output.formt"),
+            ('{"params.beta": 0.3}', "params.beta"),  # a dotted top-level key
+            ("[0.2]", "top level"),
+            ('{"params": 3}', "'params' must be an object"),
+            ('{"betas": []}', "'betas' must be a non-empty list"),
+            ('{"grid": [{"n": 0}]}', "entries need 'n' and 'l'"),
             # an int past the float range once exited 3 on an OverflowError
             pytest.param(f'{{"params": {{"k": {HUGE_INT}}}}}', "params.k", id="huge-k"),
             pytest.param(f'{{"betas": [{HUGE_INT}]}}', "betas", id="huge-beta"),

@@ -223,6 +223,27 @@ class TestPositionDensity:
         st = solve(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
         assert st.position_density(1.7) == 0.0
 
+    def test_nan_raises(self):
+        st = solve(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
+        with pytest.raises(DomainError):
+            st.radial_wavefunction(math.nan)
+        with pytest.raises(DomainError):
+            st.position_density(np.array([0.5, math.nan]))
+
+    def test_scalar_matches_one_element_array(self):
+        st = solve(SystemParams(beta=0.4), QuantumNumbers(1, -1, 1.0))
+        for x in (0.0, 0.3, 0.999, 1.0, 2.5):
+            value = st.radial_wavefunction(x)
+            assert isinstance(value, float)
+            assert value == st.radial_wavefunction(np.array([x]))[0]
+
+    def test_array_keeps_its_shape(self):
+        st = solve(SystemParams(beta=0.2), QuantumNumbers(0, 1, 1.0))
+        xs = np.linspace(0.0, 1.5, 12).reshape(3, 4)
+        dens = st.position_density(xs)
+        assert dens.shape == (3, 4)
+        assert np.array_equal(dens.ravel(), st.position_density(xs.ravel()))
+
     def test_zero_at_origin_for_nonzero_order(self):
         st = solve(SystemParams(beta=0.2), QuantumNumbers(0, 1, 1.0))
         assert st.position_density(0.0) == 0.0

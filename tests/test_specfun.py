@@ -297,3 +297,5 @@ class TestBesselZero:
             bessel_zero(0.0, -3)
         with pytest.raises(DomainError):
             bessel_zero(0.0, 1.5)
+        with pytest.raises(DomainError):
+            bessel_zero(0.0, True)  # a bool is not taken for index 1

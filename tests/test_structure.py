@@ -6,6 +6,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 import abtrap
 import abtrap.cli
 
@@ -81,6 +83,15 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("folder", ["src/abtrap", "tests", "bench"])
+def test_python_3_10_grammar(folder):
+    # pyproject.toml allows 3.10, so syntax new in 3.11 (such as except*) is refused here
+    paths = sorted((ROOT / folder).glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_bench_tracer_finds_every_name_it_wraps():
