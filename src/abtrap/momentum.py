@@ -19,11 +19,12 @@ Each state has one plan, `_AmplitudeEvaluator`: it builds the state's tail
 model, `_Tail`, fixes p_max from it once, and tabulates phi on [0, p_max];
 `build_profile` and `sample_profile` read all three from there. The exact phi
 is one weighted sum of `smoothed_gauss_legendre` over fixed x-nodes, on panels
-two oscillations of J_L(p_max x) wide; it runs once per plan, on Chebyshev
-panels 3 pi wide or less, and every other value is a panel's barycentric
-interpolant (Berrut and Trefethen, SIAM Rev. 46 (2004) 501): phi is entire
-of exponential type 1, since R lives on [0, 1]. So p_max and the radial grid
-set the Bessel work, not how many points of phi are asked for. On [0, p_max]
+two oscillations of J_L(p_max x) wide; it runs once per plan, at the
+Chebyshev points of equal panels about 3 sqrt(p_max) wide, and every other
+value is a panel's barycentric interpolant (Berrut and Trefethen, SIAM Rev.
+46 (2004) 501): phi is entire of exponential type 1, since R lives on [0, 1],
+so a panel w wide needs about w / 2 points. So p_max and the radial grid set
+the Bessel work, not how many points of phi are asked for. On [0, p_max]
 a scan of 8 points per pi brackets the amplitude's sign changes, and regula
 falsi puts each on its root. One batch of p-nodes, split there and cut to
 panels no wider than pi, gives the captured norm and the transverse entropy
@@ -97,12 +98,10 @@ _ORDER = 3
 _TAIL_TOL = 1e-11
 _LOG_SPAN = 12.0
 _LOG_STEP = 1.0 / 32.0
-# phi is tabulated on equal panels of [0, p_max] no wider than _TABLE_WIDTH, at
-# the Chebyshev points of the second kind _CHEB_NODES (on [-1, 1]), and
-# interpolated with the barycentric weights _CHEB_WEIGHTS
-_TABLE_WIDTH = 3.0 * math.pi
-_CHEB_NODES = -np.cos(math.pi * np.arange(24) / 23)
-_CHEB_WEIGHTS = (-1.0) ** np.arange(24) * np.r_[0.5, np.ones(22), 0.5]
+# phi is tabulated on equal panels of [0, p_max] no wider than _PANEL_SCALE sqrt(p_max)
+_PANEL_SCALE = 3.0
+# the radial nodes whose weight |w R(x) x| is below this share of the largest are dropped
+_NODE_FLOOR = 1e-18
 # array elements per slice of a batch, in the exact sum and in the interpolation
 _SLICE_ELEMENTS = 200_000
 
@@ -115,11 +114,20 @@ class _AmplitudeEvaluator:
     s^(2 nu+2 L+3) at the origin; for L = 0 and 0 < nu < 1/2 that power is
     fractional and below 4, and the first panel is cut at 1/16 and 1/4 of its
     width: phi is then within 3e-13 of a four times finer grid for p <= p_max
-    (4e-12 at (0,0,0.2) without the cuts). The table holds the sum at the 24
-    Chebyshev points of the second kind of ceil(p_max / 3 pi) equal panels,
-    with barycentric weights (-1)^j halved at both ends; the interpolant is
-    within 2.8e-15 of `_block` on 5003 points of [0, p_max], on the 36 rows of
-    `abtrap table --betas 0 0.2 0.4 0.8` and eight wide states.
+    (4e-12 at (0,0,0.2) without the cuts). Nodes whose weight |w R(x) x| is
+    below _NODE_FLOOR of the largest, where R is evanescent (Theta x < nu),
+    are dropped: (0,160,0.5) keeps 798 of 2040. The table holds the sum at the
+    Chebyshev points of the second kind of ceil(sqrt(p_max) / _PANEL_SCALE)
+    equal panels. The sum costs table points times radial nodes, both about
+    proportional to p_max, and the interpolant the points per panel, so the
+    width w grows as sqrt(p_max). On a panel phi's Chebyshev coefficients are
+    2 i^k J_k(w / 2) times a phase (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 8), so it takes z + 6 z^(1/3) + 10 points,
+    z = w / 2, with the margin of J_k's transition region: 36 on each of the
+    three panels at (1,1,0.8). The interpolant, with barycentric weights
+    (-1)^j halved at both ends, is within 3.1e-15 of `_block` on 5003 points
+    of [0, p_max], on the 36 rows of `abtrap table --betas 0 0.2 0.4 0.8` and
+    ten wide states, (100,0,0.5) and (0,160,0.5) among them.
     """
 
     def __init__(self, state: Eigenstate):
@@ -128,12 +136,18 @@ class _AmplitudeEvaluator:
         edges = subdivide([0.0, *state.radial_nodes(), 1.0], 4.0 * math.pi / self.p_max, 1)
         if state.qn.l == 0 and 0.0 < state.nu < 0.5:
             edges = np.concatenate([[0.0], edges[1] / np.array([16.0, 4.0]), edges[1:]])
-        self._nodes, weights = smoothed_gauss_legendre(edges)
-        self._weighted = weights * state.radial_wavefunction(self._nodes) * self._nodes
-        panels = math.ceil(self.p_max / _TABLE_WIDTH)
+        nodes, weights = smoothed_gauss_legendre(edges)
+        weighted = weights * state.radial_wavefunction(nodes) * nodes
+        keep = np.abs(weighted) >= _NODE_FLOOR * np.max(np.abs(weighted))
+        self._nodes, self._weighted = nodes[keep], weighted[keep]
+        panels = math.ceil(math.sqrt(self.p_max) / _PANEL_SCALE)
         self._width = self.p_max / panels
+        z = 0.5 * self._width
+        count = math.ceil(z + 6.0 * z ** (1.0 / 3.0) + 10.0)
+        self._cheb = -np.cos(math.pi * np.arange(count) / (count - 1))
+        self._bary = (-1.0) ** np.arange(count) * np.r_[0.5, np.ones(count - 2), 0.5]
         # row j holds phi at node j of every panel
-        table_p = self._width * (np.arange(panels) + 0.5 * (_CHEB_NODES[:, None] + 1.0))
+        table_p = self._width * (np.arange(panels) + 0.5 * (self._cheb[:, None] + 1.0))
         self._table = self._block(table_p.ravel()).reshape(table_p.shape)
 
     def _block(self, p: np.ndarray) -> np.ndarray:
@@ -152,10 +166,10 @@ class _AmplitudeEvaluator:
             s = p / self._width
             panel = np.minimum(s.astype(np.intp), self._table.shape[1] - 1)
             # q = w_j / (t - t_j) at the panel coordinate t in [-1, 1], in place
-            q = 2.0 * (s - panel) - 1.0 - _CHEB_NODES[:, None]
+            q = 2.0 * (s - panel) - 1.0 - self._cheb[:, None]
             node, point = np.nonzero(q == 0.0)
             q[node, point] = 1.0
-            np.divide(_CHEB_WEIGHTS[:, None], q, out=q)
+            np.divide(self._bary[:, None], q, out=q)
             values = self._table[:, panel]
             hits = values[node, point]
             total = q.sum(axis=0)
@@ -164,7 +178,7 @@ class _AmplitudeEvaluator:
             phi[point] = hits  # p on a node: the table value
             return phi
 
-        return _in_slices(rows, p, _CHEB_NODES.size)
+        return _in_slices(rows, p, self._cheb.size)
 
 
 def _in_slices(rows, p: np.ndarray, width: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 import abtrap.momentum as momentum_mod
 from abtrap import cli
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
+from abtrap.entropy import shannon_momentum
 from abtrap.errors import DomainError
 from abtrap.momentum import (
     _AmplitudeEvaluator,
@@ -93,10 +94,13 @@ class TestProfile:
 
     @pytest.mark.parametrize("n, l, beta", [
         (0, 0, 0.0), (1, 1, 0.8), (2, -2, 0.4), (0, 1, 0.99), (0, 20, 0.5), (5, 30, 0.5),
+        (10, 0, 0.5),
     ])
     def test_table_matches_exact_sum(self, n, l, beta):
-        # the plan interpolates phi from 24 Chebyshev points per 3 pi of p;
-        # it is within 2.8e-15 of the exact radial sum on [0, p_max] here
+        # the plan interpolates phi on panels about 3 sqrt(p_max) wide, from
+        # width / 2 plus a margin Chebyshev points each (36 on 7.7 pi at
+        # (1,1,0.8), 55 on 17 pi at (10,0,0.5)); it is within 3.1e-15 of the
+        # exact radial sum on [0, p_max] here
         st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
         plan = _AmplitudeEvaluator(st)
         ps = np.linspace(0.0, plan.p_max, 5003)
@@ -134,8 +138,10 @@ class TestProfile:
         # exact sum at every p; with phi tabulated once, it was 64 027: the
         # table's 192 points times the 140 r-nodes, 26 880, and 37 147 J_L and
         # J_{L+1} on the tail's near band. With that band cut to 8 p_max and
-        # taken from one Hankel phase, it is 27 044: the table's 26 880 and 164
-        # J_{L+1} at the McMahon zeros that place the near band's panels
+        # taken from one Hankel phase, it was 27 044: the table's 26 880 and 164
+        # J_{L+1} at the McMahon zeros that place the near band's panels. With
+        # panels about 3 sqrt(p_max) wide, three of 36 points, the table takes
+        # 108 x 140 = 15 120 and the count is 15 284
         points = []
 
         def counting(nu, x):
@@ -144,7 +150,44 @@ class TestProfile:
 
         monkeypatch.setattr(momentum_mod, "bessel_j", counting)
         build_profile(solve(SystemParams(beta=0.8), QuantumNumbers(1, 1, 1.0)))
-        assert sum(points) <= 27_044
+        assert sum(points) <= 15_284
+
+    def test_wide_states_take_a_small_table(self, monkeypatch):
+        # 24 points per 3 pi took 1 200 table points at (5,30,0.5) and 6 288 at
+        # (100,0,0.5); panels about 3 sqrt(p_max) wide take 464 and 1 836. The
+        # Bessel work is stubbed out: the plan's shape does not depend on phi
+        points = []
+
+        def counting(nu, x):
+            points.append(np.size(x))
+            return np.zeros_like(x)
+
+        monkeypatch.setattr(momentum_mod, "bessel_j", counting)
+        for (n, l), bound in (((5, 30), 480), ((100, 0), 2_515)):
+            points.clear()
+            plan = _AmplitudeEvaluator(solve(SystemParams(beta=0.5), QuantumNumbers(n, l, 1.0)))
+            assert plan._table.size <= bound, (n, l)
+            assert sum(points) == plan._table.size * plan._nodes.size, (n, l)
+        assert plan._width > 15.0 * math.pi
+
+    def test_trimmed_radial_grid(self, monkeypatch):
+        # R is evanescent for Theta x < nu: at (0,160,0.5) 798 of the 2 040
+        # radial nodes carry a weight |w R(x) x| above 1e-18 of the largest,
+        # and the others move S_p by less than 1e-13
+        plans = []
+
+        class Recorded(_AmplitudeEvaluator):
+            def __init__(self, state):
+                super().__init__(state)
+                plans.append(self)
+
+        monkeypatch.setattr(momentum_mod, "_AmplitudeEvaluator", Recorded)
+        st = solve(SystemParams(beta=0.5), QuantumNumbers(0, 160, 1.0))
+        s_p = shannon_momentum(build_profile(st))
+        monkeypatch.setattr(momentum_mod, "_NODE_FLOOR", 0.0)
+        assert shannon_momentum(build_profile(st)) == pytest.approx(s_p, abs=1e-13)
+        trimmed, full = (plan._nodes.size for plan in plans)
+        assert trimmed < full
 
     def test_samples_sorted_and_consistent(self, ground_beta0):
         st, prof = ground_beta0
@@ -165,10 +208,11 @@ class TestProfile:
 
     def test_samples_take_one_amplitude_batch(self, monkeypatch, capsys):
         # `density --space momentum` takes the exact sum on the plan's table
-        # only, whatever the sample count: 192 table points times the 140
-        # r-nodes, 26 880 Bessel points on (1,1,0.8) (573 440 at 4096 samples
-        # when each sample took the exact sum); building the profile as well
-        # would add 164, at the McMahon zeros of the tail's near band
+        # only, whatever the sample count: 108 table points times the 140
+        # r-nodes, 15 120 Bessel points on (1,1,0.8) (26 880 with 24 points per
+        # 3 pi panel, 573 440 at 4096 samples when each sample took the exact
+        # sum); building the profile as well would add 164, at the McMahon
+        # zeros of the tail's near band
         points = []
 
         def counting(nu, x):
@@ -184,7 +228,7 @@ class TestProfile:
             points.clear()
             assert cli.main([*argv, "--samples", samples]) == 0
             counts.append(sum(points))
-        assert counts == [plan._table.size * plan._nodes.size] * 2 == [26_880] * 2
+        assert counts == [plan._table.size * plan._nodes.size] * 2 == [15_120] * 2
 
     def test_captured_norm_with_tail_correction(self, ground_beta0):
         # at beta = 0 the Lommel closed form gives the density past p_max, so
