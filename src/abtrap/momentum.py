@@ -447,7 +447,7 @@ def build_profile(state: Eigenstate) -> MomentumProfile:
     the plan's table on [0, p_max], split at its sign changes, and the tail model past it."""
     evaluator = _AmplitudeEvaluator(state)
     p_max = evaluator.p_max
-    p_scan = np.linspace(0.0, p_max, math.ceil(8.0 * p_max / math.pi) + 1)  # 8 points per pi
+    p_scan = subdivide([0.0, p_max], math.pi / 8.0, 1)  # 8 points per pi
     breakpoints = _amplitude_breakpoints(evaluator, p_scan, evaluator(p_scan))
     edges = subdivide([0.0, *breakpoints, p_max], math.pi, 1)
     captured_norm, inner_entropy = density_integrals(edges, lambda p: evaluator(p) ** 2)
@@ -469,10 +469,7 @@ def sample_profile(state: Eigenstate, count: int) -> np.ndarray:
     is the square of the plan's interpolated amplitude, so the count sets no
     Bessel work."""
     evaluator = _AmplitudeEvaluator(state)
-    p_knee = 2.5 * state.theta
     n_near = int(0.7 * count)
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, p_knee, n_near),
-        np.linspace(p_knee, evaluator.p_max, count - n_near + 1),
-    ]))
+    grid = np.interp(np.arange(count), [0, n_near - 1, count - 1],
+                     [0.0, 2.5 * state.theta, evaluator.p_max])
     return np.column_stack([grid, evaluator(grid) ** 2])

@@ -211,12 +211,11 @@ def smoothed_gauss_legendre(edges) -> tuple[np.ndarray, np.ndarray]:
 
 def subdivide(edges, width: float, min_parts: int) -> np.ndarray:
     """Cut each panel between consecutive edges into equal parts no wider than
-    width, and into at least min_parts."""
-    out = [edges[0]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        parts = max(min_parts, int(math.ceil((hi - lo) / width)))
-        out.extend(np.linspace(lo, hi, parts + 1)[1:])
-    return np.asarray(out)
+    width, and into at least min_parts: the edges interpolated over the part index."""
+    edges = np.asarray(edges, dtype=float)
+    parts = np.maximum(min_parts, np.ceil(np.diff(edges) / width))
+    knots = np.concatenate([[0.0], np.cumsum(parts)])
+    return np.interp(np.arange(knots[-1] + 1.0), knots, edges)
 
 
 def density_integrals(edges, density: Callable) -> tuple[float, float]:

@@ -4,10 +4,11 @@ The oracles deliberately avoid the package's own evaluation paths: Bessel
 values come from a high-precision power series evaluated with mpmath
 arbitrary precision arithmetic (and zeros from bisection on that series),
 brute-force integrals from a plain
-midpoint rule on numpy arrays, the exact beta = 0 momentum entropy from the
-Lommel closed form with scipy Bessel values, the position entropy from
-mpmath zeros, Bessel values and quadrature, and the momentum tail's wall
-terms from mpmath's Taylor series of the radial wavefunction at the wall.
+midpoint rule on numpy arrays, panel cuts from one `np.linspace` per panel,
+the exact beta = 0 momentum entropy from the Lommel closed form with scipy
+Bessel values, the position entropy from mpmath zeros, Bessel values and
+quadrature, and the momentum tail's wall terms from mpmath's Taylor series
+of the radial wavefunction at the wall.
 
 The reference paths reuse the package's special functions, radial nodes and
 adaptive quadrature, but not its fixed-grid rules: the Bessel derivative, the
@@ -144,6 +145,16 @@ def midpoint(f, a: float, b: float, panels: int, chunk: int = 262144) -> float:
         mids = a + (np.arange(start, stop, dtype=float) + 0.5) * h
         total += float(np.sum(np.asarray(f(mids), dtype=float)))
     return total * h
+
+
+def subdivide_linspace(edges, width: float, min_parts: int) -> np.ndarray:
+    """Each span between consecutive edges cut into max(min_parts, ceil(span / width))
+    equal parts, one `np.linspace` per span."""
+    out = [edges[0]]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        parts = max(min_parts, math.ceil((hi - lo) / width))
+        out.extend(np.linspace(lo, hi, parts + 1)[1:])
+    return np.asarray(out, dtype=float)
 
 
 def lommel_transverse(order: int, theta: float, p_from: float = 0.0) -> tuple[float, float]:

@@ -189,13 +189,19 @@ class TestProfile:
         trimmed, full = (plan._nodes.size for plan in plans)
         assert trimmed < full
 
-    def test_samples_sorted_and_consistent(self, ground_beta0):
-        st, prof = ground_beta0
-        ps, dens = sample_profile(st, 512).T
-        assert ps.size == 512 and ps[0] == 0.0 and ps[-1] == prof.p_max
-        assert np.all(np.diff(ps) > 0)
-        # the samples are the square of the amplitude the profile integrates
-        assert np.array_equal(dens, _AmplitudeEvaluator(st)(ps) ** 2)
+    def test_samples_sorted_and_consistent(self):
+        # the six bench `density` states, then a wide, a high-n and a small-nu
+        # one; the grid rises only while the knee 2.5 Theta lies below p_max
+        for n, l, beta in [(0, 0, 0.0), (0, 0, 0.2), (1, 0, 0.4), (1, 1, 0.0), (2, -2, 0.0),
+                           (2, -2, 0.4), (0, 20, 0.5), (100, 0, 0.5), (0, 1, 0.99)]:
+            st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+            plan = _AmplitudeEvaluator(st)
+            assert 2.5 * st.theta < plan.p_max
+            ps, dens = sample_profile(st, 512).T
+            assert ps.size == 512 and ps[0] == 0.0 and ps[-1] == plan.p_max
+            assert np.all(np.diff(ps) > 0)
+            # the samples are the square of the amplitude the profile integrates
+            assert np.array_equal(dens, plan(ps) ** 2)
 
     def test_sample_knee_ignores_the_density_peak(self):
         # on (1,1,0.8) the density peaks at 1.21 Theta / r0, and the last of

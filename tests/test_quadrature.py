@@ -5,13 +5,68 @@ import numpy as np
 import pytest
 
 from abtrap.errors import ConvergenceError, DomainError
-from abtrap.quadrature import integrate_adaptive, integrate_oscillatory
+from abtrap.quadrature import (
+    density_integrals,
+    integrate_adaptive,
+    integrate_oscillatory,
+    smoothed_gauss_legendre,
+    subdivide,
+)
 from abtrap.specfun import bessel_j, bessel_zero
 
-from oracles import midpoint
+from oracles import midpoint, subdivide_linspace
 
 Z1 = bessel_zero(0.0, 1)
 Z2 = bessel_zero(0.0, 2)
+
+
+class TestSmoothedRule:
+    """`subdivide`, `smoothed_gauss_legendre` and `density_integrals`: the rule
+    behind S_r, the radial grid and S_p."""
+
+    @pytest.mark.parametrize("min_parts", [1, 4])
+    def test_subdivide_matches_linspace_per_panel(self, min_parts):
+        rng = np.random.default_rng(30 + min_parts)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            edges = sorted([0.0, *rng.uniform(0.0, scale, rng.integers(1, 30))])
+            at = int(rng.integers(len(edges)))
+            edges.insert(at, edges[at])  # a zero-width span
+            width = scale * 10.0 ** rng.uniform(-2.5, 0.5)
+            got = subdivide(edges, width, min_parts)
+            want = subdivide_linspace(edges, width, min_parts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_weights_sum_to_each_span(self):
+        edges = np.array([0.0, 1e-3, 0.4, 1.0, 3.7, 3.7 + 1e-9, 50.0])
+        x, w = (a.reshape(-1, 20) for a in smoothed_gauss_legendre(edges))
+        assert x.shape == (edges.size - 1, 20)
+        np.testing.assert_allclose(w.sum(axis=1), np.diff(edges), rtol=1e-14, atol=0.0)
+        assert np.all((x > edges[:-1, None]) & (x < edges[1:, None]))
+
+    @pytest.mark.parametrize("degree", range(13))
+    def test_exact_on_monomials(self, degree):
+        # x^d after the cubic map times its quadratic derivative has degree 3d + 2,
+        # within the 39 that 20 Gauss-Legendre points integrate exactly
+        edges = np.array([0.0, 0.3, 1.0, 1.7, 2.5])
+        x, w = smoothed_gauss_legendre(edges)
+        exact = (edges[-1] ** (degree + 1) - edges[0] ** (degree + 1)) / (degree + 1)
+        assert np.sum(w * x**degree) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-6, 0.3, 1.0, 2.0])
+    def test_constant_density(self, c):
+        norm, entropy = density_integrals([0.0, 1.0], lambda x: np.full_like(x, c))
+        assert norm == pytest.approx(math.pi * c, rel=1e-14)
+        assert entropy == pytest.approx(-math.pi * c * math.log(c), rel=1e-13, abs=1e-15)
+
+    def test_exact_zeros_take_zero_log_zero(self):
+        # rho = 0 on [0, 1/2] and 2 on (1/2, 1]; every floating-point warning raises
+        with np.errstate(all="raise"):
+            norm, entropy = density_integrals([0.0, 0.5, 1.0],
+                                              lambda x: np.where(x < 0.5, 0.0, 2.0))
+            assert density_integrals([0.0, 1.0], np.zeros_like) == (0.0, 0.0)
+        assert norm == pytest.approx(1.5 * math.pi, rel=1e-14)
+        assert entropy == pytest.approx(-1.5 * math.pi * math.log(2.0), rel=1e-14)
 
 
 class TestAdaptive:
