@@ -18,7 +18,7 @@ Evaluation strategy for J_nu(x):
   Special Functions, ch. 4), and starts from J_mu and J_{mu+1} by Hankel,
   mu the fractional part of nu, both in Hankel's range from x = 16,
 * Miller's backward recurrence for the rest, where x <= max(16, nu) bounds
-  its start x + 12 x^(1/3) + 30 + nu, normalized by the Neumann-type sum
+  its start x + nu + 8 x^(1/3) + 10, normalized by the Neumann-type sum
   sum_k (mu+2k) Gamma(mu+k)/k! * J_{mu+2k}(x) = (x/2)^mu (the k = 0
   coefficient read as its mu -> 0 limit Gamma(mu+1)); it runs on ratios of
   consecutive orders (Gautschi 1967), which cannot overflow.
@@ -58,8 +58,14 @@ __all__ = [
 # recurrence can start here from J_mu and J_{mu+1}
 _HANKEL_FLOOR = 16.0
 # bessel_j raises rather than run a backward (Miller) or forward recurrence
-# of more steps; at nu = 5000.5, the largest order tested, Miller takes 10236
+# of more steps; at nu = 5000.5, the largest order tested, Miller takes 10146
 _MAX_RECURRENCE = 100_000
+_ZERO_MAX_ITER = 100  # bessel_zero's fixed-point steps before it raises
+
+
+def _recurrence_margin(x: float) -> float:
+    """Orders past the turning point at which Miller and CF1 start from a zero tail."""
+    return 8.0 * x ** (1.0 / 3.0) + 10.0
 
 
 def series_cutoff(nu: float) -> float:
@@ -184,9 +190,10 @@ def _j_forward(nu: float, x: np.ndarray) -> np.ndarray:
     mu = nu - n_int
     jp = _j_asymptotic(mu, x)
     jc = _j_asymptotic(mu + 1.0, x)
-    inv_x = 1.0 / x
-    for m in range(1, n_int):
-        jp, jc = jc, (2.0 * (mu + m)) * inv_x * jc - jp
+    inv_x, work = 1.0 / x, np.empty_like(x)
+    for m in range(1, n_int):  # J_{mu+m+1} = (2 (mu+m) / x) J_{mu+m} - J_{mu+m-1}, in place
+        np.multiply(np.multiply(inv_x, 2.0 * (mu + m), out=work), jc, out=work)
+        jp, jc = jc, np.subtract(work, jp, out=jp)
     return jc
 
 
@@ -201,9 +208,8 @@ def _j_miller(nu: float, x: np.ndarray) -> np.ndarray:
     n_int = int(math.floor(nu))
     mu = nu - n_int
     xmax = float(np.max(x))
-    m_start = int(xmax + 12.0 * xmax ** (1.0 / 3.0) + 30.0) + n_int
-    if m_start % 2 == 1:
-        m_start += 1  # even start keeps the even-index bookkeeping simple
+    m_start = int(xmax + _recurrence_margin(xmax)) + n_int
+    m_start += m_start % 2  # an even start keeps the even-index bookkeeping simple
     _check_recurrence(nu, m_start)
 
     # normalization coefficients c_k = (mu+2k) Gamma(mu+k) / k! for k = 0..m/2
@@ -215,12 +221,12 @@ def _j_miller(nu: float, x: np.ndarray) -> np.ndarray:
     for k in range(2, kmax + 1):
         coefs[k] = coefs[k - 1] * (mu + 2.0 * k) * (mu + k - 1.0) / ((mu + 2.0 * k - 2.0) * k)
 
-    inv_x = 1.0 / x
+    inv_x, work = 1.0 / x, np.empty_like(x)
     h = np.zeros_like(x)  # h_{m+1}, tail neglected at the start
     total = np.full_like(x, coefs[kmax])
     ratio = 1.0
     for m in range(m_start, 0, -1):
-        h = (2.0 * (mu + m)) * inv_x - h
+        np.subtract(np.multiply(inv_x, 2.0 * (mu + m), out=work), h, out=h)
         # an exact zero denominator is a pole of the ratio; step past it
         h[h == 0.0] = 1e-300
         np.divide(1.0, h, out=h)
@@ -281,19 +287,16 @@ def mcmahon_zero(nu: float, j):
 def _zero_ratio(nu: float, x: float) -> float:
     """J_nu(x) / J_{nu+1}(x) from CF1: J_{nu+1}/J_nu = 1/(b_1 - 1/(b_2 - ...)), b_k = 2(nu+k)/x.
 
-    Summed backward from past the turning point nu + k = x, the stable
-    recurrence of the minimal solution J, it is good to a few ulp near a zero
-    of J_nu; forward (Lentz) summation is off by 6e-14 at x = 65, 2e-9 at 9429.
+    Summed backward from _recurrence_margin(x) orders past the turning point nu + k = x,
+    the stable recurrence of the minimal solution J, it is good to a few ulp near a
+    zero of J_nu; forward (Lentz) summation is off by 6e-14 at x = 65, 2e-9 at 9429.
     """
     inv = 2.0 / x
     t = 0.0  # J_{nu+k}/J_{nu+k-1} at the start index, tail neglected
-    for k in range(int(max(x - nu, 0.0) + 12.0 * x ** (1.0 / 3.0) + 30.0), 1, -1):
+    for k in range(int(max(x - nu, 0.0) + _recurrence_margin(x)), 1, -1):
         # an exact zero denominator is a pole of the ratio; step past it
         t = 1.0 / ((nu + k) * inv - t or 1e-300)
     return (nu + 1.0) * inv - t
-
-
-_ZERO_MAX_ITER = 100
 
 
 @lru_cache(maxsize=200000)

@@ -163,17 +163,24 @@ def lommel_transverse(order: int, theta: float, p_from: float = 0.0) -> tuple[fl
     On the unit cylinder the Lommel integral gives the transform in closed
     form, phi(p) = a0 Theta J_{nu+1}(Theta) J_nu(p) / (Theta^2 - p^2), and
     normalization fixes (a0 J_{nu+1}(Theta))^2 = 1 / pi. The integrals run
-    between the zeros of J_order from p_from to the last zero P below 2e4.
-    Each panel gets a 40-point Gauss-Legendre rule after the smoothing map
-    u = 3 s^2 - 2 s^3. Bessel values come from scipy. Past P, rho is
-    2 <rho> cos^2 of the Hankel phase, with <rho> = Theta^2 / (pi^2 p^5) its
-    mean over one period, and the mean of rho ln rho is <rho> (ln(<rho> / 2) + 1);
-    both are integrated against 2 pi p dp out to p = inf in closed form.
+    between the zeros of J_order from p_from to the last zero P below
+    max(2e4, 2.4 (order + 1)^2), twice Hankel's cutoff; the first span, over
+    which J_order climbs from 0 at a large order, is cut into panels no wider
+    than pi. Each panel gets a 40-point Gauss-Legendre rule after the
+    smoothing map u = 3 s^2 - 2 s^3. Bessel values come from scipy. Past P,
+    rho is 2 <rho> cos^2 of the Hankel phase, with <rho> = Theta^2 / (pi^2 p^5)
+    its mean over one period (it drops terms of relative size 2 Theta^2 / p^2
+    and order^2 / (2 p^2)), and the mean of rho ln rho is
+    <rho> (ln(<rho> / 2) + 1); both are integrated against 2 pi p dp out to
+    p = inf in closed form.
     """
     from scipy import special
 
-    zeros = special.jn_zeros(order, int(2e4 / math.pi) + order + 2)
-    edges = np.concatenate([[p_from], zeros[(zeros > p_from) & (zeros < 2e4)]])
+    cut = max(2e4, 2.4 * (order + 1) ** 2)
+    zeros = special.jn_zeros(order, int(cut / math.pi) + order + 2)
+    zeros = zeros[(zeros > p_from) & (zeros < cut)]
+    first = np.linspace(p_from, zeros[0], math.ceil((zeros[0] - p_from) / math.pi) + 1)
+    edges = np.concatenate([first, zeros[1:]])
     x, w = np.polynomial.legendre.leggauss(40)
     s = 0.5 * (x + 1.0)
     u = s * s * (3.0 - 2.0 * s)

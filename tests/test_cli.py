@@ -424,7 +424,7 @@ class TestDensityCommand:
         assert (code, out) == (3, "")
         assert err == (
             "error: density: bessel_j: order 59999.599999999999 needs a recurrence of "
-            "120498 steps, more than 100000\n"
+            "120322 steps, more than 100000\n"
         )
 
     @pytest.mark.parametrize("space", ["position", "momentum"])

@@ -94,6 +94,14 @@ class TestShannonMomentum:
             exact = lommel_momentum_entropy(abs(l), st.theta)
             assert shannon_momentum(build_profile(st)) == pytest.approx(exact, abs=2e-11), (n, l)
 
+    def test_order_160_vs_lommel_closed_form(self):
+        # J_160 climbs from 0 to its first zero near 170 over the oracle's
+        # first span, and Hankel's cutoff 1.2 (L+1)^2 lies past 2e4: the oracle
+        # was 2.2e-8 off here with one panel there; 4.3e-12 measured
+        st = solve(SystemParams(beta=0.0), QuantumNumbers(0, 160, 1.0))
+        exact = lommel_momentum_entropy(160, st.theta)
+        assert shannon_momentum(build_profile(st)) == pytest.approx(exact, abs=1e-11)
+
     def test_converged_in_p_max(self, monkeypatch):
         # (2,1,0.8) converges slowest of the grid states, and at (0,1,0.99)
         # nu = 0.01 gives the tail's origin term its slowest decay, so the

@@ -26,6 +26,8 @@ from oracles import bessel_j_prime, besselj_ref, series_j, zero_by_bisection
 J0_ZERO_1 = 2.404825557695773
 J0_ZERO_2 = 5.520078110286311
 J1_AT_Z1 = 0.5191474972894667
+# orders of the zeros checked against mpmath, j = 1..30 each
+MPMATH_ZERO_ORDERS = (0.0, 0.01, 0.3, 0.5, 1.0, 2.5, 6.397, 12.653, 19.5, 30.2, 45.0, 60.0)
 
 
 class TestBesselJ:
@@ -135,7 +137,7 @@ class TestBesselJ:
         assert abs(_j_miller(nu, np.array([x]))[0] - exact) <= 1e-15
 
     def test_order_5000_below_the_turning_point(self):
-        # Miller from 10236 orders up at x = 5000; 2.7e-14 measured. mpmath's
+        # Miller from 10146 orders up at x = 5000; 2.7e-14 measured. mpmath's
         # series cancels here, and maxprec lets it work at the precision that takes
         xs = np.array([4900.0, 4990.0, 5000.0])
         with mp.workdps(30):
@@ -159,6 +161,48 @@ class TestBesselJ:
             bessel_j(0.0, math.nan)
         with pytest.raises(DomainError):
             bessel_j(math.inf, 1.0)
+
+
+class TestRecurrenceStart:
+    # Miller and CF1 start _recurrence_margin orders past the turning point
+    # from a zero tail; twice that margin moves no result, and Miller is held
+    # to 5e-16 of mpmath, since a start 1e-14 short passes the 1e-13 checks
+    # above (the margin 4 x^(1/3) + 8 puts Miller 9.1e-11 off and moves a
+    # zero by 961 ulp)
+
+    @staticmethod
+    def _double_the_margin(monkeypatch):
+        margin = specfun_mod._recurrence_margin
+        monkeypatch.setattr(specfun_mod, "_recurrence_margin", lambda x: 2.0 * margin(x))
+
+    def test_miller_start_is_converged(self, monkeypatch):
+        # seeded points of Miller's range, series_cutoff(nu) < x <= max(16, nu),
+        # one per call, since a batch starts from its largest x; 3.4e-16 measured
+        rng = np.random.default_rng(31)
+        points = []
+        while len(points) < 200:
+            nu = float(rng.uniform(0.0, 60.0))
+            lo, hi = series_cutoff(nu), max(16.0, nu)
+            if hi > lo:
+                points.append((nu, hi - (hi - lo) * float(rng.random())))
+        shipped = np.array([_j_miller(nu, np.array([x]))[0] for nu, x in points])
+        self._double_the_margin(monkeypatch)
+        doubled = np.array([_j_miller(nu, np.array([x]))[0] for nu, x in points])
+        np.testing.assert_array_max_ulp(shipped, doubled, maxulp=1)
+        with mp.workdps(30):
+            exact = [float(mp.besselj(nu, mp.mpf(x))) for nu, x in points]
+        np.testing.assert_allclose(shipped, exact, rtol=0, atol=5e-16)
+
+    def test_zero_ratio_start_is_converged(self, monkeypatch):
+        # CF1 through bessel_zero, at the zeros test_against_mpmath_zeros checks
+        pairs = [(nu, j) for nu in MPMATH_ZERO_ORDERS for j in range(1, 31)]
+        bessel_zero.cache_clear()
+        shipped = np.array([bessel_zero(nu, j) for nu, j in pairs])
+        self._double_the_margin(monkeypatch)
+        bessel_zero.cache_clear()
+        doubled = np.array([bessel_zero(nu, j) for nu, j in pairs])
+        bessel_zero.cache_clear()  # leave no zero of the doubled margin cached
+        np.testing.assert_array_max_ulp(shipped, doubled, maxulp=1)
 
 
 class TestHankelPQ:
@@ -258,7 +302,7 @@ class TestBesselZero:
 
     def test_against_mpmath_zeros(self):
         bessel_zero.cache_clear()
-        for nu in (0.0, 0.01, 0.3, 0.5, 1.0, 2.5, 6.397, 12.653, 19.5, 30.2, 45.0, 60.0):
+        for nu in MPMATH_ZERO_ORDERS:
             for j in range(1, 31):
                 with mp.workdps(30):
                     exact = float(mp.besseljzero(mp.mpf(nu), j))
