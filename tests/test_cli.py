@@ -450,6 +450,25 @@ class TestDensityCommand:
         assert run_cli(capsys, [*argv, "--out", str(out)]) == (0, "", "")
         assert out.read_bytes() == joined.encode() and blocks == [1, 6, 6]
 
+    def test_block_format_equals_the_per_row_format(self, capsys, monkeypatch):
+        # each block is one "%.5f,%.5f\n" * rows % (...) call, which prints the
+        # bytes of f"{x:.5f},{y:.5f}\n" per row: at the rounding ties 1/64 and
+        # 3/64, at zero, past 1e6, and across the block boundaries of blocks of 4.
+        # With rho = 1 / (2 pi) at r0 = 1 the printed density is the coordinate
+        xs = np.array([0.0, 1 / 64, 3 / 64, 5 / 64, 0.000125, 2.5e-6, 5e-6, 1 / 3, 0.0,
+                       1234567.891235, 1e6 + 2.0**-7, 2.0**40 + 0.5, 98765432.123455])
+        rows = np.column_stack([xs, np.full(xs.size, 1.0 / (2.0 * math.pi))])
+        monkeypatch.setattr(cli_mod, "sample_profile", lambda state, count: rows)
+        monkeypatch.setattr(cli_mod, "_CSV_BLOCK", 4)
+        argv = ["density", "--space", "momentum", "--n", "0", "--l", "0", "--samples", "64"]
+        code, out, err = run_cli(capsys, argv)
+        dens = 2.0 * math.pi * rows[:, 1] * xs
+        assert np.array_equal(dens, xs)
+        expected = "".join(f"{x:.5f},{y:.5f}\n" for x, y in zip(xs.tolist(), dens.tolist()))
+        assert (code, out, err) == (0, "coordinate,density\n" + expected, "")
+        assert "\n0.01562,0.01562\n0.04688,0.04688\n0.07812,0.07812\n" in out
+        assert "\n1000000.00781,1000000.00781\n" in out
+
     @pytest.mark.parametrize("space", ["position", "momentum"])
     def test_small_sample_count_exits_2(self, capsys, space):
         code, _, err = run_cli(

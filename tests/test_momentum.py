@@ -99,12 +99,43 @@ class TestProfile:
     def test_table_matches_exact_sum(self, n, l, beta):
         # the plan interpolates phi on panels about 3 sqrt(p_max) wide, from
         # width / 2 plus a margin Chebyshev points each (36 on 7.7 pi at
-        # (1,1,0.8), 55 on 17 pi at (10,0,0.5)); it is within 3.1e-15 of the
+        # (1,1,0.8), 55 on 17 pi at (10,0,0.5)); it is within 2.5e-15 of the
         # exact radial sum on [0, p_max] here
         st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
         plan = _AmplitudeEvaluator(st)
         ps = np.linspace(0.0, plan.p_max, 5003)
         assert np.max(np.abs(plan(ps) - plan._block(ps))) <= 1e-13
+
+    @pytest.mark.parametrize("n, l, beta", [(1, 1, 0.8), (2, -2, 0.4), (10, 0, 0.5)])
+    def test_interpolant_on_a_node_is_the_table_entry(self, n, l, beta):
+        # where the panel coordinate t of p lands exactly on a Chebyshev node, the
+        # weight sum is infinite and the value is that node's table entry, bit for
+        # bit: here at p = 0, at p = p_max and at 25-40% of the table points
+        plan = _AmplitudeEvaluator(solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0)))
+        panels = plan._table.shape[1]
+        table_p = plan._width * (np.arange(panels) + 0.5 * (plan._cheb[:, None] + 1.0))
+        ps = np.concatenate([[0.0], table_p.ravel(), [plan.p_max]])
+        s = ps / plan._width
+        panel = np.minimum(s.astype(np.intp), panels - 1)
+        node, point = np.nonzero(2.0 * (s - panel) - 1.0 == plan._cheb[:, None])
+        assert {0, ps.size - 1} <= set(point) and point.size > 0.2 * ps.size, (n, l, beta)
+        assert np.array_equal(plan(ps)[point], plan._table[node, panel[point]])
+
+    def test_interpolant_carries_a_nan_to_its_panel(self, monkeypatch):
+        # a NaN table entry makes every point of its panel NaN that is off its
+        # nodes, as the barycentric sum does, and leaves the other panels finite
+        plan = _AmplitudeEvaluator(solve(SystemParams(beta=0.4), QuantumNumbers(2, -2, 1.0)))
+        table = plan._table.copy()
+        table[3, 1] = np.nan
+        monkeypatch.setattr(plan, "_table", table)
+        ps = np.linspace(0.0, plan.p_max, 1001)
+        s = ps / plan._width
+        panel = np.minimum(s.astype(np.intp), plan._table.shape[1] - 1)
+        off_node = ~np.isin(2.0 * (s - panel) - 1.0, plan._cheb)
+        phi = plan(ps)
+        assert np.isnan(phi[(panel == 1) & off_node]).all()
+        assert ((panel == 1) & off_node).sum() > 100
+        assert np.isfinite(phi[panel != 1]).all()
 
     def test_breakpoints_on_the_roots(self):
         # regula falsi puts each sign change on a root of the amplitude; the
