@@ -29,10 +29,10 @@ a scan of 8 points per pi brackets the amplitude's sign changes, and regula
 falsi puts each on its root. One batch of p-nodes, split there and cut to
 panels no wider than pi, gives the captured norm and the transverse entropy
 through `density_integrals`. Past p_max, phi follows the tail model (L = |l|,
-M = _ORDER = 3): origin terms plus the wall part of Green's identity,
+M = 4): origin terms plus the wall part of Green's identity,
 
-    phi(p) ~ sum_{j=0..M} C_j p^-(nu+2+2j)
-             + sum_{m=0..M} p^-2(m+1) [f_m'(1) J_L(p) - f_m(1) p J_L'(p)].
+    phi(p) ~ sum_{j<M} C_j p^-(nu+2+2j)
+             + sum_{m<M} p^-2(m+1) [f_m'(1) J_L(p) - f_m(1) p J_L'(p)].
 
 The origin terms are the terms x^(nu+2j) of the ascending series of R,
 through the Weber-Schafheitlin integrals of x^(nu+2j+1) J_L(p x) (Watson,
@@ -47,11 +47,14 @@ sec. 5.11; Wong, Asymptotic Approximations of Integrals, ch. II): since
 B J_L(p x) = p^2 J_L(p x), each pass moves B onto f_m, with f_0 = R and
 f_{m+1} = B f_m. Their wall values f_m(1), f_m'(1) are polynomials in
 c = L^2 - nu^2 and Theta^2 times R'(1) = -a0 Theta J_{nu+1}(Theta), tabled
-in closed form by `_wall_values`.
+in closed form by `_wall_values`. `_Tail.table` holds the whole model, each
+row a polynomial in 1 / p^2: rows C_j Theta^-nu, W_m = f_m'(1) - L f_m(1) and
+V_m = f_m(1), and one column per order j = m = 0..M, the last the first
+terms left out, so M is the table's width less one.
 
 The series runs in (Theta^2 + |c|) / p^2, not in Hankel's L^2 / p, because
-J_L(p) and J_{L+1}(p) are kept exact. The first terms left out, j = m = 4,
-fall as p^-(nu+10) and p^-19/2, and p_max is where they would move the
+J_L(p) and J_{L+1}(p) are kept exact. The first terms left out fall as
+p^-(nu+10) and p^-19/2, and p_max is where they would move the
 transverse entropy past p_max by _TAIL_TOL = 1e-11: `_Tail.truncation`
 bounds that per unit ln p from the terms' envelopes, and `_p_max` sums it
 from p = inf down. When nu << L the origin series runs in about
@@ -90,9 +93,6 @@ _END_STENCIL = np.array([[0.0, 0.0, -1.0, 0.0, 0.0], [1 / 12, -2 / 3, 0.0, 2 / 3
                          [0.0, -1.0, 2.0, -1.0, 0.0], [-0.5, 1.0, 0.0, -1.0, 0.5]])
 # build_profile fails when the norm misses 1 by more than this
 _NORM_DEFECT = 1e-7
-# the tail model keeps the origin terms j <= _ORDER and the Green passes m <= _ORDER;
-# `_wall_values` tables the passes m <= _ORDER + 1, so it fixes _ORDER at 3
-_ORDER = 3
 # p_max is where the terms the tail model leaves out move the entropy past it by
 # this much; it is sought on p = Theta e^u, u < _LOG_SPAN in steps of _LOG_STEP
 _TAIL_TOL = 1e-11
@@ -217,16 +217,17 @@ def _origin_term(order: int, nu: float, j: int, a0: float) -> float:
 
 
 def _wall_values(order: int, nu: float, theta: float) -> np.ndarray:
-    """(f_m(1), f_m'(1)) / R'(1), m <= _ORDER + 1, in c = L^2 - nu^2 and g = Theta^2 + c.
+    """Rows (W_m) and (V_m) / R'(1), m <= 4, in c = L^2 - nu^2 and g = Theta^2 + c.
 
-    Green's passes take f_0 = R and f_{m+1} = B f_m; with R(1) = 0 and
-    R'' = -R' / x - (Theta^2 - nu^2 / x^2) R each f_m is a R + b R', a and b
-    polynomials in 1 / x, and the rows are b(1) and the R' part of f_m' there.
+    W_m = f_m'(1) - L f_m(1) and V_m = f_m(1). Green's passes take f_0 = R and
+    f_{m+1} = B f_m; with R(1) = 0 and R'' = -R' / x - (Theta^2 - nu^2 / x^2) R
+    each f_m is a R + b R', a and b polynomials in 1 / x, and f_m(1) and f_m'(1)
+    are b(1) and the R' part of f_m' there.
     """
     ell = order * order
     c = (order - nu) * (order + nu)
     g = theta * theta + c
-    return np.array([
+    value, deriv = np.array([
         (0.0, 1.0),
         (0.0, g),
         (4.0 * c, g * g - 20.0 * c),
@@ -234,49 +235,42 @@ def _wall_values(order: int, nu: float, theta: float) -> np.ndarray:
         (24.0 * c * (g * g - 24.0 * g + 16.0 * ell - 24.0 * c + 176.0),
          g**4 + c * (48.0 * ell * c + 128.0 * ell * g - 5376.0 * ell - 208.0 * c * g
                      + 7248.0 * c - 216.0 * g * g + 5056.0 * g - 36096.0)),
-    ])
+    ]).T
+    return np.array([deriv - order * value, value])
 
 
 class _Tail:
     """The tail model of phi past p_max, with J_L(p) and J_{L+1}(p) exact,
 
-        sum_{j<=M} E_j (Theta / p)^(nu+2j) / p^2
-        + sum_{m<=M} p^-2(m+1) [W_m J_L(p) + V_m p J_{L+1}(p)],   M = _ORDER.
+        sum_{j<M} E_j (Theta / p)^(nu+2j) / p^2
+        + sum_{m<M} p^-2(m+1) [W_m J_L(p) + V_m p J_{L+1}(p)],
 
-    `origin` holds E_j, `green` the rows (W_m) and (V_m) of the wall part:
-    W_m = f_m'(1) - L f_m(1) and V_m = f_m(1), from the table of
-    `_wall_values`. The terms j = M + 1 and m = M + 1, the first left out,
-    are kept for `truncation`.
+    in one array `table`: rows E_j Theta^2j, W_m and V_m, so each is a
+    polynomial in 1 / p^2, and a column per order j = m = 0..M. M = 4 is the
+    table's width less one: the model sums the columns before the last, and
+    `truncation` reads the last, the first terms left out. W_m = f_m'(1) -
+    L f_m(1) and V_m = f_m(1) come from `_wall_values`.
     """
 
     def __init__(self, state: Eigenstate):
         order, nu, theta = abs(state.qn.l), state.nu, state.theta
         self.order, self.nu, self.theta = order, nu, theta
-        origin = [_origin_term(order, nu, j, state.a0) for j in range(_ORDER + 2)]
-        self.origin, self._next_origin = tuple(origin[:-1]), origin[-1]
         # R'(1) = -a0 Theta J_{nu+1}(Theta), where |a0 J_{nu+1}(Theta)| = 1 / sqrt(pi)
         # by the normalization, and R changes sign n times before the wall
         slope = -(-1.0) ** state.qn.n * theta / math.sqrt(math.pi)
-        value, deriv = slope * _wall_values(order, nu, theta).T
-        green = np.array([deriv - order * value, value])
-        self.green, self._next_green = green[:, :-1], green[:, -1]
+        wall = slope * _wall_values(order, nu, theta)
+        origin = [_origin_term(order, nu, j, state.a0) * theta ** (2 * j)
+                  for j in range(wall.shape[1])]
+        self.table = np.vstack([origin, wall])
 
-    def _origin_part(self, p):
-        """sum_j E_j (Theta / p)^(nu+2j) / p^2, by Horner in (Theta / p)^2."""
-        x = self.theta / p  # below 1 past p_max
-        smooth = 0.0
-        for e in self.origin[::-1]:
-            smooth = smooth * x * x + e
-        return smooth * x**self.nu / (p * p)
-
-    def _wall_factors(self, p):
-        """The factors of J_L(p) and of J_{L+1}(p) in the wall part."""
+    def _parts(self, p, omitted=False):
+        """The origin part and the factors of J_L(p) and of J_{L+1}(p) at each point
+        of `p`: of the kept columns, by Horner in 1 / p^2, or, with `omitted`, of the
+        last column alone, short of its factor p^-2M."""
         inv2 = 1.0 / (p * p)
-        bessel = next_bessel = 0.0
-        for w, v in self.green.T[::-1]:
-            bessel = bessel * inv2 + w
-            next_bessel = next_bessel * inv2 + v
-        return bessel * inv2, next_bessel / p
+        columns = self.table[:, -1:] if omitted else self.table[:, :-1]
+        origin, factor, next_factor = np.polynomial.polynomial.polyval(inv2, columns.T)
+        return origin * (self.theta / p) ** self.nu * inv2, factor * inv2, next_factor / p
 
     def __call__(self, p):
         """The model at each point of `p`; where all lie past the Hankel cutoffs of
@@ -285,9 +279,9 @@ class _Tail:
             o, a, b = self._phase_form(p)
             chi = p - (0.5 * self.order + 0.25) * math.pi
             return o + a * np.cos(chi) + b * np.sin(chi)
-        factor, next_factor = self._wall_factors(p)
+        origin, factor, next_factor = self._parts(p)
         wall = factor * bessel_j(self.order, p) + next_factor * bessel_j(self.order + 1, p)
-        return self._origin_part(p) + wall
+        return origin + wall
 
     def truncation(self, p):
         """Bound on how much the first terms left out move the transverse entropy,
@@ -298,12 +292,9 @@ class _Tail:
         |J_L|, |J_{L+1}| <= sqrt(2 / (pi p)), and 1 + |ln rho| for |1 + ln rho|.
         """
         envelope = np.sqrt(2.0 / (math.pi * p))
-        factor, next_factor = self._wall_factors(p)
-        phi = np.abs(self._origin_part(p)) + envelope * (np.abs(factor) + np.abs(next_factor))
-        inv2 = 1.0 / (p * p)
-        w, v = self._next_green
-        dphi = (abs(self._next_origin) * (self.theta / p) ** (self.nu + 2 * _ORDER + 2)
-                + envelope * (abs(w) * inv2 + abs(v) / p) * inv2**_ORDER) * inv2
+        phi, dphi = (np.abs(o) + envelope * (np.abs(f) + np.abs(h))
+                     for o, f, h in (self._parts(p), self._parts(p, omitted=True)))
+        dphi = dphi * p ** (2.0 - 2.0 * self.table.shape[1])
         log_rho = 2.0 * np.log(np.maximum(phi, 1e-300))
         return 4.0 * math.pi * p * p * phi * dphi * (1.0 + np.abs(log_rho))
 
@@ -314,8 +305,8 @@ class _Tail:
         p_l, q_l = hankel_pq(self.order, p)
         p_next, q_next = hankel_pq(self.order + 1, p)
         scale = np.sqrt(2.0 / (math.pi * p))
-        factor, next_factor = self._wall_factors(p)
-        return (self._origin_part(p), scale * (factor * p_l + next_factor * q_next),
+        origin, factor, next_factor = self._parts(p)
+        return (origin, scale * (factor * p_l + next_factor * q_next),
                 scale * (next_factor * p_next - factor * q_l))
 
     def integrals(self, p_max: float) -> tuple[float, float]:
@@ -341,8 +332,9 @@ class _Tail:
         # part and D = -F(z) J_{L+1}(z), F the factor of J_L, so o moves the
         # model's zero by arcsin(-o / D); where |o| > |D| rho has no zero, and the
         # edge stays a quarter period off
-        slope = -self._wall_factors(zeros)[0] * bessel_j(self.order + 1, zeros)
-        zeros = zeros + np.arcsin(np.clip(-self._origin_part(zeros) / slope, -1.0, 1.0))
+        origin, factor, _ = self._parts(zeros)
+        slope = -factor * bessel_j(self.order + 1, zeros)
+        zeros = zeros + np.arcsin(np.clip(-origin / slope, -1.0, 1.0))
         zeros = zeros[zeros > p_max]
         # rho is even in the phase about each extremum of A cos chi + B sin chi,
         # midway between two zeros, so the odd end terms nearly vanish there

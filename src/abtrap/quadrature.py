@@ -6,15 +6,10 @@ Hankel transform's radial grid, and `density_integrals` sums the norm and the
 entropy of a density with it, for S_r, for the momentum norm and S_p on
 [0, p_max], and for the modelled momentum tail. `subdivide` cuts panels.
 
-`integrate_adaptive` (with `integrate_oscillatory` and `QuadResult`) is no
-longer called by the package; it is kept as the independent reference path
-of the test oracles and as a layer the benchmark tracer wraps by name. It is
-globally adaptive bisection with a Gauss-Kronrod 7-15 rule per interval and
-the usual QUADPACK-style error estimate. Integrands are called with numpy
-arrays of abscissae and must return finite arrays of the same shape; a bad
-interval, tolerance, breakpoint or integrand value raises DomainError.
-Subdivision order is deterministic, so results are bit-reproducible for a
-given tolerance.
+The Gauss-Kronrod 7-15 engine, `integrate_adaptive` and `integrate_oscillatory`,
+is called by no module of the package and so is left out of `__all__`; it stays
+as the tests' independent adaptive reference, and because the benchmark tracer
+(`bench/spans.py`) looks both names up here with no default.
 """
 
 from __future__ import annotations
@@ -28,13 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = [
-    "density_integrals",
-    "integrate_adaptive",
-    "integrate_oscillatory",
-    "smoothed_gauss_legendre",
-    "subdivide",
-]
+__all__ = ["density_integrals", "smoothed_gauss_legendre", "subdivide"]
 
 
 # 15-point Kronrod abscissae/weights on [-1, 1] and the embedded 7-point
@@ -117,8 +106,12 @@ def integrate_adaptive(
 ) -> QuadResult:
     """Adaptive integral of f over [a, b] to absolute-or-relative tolerance tol.
 
-    Raises ConvergenceError, naming the value reached, if the subdivision
-    budget is exhausted before the summed error estimate meets the target.
+    Globally adaptive bisection with a Gauss-Kronrod 7-15 rule per interval and
+    the QUADPACK error estimate, in a fixed order, so bit-reproducible for a
+    given tolerance. f takes and returns numpy arrays of the same shape; a bad
+    interval, tolerance or non-finite value raises DomainError. Raises
+    ConvergenceError, naming the value reached, if the subdivision budget is
+    exhausted before the summed error estimate meets the target.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):

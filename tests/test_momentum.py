@@ -11,6 +11,7 @@ from abtrap.errors import DomainError
 from abtrap.momentum import (
     _AmplitudeEvaluator,
     _amplitude_breakpoints,
+    _origin_term,
     _p_max,
     _Tail,
     build_profile,
@@ -352,7 +353,7 @@ class TestTailModel:
         # nu = |l| at beta = 0, so 1 / Gamma((|l| - nu) / 2) sits on a pole
         for n, l in ((0, 0), (1, 1), (2, -2)):
             st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
-            assert _Tail(st).origin[0] == 0.0
+            assert _Tail(st).table[0, 0] == 0.0
 
     def test_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 = -0.4;
@@ -365,17 +366,18 @@ class TestTailModel:
             2 * st.a0 / mp.gamma(nu + 1)
             * mp.gamma((order + nu + 2) / 2) * mp.rgamma((order - nu) / 2)
         )
-        assert _Tail(st).origin[0] == pytest.approx(float(expect), rel=1e-12, abs=0)
+        assert _Tail(st).table[0, 0] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
     def test_second_origin_term_vanishes_without_defect(self):
-        # (|l| - nu) / 2 - 1 = -1 at beta = 0, another pole of Gamma
+        # (|l| - nu) / 2 - j = -j at beta = 0, the poles of Gamma, through the
+        # first term left out, j = 4
         for n, l in ((0, 0), (1, 1), (2, -2)):
             st = solve(SystemParams(beta=0.0), QuantumNumbers(n, l, 1.0))
-            assert _Tail(st).origin[1:] == (0.0, 0.0, 0.0)
+            assert _Tail(st).table[0, 1:].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_second_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 1 = -1.4;
-        # E_1 = C_1 Theta^-(nu+2)
+        # E_1 = C_1 Theta^-(nu+2), tabled as E_1 Theta^2
         import mpmath as mp
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
@@ -384,11 +386,12 @@ class TestTailModel:
             -2 * st.a0 / mp.gamma(nu + 2)
             * mp.gamma((order + nu + 4) / 2) * mp.rgamma((order - nu - 2) / 2)
         )
-        assert _Tail(st).origin[1] == pytest.approx(float(expect), rel=1e-12, abs=0)
+        expect *= mp.mpf(st.theta) ** 2
+        assert _Tail(st).table[0, 1] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
     def test_third_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 2 = -2.4;
-        # E_2 = C_2 Theta^-(nu+4)
+        # E_2 = C_2 Theta^-(nu+4), tabled as E_2 Theta^4
         import mpmath as mp
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
@@ -397,11 +400,12 @@ class TestTailModel:
             2 * st.a0 / (2 * mp.gamma(nu + 3))
             * mp.gamma((order + nu + 6) / 2) * mp.rgamma((order - nu - 4) / 2)
         )
-        assert _Tail(st).origin[2] == pytest.approx(float(expect), rel=1e-12, abs=0)
+        expect *= mp.mpf(st.theta) ** 4
+        assert _Tail(st).table[0, 2] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
     def test_fourth_origin_term_past_gamma_pole(self):
         # (l, beta) = (-1, 0.8) gives (|l| - nu) / 2 - 3 = -3.4;
-        # E_3 = C_3 Theta^-(nu+6)
+        # E_3 = C_3 Theta^-(nu+6), tabled as E_3 Theta^6
         import mpmath as mp
 
         st = solve(SystemParams(beta=0.8), QuantumNumbers(0, -1, 1.0))
@@ -410,14 +414,17 @@ class TestTailModel:
             -2 * st.a0 / (6 * mp.gamma(nu + 4))
             * mp.gamma((order + nu + 8) / 2) * mp.rgamma((order - nu - 6) / 2)
         )
-        assert _Tail(st).origin[3] == pytest.approx(float(expect), rel=1e-12, abs=0)
+        expect *= mp.mpf(st.theta) ** 6
+        assert _Tail(st).table[0, 3] == pytest.approx(float(expect), rel=1e-12, abs=0)
 
-    def test_origin_terms_finite_at_high_order(self):
-        # (Theta / 2)^(nu+2) alone overflows at nu = 159.5, Theta = 169.8
-        st = solve(SystemParams(beta=0.5), QuantumNumbers(0, 160, 1.0))
-        tail = _Tail(st)
-        assert all(math.isfinite(e) and e != 0.0 for e in tail.origin)
-        assert np.all(np.isfinite(tail.green))
+    @pytest.mark.parametrize("n, l, beta", [(0, 160, 0.5), (100, 0, 0.5), (0, 400, 0.5)])
+    def test_origin_terms_finite_at_high_order(self, n, l, beta):
+        # (Theta / 2)^(nu+2) alone overflows at nu = 159.5, Theta = 169.8; the
+        # origin row's Theta^2j reaches Theta^8, with Theta = 317.3 at (100,0,0.5)
+        st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+        table = _Tail(st).table
+        assert np.all(np.isfinite(table))
+        assert np.all(table[0] != 0.0)
 
     def test_coefficients_built_once_per_profile(self, monkeypatch):
         # each plan forms the tail's coefficients once, since p_max follows
@@ -459,7 +466,7 @@ class TestTailModel:
         # at beta = 0 the Lommel integral gives phi(p) = A J_L(p) / (Theta^2 - p^2)
         # on the unit cylinder, A = a0 Theta J_{L+1}(Theta). Expanding
         # 1 / (Theta^2 - p^2) in p^-2 gives the Green coefficients
-        # W_m = -A Theta^(2m), m = 0..3, and no J_{L+1} term, whatever the box r0;
+        # W_m = -A Theta^(2m), m = 0..4, and no J_{L+1} term, whatever the box r0;
         # the Hankel envelopes of J_L and J_{L+1} past P are pinned by
         # specfun's `hankel_pq` test
         import mpmath as mp
@@ -468,10 +475,10 @@ class TestTailModel:
         with mp.workdps(30):
             alpha = mp.mpf(st.theta)
             amp = st.a0 * alpha * mp.besselj(abs(l) + 1, alpha)
-            green = [[float(-amp * alpha ** (2 * m)) for m in range(4)], [0.0] * 4]
+            green = [[float(-amp * alpha ** (2 * m)) for m in range(5)], [0.0] * 5]
         tail = _Tail(st)
-        assert tail.origin == (0.0, 0.0, 0.0, 0.0)
-        np.testing.assert_allclose(tail.green, green, rtol=1e-12, atol=0)
+        assert tail.table[0].tolist() == [0.0] * 5
+        np.testing.assert_allclose(tail.table[1:], green, rtol=1e-12, atol=0)
 
     def test_green_terms_match_bessel_operator(self):
         # f_0 = R and f_{m+1} = B f_m = -f_m'' - f_m' / x + L^2 f_m / x^2, each pass
@@ -483,8 +490,7 @@ class TestTailModel:
                               (0, 20, 0.5, 1.0), (1, 30, 0.9, 33.27777777777778),
                               (10, 10, 0.95, -10.0), (0, 1, 0.99, 1.0), (2, -2, 0.0, 1.0)):
             st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, k))
-            tail = _Tail(st)
-            green = np.column_stack([tail.green, tail._next_green])
+            green = _Tail(st).table[1:]
             expect = green_wall_terms(st.nu, n, abs(l))
             np.testing.assert_allclose(green[0], expect[0], rtol=1e-14, atol=0)
             # V_m = f_m(1) vanishes exactly in the model for m <= 1, and for every m
@@ -493,6 +499,30 @@ class TestTailModel:
             assert np.count_nonzero(zero) == (5 if beta == 0.0 else 2) and np.all(zero[:2])
             np.testing.assert_allclose(green[1, ~zero], expect[1, ~zero], rtol=1e-14, atol=0)
             assert np.all(np.abs(expect[1, zero]) <= 1e-30 * np.abs(expect[0, zero]))
+
+    @pytest.mark.parametrize("n, l, beta", [(1, 1, 0.8), (0, -1, 0.8), (0, 20, 0.5)])
+    def test_truncation_bounds_the_first_terms_left_out(self, n, l, beta):
+        # 4 pi p^2 |phi| |dphi| (1 + |ln phi^2|) at the envelopes |J_L|, |J_{L+1}| <=
+        # sqrt(2 / (pi p)), with the kept terms j, m <= 3 in phi and the first left
+        # out, j = m = 4, in dphi: origin terms from `_origin_term`, wall rows from
+        # mpmath's Taylor series of R
+        st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+        order, nu = abs(l), st.nu
+        tail = _Tail(st)
+        p = _p_max(tail) * np.array([1.0, 1.5, 2.0, 4.0])
+        x, envelope = st.theta / p, np.sqrt(2.0 / (math.pi * p))
+        w, v = green_wall_terms(nu, n, order)
+        origin = [_origin_term(order, nu, j, st.a0) for j in range(5)]
+
+        def bound(j):
+            return (np.abs(sum(origin[i] * x ** (nu + 2 * i) for i in j)) / p**2
+                    + envelope * (np.abs(sum(w[i] * p ** (-2.0 * i - 2) for i in j))
+                                  + np.abs(sum(v[i] * p ** (-2.0 * i - 1) for i in j))))
+
+        phi, dphi = bound(range(4)), bound([4])
+        assert origin[4] != 0.0 and w[4] != 0.0 and v[4] != 0.0
+        expect = 4.0 * math.pi * p * p * phi * dphi * (1.0 + np.abs(np.log(phi * phi)))
+        np.testing.assert_allclose(tail.truncation(p), expect, rtol=1e-12, atol=0)
 
     def test_residual_falls_at_ninth_order(self):
         # the first terms left out fall as p^-19/2 (wall) and p^-(nu+10)
