@@ -13,6 +13,7 @@ endings, so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -153,15 +154,20 @@ def _one_state(args) -> tuple[RunConfig, QuantumNumbers]:
     return cfg, named("--l", QuantumNumbers, args.n, args.l, cfg.k)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.5f}"
-
-
 def _emit(chunks, cfg: RunConfig) -> None:
     if cfg.out:
         named(cfg.out_source, _write, cfg.out, chunks)
     else:
         sys.stdout.writelines(chunks)
+
+
+def _cell(value) -> str:
+    """One CSV cell: a float to 5 decimals, a bool as true or false, a missing value empty."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.5f}"
+    return "" if value is None else str(value)
 
 
 def _report_payload(rep) -> dict:
@@ -189,18 +195,17 @@ def cmd_state(args) -> int:
 
 
 def cmd_table(args) -> int:
-    """One pass over grid x betas; each row feeds both the CSV lines and the JSON entries.
+    """One pass over grid x betas; each row is one record, its JSON entry and its CSV line.
 
-    JSON carries the reference values of --compare-reference but not trend_agree.
+    A record is the state's payload with its --compare-reference values, or an error
+    entry; trend_agree and a failed row's bbm_bound and `failed` are CSV cells only.
     """
     cfg = _settings(args)
-    header = "n,l,beta,S_r,S_p,total,bbm_bound,satisfied"
-    pad = ""
+    columns = ["n", "l", "beta", "S_r", "S_p", "total", "bbm_bound", "satisfied"]
     if args.compare_reference:
-        header += ",ref_S_r,ref_S_p,ref_total,trend_agree"
-        pad = ",,,,"
-    lines, entries = [header], []
-    # (n, l) -> (report, reference) of its last row with a reference
+        columns += ["ref_S_r", "ref_S_p", "ref_total", "trend_agree"]
+    lines, entries = [",".join(columns)], []
+    # (n, l) -> (S_p, total, ref_S_p, ref_total) of its last row with a reference
     prev: dict[tuple[int, int], tuple] = {}
     failed = False
     for n, l in cfg.grid:
@@ -209,30 +214,23 @@ def cmd_table(args) -> int:
                 rep = report(replace(cfg.params, beta=beta), QuantumNumbers(n, l, cfg.k))
             except ConvergenceError as exc:
                 failed = True
-                entries.append({"n": n, "l": l, "beta": beta, "error": str(exc)})
-                lines.append(f"{n},{l},{_fmt(beta)},,,,{_fmt(BBM_BOUND)},failed{pad}")
+                entry = {"n": n, "l": l, "beta": beta, "error": str(exc)}
+                csv_only = {"bbm_bound": BBM_BOUND, "satisfied": "failed"}
                 prev.pop((n, l), None)
-                continue
-            entry = _report_payload(rep)
-            line = (
-                f"{n},{l},{_fmt(beta)},{_fmt(rep.s_r)},{_fmt(rep.s_p)},"
-                f"{_fmt(rep.total)},{_fmt(BBM_BOUND)},{'true' if rep.satisfied else 'false'}"
-            )
-            ref = reference_row(n, l, beta) if args.compare_reference else None
-            if ref is None:
-                line += pad
             else:
-                entry["ref_S_r"], entry["ref_S_p"], entry["ref_total"] = ref
-                agree = ""
-                if (n, l) in prev:
-                    p_rep, p_ref = prev[(n, l)]
-                    same_sp = (rep.s_p - p_rep.s_p > 0) == (ref[1] - p_ref[1] > 0)
-                    same_tot = (rep.total - p_rep.total > 0) == (ref[2] - p_ref[2] > 0)
-                    agree = "yes" if (same_sp and same_tot) else "no"
-                line += f",{_fmt(ref[0])},{_fmt(ref[1])},{_fmt(ref[2])},{agree}"
-                prev[(n, l)] = (rep, ref)
+                entry, csv_only = _report_payload(rep), {}
+                ref = reference_row(n, l, beta) if args.compare_reference else None
+                if ref is not None:
+                    entry["ref_S_r"], entry["ref_S_p"], entry["ref_total"] = ref
+                    now = (rep.s_p, rep.total, ref[1], ref[2])
+                    if (n, l) in prev:
+                        # the trends agree if S_p and total rise where the reference's do
+                        rises = [b - a > 0 for a, b in zip(prev[(n, l)], now)]
+                        csv_only["trend_agree"] = "yes" if rises[:2] == rises[2:] else "no"
+                    prev[(n, l)] = now
             entries.append(entry)
-            lines.append(line)
+            row = {**entry, **csv_only}
+            lines.append(",".join(_cell(row.get(column)) for column in columns))
     text = json.dumps(entries, indent=2) if cfg.fmt == "json" else "\n".join(lines)
     _emit([text + "\n"], cfg)
     return 3 if failed else 0
@@ -279,6 +277,7 @@ def _add_one_state(sub):
     sub.add_argument("--beta", type=float, help="dislocation parameter in [0, 1)")
 
 
+@functools.cache  # one parser serves every call; it holds no handler
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abtrap",
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_state = subs.add_parser("state", help="single-state entropy report (JSON)")
     _add_one_state(p_state)
     _add_common(p_state)
-    p_state.set_defaults(func=cmd_state)
 
     # whole flag names only, so that --beta is not taken for --betas
     p_table = subs.add_parser("table", help="grid sweep (CSV or JSON)", allow_abbrev=False)
@@ -301,31 +299,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--format", choices=("csv", "json"), help="output format")
     _add_common(p_table)
-    p_table.set_defaults(func=cmd_table)
 
     p_dens = subs.add_parser("density", help="density profile emission (CSV)")
     p_dens.add_argument("--space", choices=("position", "momentum"), required=True)
     _add_one_state(p_dens)
     p_dens.add_argument("--samples", type=int, default=512, help="grid size (default 512)")
     _add_common(p_dens)
-    p_dens.set_defaults(func=cmd_density)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
-    except DomainError as exc:
+        # the command is looked up when called, so that a tracer can rebind it
+        return globals()[f"cmd_{args.command}"](args)
+    except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, DomainError) else 3
 
 
 def entrypoint() -> None:

@@ -1,9 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+import abtrap
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
 from abtrap.entropy import shannon_momentum, shannon_position
 from abtrap.momentum import build_profile
 from abtrap.reference import TABLE_BETAS, default_grid_points
+
+BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 class Pipeline:
@@ -37,3 +43,12 @@ def grid_pipelines():
     out_elapsed = time.perf_counter() - t0
     out["elapsed_seconds"] = out_elapsed
     return out
+
+
+@pytest.fixture
+def bench_tracer():
+    """The benchmark's tracer over the package, not yet installed."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.Tracer(abtrap)

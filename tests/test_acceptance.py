@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured numbers once its assertions hold."""
 
+import functools
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 
 from abtrap.cli import main as cli_main
 from abtrap.eigen import QuantumNumbers, SystemParams, solve
-from abtrap.entropy import shannon_momentum, shannon_position
+from abtrap.entropy import report, shannon_momentum, shannon_position
 from abtrap.errors import ConvergenceError
 from abtrap.momentum import _AmplitudeEvaluator, build_profile
 from abtrap.reference import _REFERENCE_ROWS, TABLE_BETAS, default_grid_points
@@ -22,8 +23,9 @@ from oracles import midpoint, radial_norm_adaptive, zero_by_bisection
 
 BBM_BOUND = 3.0 * (1.0 + math.log(math.pi))
 SLACK = 1e-9
-# `abtrap table --compare-reference`, byte for byte
+# `abtrap table --compare-reference`, byte for byte, in CSV and with `--format json`
 REFERENCE_TABLE = Path(__file__).parent / "data" / "table_compare_reference.csv"
+REFERENCE_TABLE_JSON = Path(__file__).parent / "data" / "table_compare_reference.json"
 # `abtrap table --betas 0 0.2 0.4 0.8`, byte for byte
 FOUR_BETA_TABLE = Path(__file__).parent / "data" / "table_four_betas.csv"
 # `abtrap state` rows of wide states, one JSON line each, byte for byte
@@ -195,7 +197,9 @@ def test_criterion_7_defect_free_limit(grid_pipelines):
 
 
 class TestCriterion8CLI:
-    def test_full_reference_table(self, capsys):
+    def test_full_reference_table(self, capsys, monkeypatch):
+        # both formats print rows of the same 27 reports, each computed once
+        monkeypatch.setattr("abtrap.cli.report", functools.lru_cache(maxsize=None)(report))
         code = cli_main(["table", "--compare-reference"])
         out = capsys.readouterr().out
         assert code == 0
@@ -213,8 +217,11 @@ class TestCriterion8CLI:
         assert ",9.74631,0.06678,9.81309," in lines[1]
         # computed rows all satisfy the bound
         assert all(",true," in ln for ln in lines[1:])
-        # and every printed byte is pinned
+        # and every printed byte is pinned, in both formats
         assert out.encode("utf-8") == REFERENCE_TABLE.read_bytes()
+        code = cli_main(["table", "--compare-reference", "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out.encode("utf-8") == REFERENCE_TABLE_JSON.read_bytes()
         print("ACCEPTANCE 8a PASS: table --compare-reference emits all 27 reference rows")
 
     def test_four_beta_table_pinned(self, capsys):

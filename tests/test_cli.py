@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -183,6 +184,24 @@ class TestStateCommand:
         code, out, err = run_cli(capsys, ["state", *flags])
         assert (code, out, err) == (0, row + "\n", "")
 
+    @pytest.mark.parametrize("n, l, k, beta", [
+        (1, 1, 1.0, 0.8),
+        (2, -2, 3.0, 0.4),
+        (0, 2, 3.0, 0.5),
+        (1, 0, 0.5, 0.6),  # nu = 0.3 at l = 0: the small-nu first panel of the amplitude
+    ])
+    def test_reversed_l_and_k_print_the_same_entropies(self, capsys, n, l, k, beta):
+        # the dislocation enters only through nu = |l - beta k|, which (l, k) -> (-l, -k) keeps
+        rows = []
+        for sign in (1, -1):
+            argv = ["state", "--n", str(n), "--l", str(sign * l), "--k", repr(sign * k),
+                    "--beta", repr(beta)]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            rows.append({key: payload[key] for key in ("S_r", "S_p", "total", "satisfied")})
+        assert rows[0] == rows[1]
+
     def test_beta_out_of_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--beta", "1.5"])
         assert code == 2
@@ -333,8 +352,42 @@ class TestTableCommand:
         assert code == 3
         failed = [entry for entry in json.loads(out) if "error" in entry]
         assert len(failed) == 1
-        assert set(failed[0]) == {"n", "l", "beta", "error"}
+        assert list(failed[0]) == ["n", "l", "beta", "error"]  # the key order is printed
         assert (failed[0]["n"], failed[0]["l"], failed[0]["beta"]) == (1, 0, 0.4)
+
+
+class TestDispatch:
+    STATE = ["state", "--n", "0", "--l", "0", "--beta", "0.2"]
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # the parser and its three subparsers are built once per process, not per call
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        monkeypatch.setattr("abtrap.cli.report", fake_report())
+        for argv in (self.STATE, ["table", "--betas", "0.4"],
+                     ["density", "--space", "position", "--n", "0", "--l", "0", "--samples", "64"]):
+            code, _, err = run_cli(capsys, argv)
+            assert (code, err) == (0, "")
+        assert len(built) <= 4, built
+
+    def test_command_is_looked_up_when_called(self, capsys, monkeypatch, bench_tracer):
+        # the parser is built before the tracer rebinds cli.cmd_state, and the
+        # rebound command still runs
+        monkeypatch.setattr("abtrap.cli.report", fake_report())
+        run_cli(capsys, self.STATE)
+        bench_tracer.install()
+        try:
+            code, _, err = run_cli(capsys, self.STATE)
+        finally:
+            bench_tracer.uninstall()
+        assert (code, err) == (0, "")
+        assert bench_tracer.calls()["cli.cmd_state"] == 1
 
 
 class TestDensityCommand:

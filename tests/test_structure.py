@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import re
 from pathlib import Path
 
@@ -13,7 +12,6 @@ import abtrap.cli
 
 PACKAGE = Path(abtrap.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
-BENCH_SPANS = ROOT / "bench" / "spans.py"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -94,16 +92,12 @@ def test_python_3_10_grammar(folder):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
-def test_bench_tracer_finds_every_name_it_wraps():
+def test_bench_tracer_finds_every_name_it_wraps(bench_tracer):
     # the tracer looks each traced function up by name, with no default
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    tracer = spans.Tracer(abtrap)
     try:
-        tracer.install()
+        bench_tracer.install()
     finally:
-        tracer.uninstall()
+        bench_tracer.uninstall()
     # the bench clears the zero cache between passes
     assert callable(abtrap.specfun.bessel_zero.cache_clear)
 
