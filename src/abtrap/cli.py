@@ -253,7 +253,7 @@ def cmd_density(args) -> int:
             xs, rho = named("density", sample_profile, state, args.samples).T
             coords, dens = xs / r0, r0 * (2.0 * math.pi * rho * xs)
     if not (np.isfinite(coords).all() and np.isfinite(dens).all()):
-        raise ConvergenceError(f"density: r0 = {r0!r} overflows the profile", stage="density")
+        raise ConvergenceError(f"density: r0 = {r0!r} overflows the profile")
     # formatted and written _CSV_BLOCK rows at a time by one % call, the header with the
     # first; the columns are interleaved per block, not for the whole array
     blocks = (np.column_stack([coords[i:i + _CSV_BLOCK], dens[i:i + _CSV_BLOCK]])

@@ -59,12 +59,9 @@ class SystemParams:
         for name in ("m", "beta", "r0", "lz"):
             value = _finite(getattr(self, name), f"{name} must be a finite number")
             object.__setattr__(self, name, value)
-        if self.m <= 0.0:
-            raise DomainError(f"m (mass) must be > 0, got {self.m}")
-        if self.r0 <= 0.0:
-            raise DomainError(f"r0 (wall radius) must be > 0, got {self.r0}")
-        if self.lz <= 0.0:
-            raise DomainError(f"lz (z-box length) must be > 0, got {self.lz}")
+        for name, what in (("m", "mass"), ("r0", "wall radius"), ("lz", "z-box length")):
+            if getattr(self, name) <= 0.0:
+                raise DomainError(f"{name} ({what}) must be > 0, got {getattr(self, name)}")
         if not (0.0 <= self.beta < 1.0):
             raise DomainError(
                 f"beta (dislocation parameter) must obey the constraint 0<beta<1 "

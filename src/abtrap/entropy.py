@@ -102,7 +102,7 @@ def report(params: SystemParams, qn: QuantumNumbers) -> EntropyReport:
     """solve -> momentum profile -> entropies, deterministically.
 
     S_r and S_p each come from one fixed rule, so there is no tolerance. A
-    ConvergenceError or ArithmeticError becomes a ConvergenceError named by its stage.
+    ConvergenceError or ArithmeticError becomes a ConvergenceError prefixed by its stage.
     """
     # each stage is looked up when called, so that a tracer can rebind it
     state = named("solve", solve, params, qn)

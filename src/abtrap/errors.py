@@ -6,22 +6,18 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative computation exhausted its budget; `stage` may name the pipeline stage."""
-
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
+    """An iterative computation exhausted its budget; its message may start with the stage."""
 
 
 def named(source: str, call, *args, **kwargs):
     """`call(*args, **kwargs)`, with a failure prefixed by `source`, where it came from.
 
     A DomainError stays one (`source` is a flag or config field); a ConvergenceError
-    or ArithmeticError becomes a ConvergenceError whose `stage` is `source`.
+    or ArithmeticError becomes a ConvergenceError whose message starts with `source`.
     """
     try:
         return call(*args, **kwargs)
     except DomainError as exc:
         raise DomainError(f"{source}: {exc}") from exc
     except (ConvergenceError, ArithmeticError) as exc:
-        raise ConvergenceError(f"{source}: {exc}", stage=source) from exc
+        raise ConvergenceError(f"{source}: {exc}") from exc

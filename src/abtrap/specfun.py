@@ -140,18 +140,17 @@ def hankel_pq(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if scaled >= scaled_prev or scaled < 1e-18:
             break
         scaled_prev = scaled
-    # fold (-1)^k signs into Horner coefficients in u = 1/x^2; the sums are
-    # formed in place, which keeps the peak memory of large batches down
-    pc = [(-1.0) ** k * a[2 * k] for k in range((len(a) + 1) // 2)]
-    qc = [(-1.0) ** k * a[2 * k + 1] for k in range(len(a) // 2)]
+    # Horner's rule on the even terms (P) and the odd ones (x Q) in u = -1/x^2, which
+    # carries the alternating signs; the sums are formed in place, which keeps the
+    # peak memory of large batches down
     u = x * x
-    np.divide(1.0, u, out=u)
-    p = np.full_like(x, pc[-1])
-    for coef in pc[-2::-1]:
+    np.divide(-1.0, u, out=u)
+    p = np.full_like(x, a[0::2][-1])
+    for coef in a[0::2][-2::-1]:
         p *= u
         p += coef
-    q = np.full_like(x, qc[-1])
-    for coef in qc[-2::-1]:
+    q = np.full_like(x, a[1::2][-1])
+    for coef in a[1::2][-2::-1]:
         q *= u
         q += coef
     q /= x

@@ -281,7 +281,7 @@ class TestCriterion8CLI:
         import abtrap.cli as cli_mod
 
         def boom(*args, **kwargs):
-            raise ConvergenceError("injected failure", stage="momentum-profile")
+            raise ConvergenceError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "report", boom)
         code_fail = cli_main(["state", "--n", "0", "--l", "0", "--beta", "0.2"])

@@ -49,7 +49,7 @@ def fake_report(fail=None):
 
     def fake(params, qn):
         if (qn.n, qn.l, params.beta) == fail:
-            raise ConvergenceError("synthetic failure", stage="solve")
+            raise ConvergenceError("synthetic failure")
         return EntropyReport(params, qn, 1.0 + qn.n, 6.0 + params.beta)
 
     return fake
@@ -291,7 +291,7 @@ class TestTableCommand:
         import abtrap.cli as cli_mod
 
         def boom(*args, **kwargs):
-            raise ConvergenceError("synthetic failure", stage="momentum-profile")
+            raise ConvergenceError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "report", boom)
         code, out, _ = run_cli(capsys, ["table", "--betas", "0.4"])

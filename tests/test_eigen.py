@@ -30,9 +30,19 @@ class TestParams:
                 SystemParams(beta=bad)
 
     def test_positivity(self):
-        for kwargs in ({"m": 0.0}, {"m": -1.0}, {"r0": 0.0}, {"lz": -2.0}):
-            with pytest.raises(DomainError):
+        # each bound's exact message; an int is shown as the float it becomes
+        for kwargs, message in [
+            ({"m": 0}, "m (mass) must be > 0, got 0.0"),
+            ({"m": -1.0}, "m (mass) must be > 0, got -1.0"),
+            ({"r0": 0.0}, "r0 (wall radius) must be > 0, got 0.0"),
+            ({"r0": -1}, "r0 (wall radius) must be > 0, got -1.0"),
+            ({"lz": 0}, "lz (z-box length) must be > 0, got 0.0"),
+            ({"lz": -1.0}, "lz (z-box length) must be > 0, got -1.0"),
+            ({"lz": -2.0}, "lz (z-box length) must be > 0, got -2.0"),
+        ]:
+            with pytest.raises(DomainError) as err:
                 SystemParams(**kwargs)
+            assert str(err.value) == message
 
     def test_quantum_number_validation(self):
         QuantumNumbers(0, -3, 2.5)

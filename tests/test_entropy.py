@@ -280,7 +280,7 @@ class TestReport:
         monkeypatch.setattr(entropy_mod, "build_profile", boom)
         with pytest.raises(ConvergenceError) as err:
             report(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
-        assert err.value.stage == "momentum-profile"
+        assert str(err.value) == "momentum-profile: synthetic failure"
 
     def test_position_entropy_failure_names_its_stage(self, monkeypatch):
         import abtrap.entropy as entropy_mod
@@ -291,7 +291,6 @@ class TestReport:
         monkeypatch.setattr(entropy_mod, "shannon_position", boom)
         with pytest.raises(ConvergenceError) as err:
             report(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
-        assert err.value.stage == "position-entropy"
         assert str(err.value) == "position-entropy: math range error"
 
     def test_solve_failure_names_its_stage(self, monkeypatch):
@@ -303,7 +302,6 @@ class TestReport:
         monkeypatch.setattr(entropy_mod, "solve", boom)
         with pytest.raises(ConvergenceError) as err:
             report(SystemParams(beta=0.2), QuantumNumbers(0, 0, 1.0))
-        assert err.value.stage == "solve"
         assert str(err.value) == "solve: no zero found"
 
     def test_scaling_identity_to_the_float_range(self):

@@ -221,6 +221,15 @@ class TestHankelPQ:
         np.testing.assert_allclose(s * (p * np.sin(w) + q * np.cos(w)), y_ref, rtol=0, atol=1e-13)
 
 
+    def test_half_integer_orders_end_the_series(self):
+        # at nu = 1/2 and 3/2 Hankel's series stops at a zero coefficient:
+        # J_{1/2} has P = 1, Q = 0 and J_{3/2} has P = 1, Q = 1/x, exactly
+        xs = np.geomspace(16.0, 1e4, 257)
+        p, q = hankel_pq(0.5, xs)
+        assert np.array_equal(p, np.ones_like(xs)) and np.array_equal(q, np.zeros_like(xs))
+        p, q = hankel_pq(1.5, xs)
+        assert np.array_equal(p, np.ones_like(xs)) and np.array_equal(q, 1.0 / xs)
+
     @pytest.mark.parametrize("nu, x", [(160.0, 10156.46), (0.0, 15.9)])
     def test_below_the_cutoff_raises(self, nu, x):
         # below asymptotic_cutoff the series grows from its first term, which
