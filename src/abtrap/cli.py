@@ -59,15 +59,28 @@ _FIELDS = {
 }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; a repeated key, whose earlier
+    values json.load would drop, is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DomainError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_config(path: str) -> dict:
     """The config file as a dict of dotted field names (`params.beta`), each known."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"--config: malformed JSON in {path!r}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except DomainError as exc:  # a ValueError too; it names the key
+        raise DomainError(f"--config: {exc} in {path!r}") from exc
     except (OSError, ValueError) as exc:  # also not UTF-8, or an int past Python's digit limit
         raise DomainError(f"--config: cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):

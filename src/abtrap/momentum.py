@@ -18,8 +18,9 @@ The longitudinal factor is handled analytically in the entropy module.
 Each state has one plan, `_AmplitudeEvaluator`: it builds the state's tail
 model, `_Tail`, fixes p_max from it once, and tabulates phi on [0, p_max];
 `build_profile` and `sample_profile` read all three from there. The exact phi
-is one weighted sum of `smoothed_gauss_legendre` over fixed x-nodes, on panels
-two oscillations of J_L(p_max x) wide; it runs once per plan, at the
+is one weighted sum of `smoothed_gauss_legendre` over fixed x-nodes, on equal
+panels of [0, 1] just under two oscillations of J_L(p_max x) wide, whatever
+the zeros of R; it runs once per plan, at the
 Chebyshev points of equal panels about 3 sqrt(p_max) wide, and every other
 value is a panel's barycentric interpolant (Berrut and Trefethen, SIAM Rev.
 46 (2004) 501): phi is entire of exponential type 1, since R lives on [0, 1],
@@ -98,8 +99,10 @@ _NORM_DEFECT = 1e-7
 _TAIL_TOL = 1e-11
 _LOG_SPAN = 12.0
 _LOG_STEP = 1.0 / 32.0
-# phi is tabulated on equal panels of [0, p_max] no wider than _PANEL_SCALE sqrt(p_max)
+# phi is tabulated on equal panels of [0, p_max] no wider than _PANEL_SCALE sqrt(p_max),
+# from a sum over radial panels of [0, 1] no wider than _RADIAL_PANEL / p_max
 _PANEL_SCALE = 3.0
+_RADIAL_PANEL = 3.8 * math.pi
 # the radial nodes whose weight |w R(x) x| is below this share of the largest are dropped
 _NODE_FLOOR = 1e-18
 # array elements per slice of a batch, in the exact sum and in the interpolation
@@ -109,22 +112,26 @@ _SLICE_ELEMENTS = 200_000
 class _AmplitudeEvaluator:
     """The momentum plan of one state: its tail model, p_max, and phi(p) on [0, p_max].
 
-    The exact sum `_block` splits [0, 1] at the radial nodes, in panels no
-    wider than 4 pi / p_max. After the smoothing map its integrand behaves as
-    s^(2 nu+2 L+3) at the origin; for L = 0 and 0 < nu < 1/2 that power is
-    fractional and below 4, and the first panel is cut at 1/16 and 1/4 of its
-    width: phi is then within 3e-13 of a four times finer grid for p <= p_max
-    (4e-12 at (0,0,0.2) without the cuts). Nodes whose weight |w R(x) x| is
-    below _NODE_FLOOR of the largest, where R is evanescent (Theta x < nu),
-    are dropped: (0,160,0.5) keeps 798 of 2040. The table holds the sum at the
-    Chebyshev points of the second kind of ceil(sqrt(p_max) / _PANEL_SCALE)
-    equal panels. The sum costs table points times radial nodes, both about
-    proportional to p_max, and the interpolant the points per panel, so the
-    width w grows as sqrt(p_max). On a panel phi's Chebyshev coefficients are
-    2 i^k J_k(w / 2) times a phase (Trefethen, Approximation Theory and
-    Approximation Practice, ch. 8), so it takes z + 6 z^(1/3) + 10 points,
-    z = w / 2, with the margin of J_k's transition region: 36 on each of the
-    three panels at (1,1,0.8). The interpolant, with barycentric weights
+    The exact sum `_block` cuts [0, 1] into equal panels no wider than
+    _RADIAL_PANEL / p_max = 3.8 pi / p_max. Its integrand R(x) J_L(p x) x is
+    entire away from the origin, so unlike S_r's rho ln rho it needs no cut at
+    the zeros of R: S_p is within 1.3e-12 of radial panels 16 times narrower on
+    the 36 rows of `abtrap table --betas 0 0.2 0.4 0.8`, the seven pinned wide
+    states and three small-nu states. After the smoothing map the integrand
+    behaves as s^(2 nu+2 L+3) at the origin; for L = 0 and 0 < nu < 1/2 that
+    power is fractional and below 4, and the first panel is cut at 1/16 and 1/4
+    of its width: phi is then within 2e-13 of a four times finer grid for
+    p <= p_max (4e-12 at (0,0,0.2) without the cuts). Nodes whose weight
+    |w R(x) x| is below _NODE_FLOOR of the largest, where R is evanescent
+    (Theta x < nu), are dropped: (0,160,0.5) keeps 838 of 2140. The table
+    holds the sum at the Chebyshev points of the second kind of
+    ceil(sqrt(p_max) / _PANEL_SCALE) equal panels. The sum costs table points
+    times radial nodes, both about proportional to p_max, and the interpolant
+    the points per panel, so the width w grows as sqrt(p_max). On a panel
+    phi's Chebyshev coefficients are 2 i^k J_k(w / 2) times a phase (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 8), so it takes
+    z + 6 z^(1/3) + 10 points, z = w / 2, with the margin of J_k's transition
+    region: 36 on each of the three panels at (1,1,0.8). The interpolant, with barycentric weights
     (-1)^j halved at both ends, takes its numerator and weight sum in one
     reduction each; it is within 3.1e-15 of `_block` on 5003 points of
     [0, p_max], on the 36 rows of `abtrap table --betas 0 0.2 0.4 0.8` and ten
@@ -134,7 +141,7 @@ class _AmplitudeEvaluator:
     def __init__(self, state: Eigenstate):
         self.tail = _Tail(state)
         self.p_max = _p_max(self.tail)
-        edges = subdivide([0.0, *state.radial_nodes(), 1.0], 4.0 * math.pi / self.p_max, 1)
+        edges = subdivide([0.0, 1.0], _RADIAL_PANEL / self.p_max, 1)
         if state.qn.l == 0 and 0.0 < state.nu < 0.5:
             edges = np.concatenate([[0.0], edges[1] / np.array([16.0, 4.0]), edges[1:]])
         nodes, weights = smoothed_gauss_legendre(edges)

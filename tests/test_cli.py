@@ -591,6 +591,20 @@ class TestConfig:
         assert code == 2
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("content, key", [
+        ('{"params": {"beta": 0.2}, "params": {"r0": 2}}', "params"),
+        ('{"params": {"beta": 0.2, "beta": 0.3}}', "beta"),
+        ('{"grid": [{"n": 0, "l": 0, "n": 1}]}', "n"),
+    ], ids=["top-level", "in-params", "in-a-grid-entry"])
+    def test_repeated_key_exits_2(self, capsys, tmp_path, content, key):
+        # json.load keeps the last value of a repeated key: the first file would
+        # run at beta = 0 and exit 0
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: --config: repeated key {key!r} in {str(path)!r}\n", err
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}", b'{"params": {"r0": 1' + b"0" * 5000 + b"}}",
     ], ids=["not-utf-8", "past-the-int-digit-limit"])

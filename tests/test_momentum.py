@@ -5,7 +5,7 @@ import pytest
 
 import abtrap.momentum as momentum_mod
 from abtrap import cli
-from abtrap.eigen import QuantumNumbers, SystemParams, solve
+from abtrap.eigen import Eigenstate, QuantumNumbers, SystemParams, solve
 from abtrap.entropy import shannon_momentum
 from abtrap.errors import DomainError
 from abtrap.momentum import (
@@ -203,7 +203,7 @@ class TestProfile:
         assert plan._width > 15.0 * math.pi
 
     def test_trimmed_radial_grid(self, monkeypatch):
-        # R is evanescent for Theta x < nu: at (0,160,0.5) 798 of the 2 040
+        # R is evanescent for Theta x < nu: at (0,160,0.5) 838 of the 2 140
         # radial nodes carry a weight |w R(x) x| above 1e-18 of the largest,
         # and the others move S_p by less than 1e-13
         plans = []
@@ -220,6 +220,54 @@ class TestProfile:
         assert shannon_momentum(build_profile(st)) == pytest.approx(s_p, abs=1e-13)
         trimmed, full = (plan._nodes.size for plan in plans)
         assert trimmed < full
+
+    def test_plan_does_not_read_the_radial_nodes(self, monkeypatch):
+        # R(x) J_L(p x) x has no cusp at the zeros of R, so the radial grid is
+        # cut by p_max alone; only S_r's rho ln rho is split at them
+        st = solve(SystemParams(beta=0.8), QuantumNumbers(2, 1, 1.0))
+
+        def refused(self):
+            raise AssertionError("the momentum plan read the radial nodes")
+
+        monkeypatch.setattr(Eigenstate, "radial_nodes", refused)
+        plan = _AmplitudeEvaluator(st)
+        assert plan._nodes.size > 0
+        assert sample_profile(st, 64).shape == (64, 2)
+
+    @pytest.mark.parametrize("n, l, beta, k", [
+        (1, 0, 0.8, 1.0), (2, 0, 0.8, 1.0), (2, 1, 0.8, 1.0), (1, 1, 0.8, 1.0), (0, 1, 0.95, 1.0),
+        (1, 14, 0.9, (14 - 0.05) / 0.9),
+    ])
+    def test_radial_grid_margin(self, monkeypatch, n, l, beta, k):
+        # S_p moves by at most 1.2e-12 here when the radial panels are made four
+        # times narrower; with panels 4 pi / p_max wide, also cut at the zeros
+        # of R, it moved by 1.8e-12 at (1,0,0.8)
+        st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, k))
+        s_p = shannon_momentum(build_profile(st))
+        monkeypatch.setattr(momentum_mod, "_RADIAL_PANEL", momentum_mod._RADIAL_PANEL / 4.0)
+        assert shannon_momentum(build_profile(st)) == pytest.approx(s_p, abs=1.5e-12)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18: the inner panels are split only "
+                       "at the sign changes of phi, not at its near-tangent dips")
+    @pytest.mark.parametrize("n, l, beta", [(1, 1, 0.564), (2, 2, 0.8), (2, 2, 0.97)])
+    def test_inner_entropy_across_near_tangent_dips(self, n, l, beta):
+        # where two zeros of phi have just merged, |phi| keeps a narrow dip close
+        # to 0 inside one panel; the shipped inner entropy is off by 3.3e-7,
+        # 1.6e-10 and 6.5e-11 against adaptive quadrature between the sign changes
+        from scipy.integrate import quad
+
+        st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+        plan = _AmplitudeEvaluator(st)
+        ps = np.linspace(0.0, plan.p_max, math.ceil(8.0 * plan.p_max / math.pi) + 1)
+        edges = [0.0, *_amplitude_breakpoints(plan, ps, plan(ps)), plan.p_max]
+
+        def integrand(p):
+            rho = plan(np.array([p]))[0] ** 2
+            return -2.0 * math.pi * rho * math.log(rho) * p if rho > 0.0 else 0.0
+
+        entropy = sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                      for a, b in zip(edges[:-1], edges[1:]))
+        assert build_profile(st).inner_entropy == pytest.approx(entropy, abs=1e-11)
 
     def test_samples_sorted_and_consistent(self):
         # the six bench `density` states, then a wide, a high-n and a small-nu
