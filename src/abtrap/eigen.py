@@ -1,5 +1,5 @@
 """Eigenstates of a spinless particle confined by a hard wall at r0 in a
-screw-dislocation background (units hbar = c = 1).
+screw-dislocation background (units hbar = c = m = 1).
 
 The dislocation couples the angular quantum number l to the longitudinal
 wavenumber k, shifting the effective Bessel order to nu = |l - beta*k| (an
@@ -7,7 +7,7 @@ Aharonov-Bohm-type effect: the defect acts without any local interaction).
 The radial eigenfunction is R(r) = a0 J_nu(Theta r / r0) with Theta the
 (n+1)-th positive zero of J_nu, and
 
-    E(n, l, k) = (Theta / r0)^2 / (2m) + k^2 / (2m).
+    E(n, l, k) = (Theta / r0)^2 / 2 + k^2 / 2.
 
 The plane wave along z is normalized on a periodic box of length Lz. The
 state is solved on the unit cylinder r0 = Lz = 1, in x = r / r0: the box only
@@ -46,20 +46,19 @@ def _finite(value, message: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SystemParams:
-    """Physical configuration: mass, dislocation strength, wall radius, z box."""
+    """Physical configuration: dislocation strength, wall radius, z box."""
 
-    m: float = 1.0
     beta: float = 0.0
     r0: float = 1.0
     lz: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "beta", "r0", "lz"):
+        for name in ("beta", "r0", "lz"):
             value = _finite(getattr(self, name), f"{name} must be a finite number")
             object.__setattr__(self, name, value)
-        for name, what in (("m", "mass"), ("r0", "wall radius"), ("lz", "z-box length")):
+        for name, what in (("r0", "wall radius"), ("lz", "z-box length")):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} ({what}) must be > 0, got {getattr(self, name)}")
         if not (0.0 <= self.beta < 1.0):
@@ -113,9 +112,9 @@ class Eigenstate:
 
     @property
     def energy(self) -> float:
-        """E = (Theta / r0)^2 / (2m) + k^2 / (2m); inf, not OverflowError, past the float range."""
-        t, k, m = self.theta / self.params.r0, self.qn.k, self.params.m
-        return t * t / (2.0 * m) + k * k / (2.0 * m)
+        """E = (Theta / r0)^2 / 2 + k^2 / 2; inf, not OverflowError, past the float range."""
+        t, k = self.theta / self.params.r0, self.qn.k
+        return t * t / 2.0 + k * k / 2.0
 
     def radial_wavefunction(self, x):
         """R(x) = a0 J_nu(Theta x) inside the wall x < 1, 0 at and beyond it.

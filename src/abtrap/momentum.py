@@ -27,9 +27,13 @@ value is a panel's barycentric interpolant (Berrut and Trefethen, SIAM Rev.
 so a panel w wide needs about w / 2 points. So p_max and the radial grid set
 the Bessel work, not how many points of phi are asked for. On [0, p_max]
 a scan of 8 points per pi brackets the amplitude's sign changes, and regula
-falsi puts each on its root. One batch of p-nodes, split there and cut to
-panels no wider than pi, gives the captured norm and the transverse entropy
-through `density_integrals`. Past p_max, phi follows the tail model (L = |l|,
+falsi puts each on its root. A scan point whose |phi| is below both
+neighbours, all three of one sign, is a dip, where two roots have just merged
+or lie within one scan step: parabola-vertex steps put it on its minimum, or
+on the other sign, which brackets the root pair for regula falsi. One batch of
+p-nodes, split at the roots and dips and cut to panels no wider than pi,
+gives the captured norm and the transverse entropy through
+`density_integrals`. Past p_max, phi follows the tail model (L = |l|,
 M = 4): origin terms plus the wall part of Green's identity,
 
     phi(p) ~ sum_{j<M} C_j p^-(nu+2+2j)
@@ -107,6 +111,10 @@ _RADIAL_PANEL = 3.8 * math.pi
 _NODE_FLOOR = 1e-18
 # array elements per slice of a batch, in the exact sum and in the interpolation
 _SLICE_ELEMENTS = 200_000
+# parabola-vertex steps that refine each dip of |phi| between scan points of one sign:
+# four move S_p by at most 1e-14 on the 36 rows of `abtrap table --betas 0 0.2 0.4 0.8`
+# and across four mergers of two roots, and one step by up to 3.8e-12
+_DIP_STEPS = 2
 
 
 class _AmplitudeEvaluator:
@@ -390,17 +398,65 @@ def _phase_harmonics(o: np.ndarray, r: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _amplitude_dips(
+    evaluator: _AmplitudeEvaluator, ps: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minima of |phi| between scan points of one sign, and the root pairs they hide.
+
+    A dip is a scan point whose |phi| is below both neighbours, all three of
+    one sign: two roots of phi have just merged there, or lie within one scan
+    step. Each is refined by _DIP_STEPS steps to the vertex of the parabola
+    through its bracket a < m < b, one evaluator call per step over all dips.
+    A vertex with |phi| below m's becomes the middle of the bracket, any other
+    replaces the end on its side; one of the other sign ends its dip, as the
+    bracket then holds two sign changes. Returns the dips' middles, and the
+    points of each root pair's bracket with their phi, for the scan.
+    """
+    mags = np.abs(amps)
+    same = np.sign(amps[:-1]) == np.sign(amps[1:])
+    i = 1 + np.flatnonzero(same[:-1] & same[1:] & (mags[1:-1] < mags[:-2])
+                           & (mags[1:-1] < mags[2:]))
+    sign = np.sign(amps[i])
+    # rows a, m, b of each bracket, and phi there times the dip's sign
+    x, s = (np.stack([v[i - 1], v[i], v[i + 1]]) for v in (ps, mags))
+    todo = np.arange(i.size)
+    for _ in range(_DIP_STEPS):
+        if todo.size == 0:
+            break
+        (a, m, b), (sa, sm, sb) = x[:, todo], s[:, todo]
+        u, w, ea, eb = m - a, b - m, sa - sm, sb - sm
+        # s_m lies below s_a and s_b, so den > 0 and the vertex is in [m - u/2, m + w/2];
+        # a bracket shrunk onto m has den = 0, and its vertex stays at m
+        den = u * eb + w * ea
+        v = m + np.divide(0.5 * (w * w * ea - u * u * eb), den, out=np.zeros(todo.size),
+                          where=den > 0.0)
+        sv = sign[todo] * evaluator(v)
+        lower, left = sv < sm, v < m
+        x[:, todo] = np.where(lower, np.where(left, [a, v, m], [m, v, b]),
+                              np.where(left, [v, m, b], [a, m, v]))
+        s[:, todo] = np.where(lower, np.where(left, [sa, sv, sm], [sm, sv, sb]),
+                              np.where(left, [sv, sm, sb], [sa, sm, sv]))
+        todo = todo[sv >= 0.0]
+    pair = s[1] < 0.0
+    return x[1, ~pair], x[:, pair].ravel(), (sign[pair] * s[:, pair]).ravel()
+
+
 def _amplitude_breakpoints(
     evaluator: _AmplitudeEvaluator, ps: np.ndarray, amps: np.ndarray
 ) -> np.ndarray:
-    """Sign changes of phi between neighbouring points of a scan `amps` at `ps`.
+    """Sign changes and dips of phi, from a scan `amps` at `ps`, in order.
 
-    Each crossing is refined from its two scan points by regula falsi with the
-    Anderson-Bjorck weight (the end that stays is scaled by 1 - f(x) / f(end
-    dropped), or by 1/2), which converges superlinearly. A round is one
-    evaluator call over the crossings whose estimate still moved by more than
-    1e-10 of the scan range; the grid states take 3 to 8 rounds.
+    The dips and the root pairs they hide come from `_amplitude_dips`; a pair's
+    points join the scan. Each sign change between neighbouring scan points is
+    refined by regula falsi with the Anderson-Bjorck weight (the end that stays
+    is scaled by 1 - f(x) / f(end dropped), or by 1/2), which converges
+    superlinearly. A round is one evaluator call over the crossings whose
+    estimate still moved by more than 1e-10 of the scan range; the grid states
+    take 3 to 8 rounds.
     """
+    dips, pair_ps, pair_amps = _amplitude_dips(evaluator, ps, amps)
+    order = np.argsort(np.concatenate([ps, pair_ps]), kind="stable")
+    ps, amps = np.concatenate([ps, pair_ps])[order], np.concatenate([amps, pair_amps])[order]
     i = np.flatnonzero(np.sign(amps[:-1]) * np.sign(amps[1:]) < 0)
     a, b, fa, fb = ps[i], ps[i + 1], amps[i], amps[i + 1]
     x = a - fa * (b - a) / (fb - fa)
@@ -420,7 +476,7 @@ def _amplitude_breakpoints(
         moved = np.abs(step - x[todo]) > tol
         x[todo] = step
         todo = todo[moved]
-    return x
+    return np.sort(np.concatenate([x, dips]))
 
 
 @dataclass(frozen=True)

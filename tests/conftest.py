@@ -15,8 +15,8 @@ BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 class Pipeline:
     """One fully-solved state: eigenstate, momentum profile, entropies."""
 
-    def __init__(self, n, l, beta, k=1.0, r0=1.0, lz=1.0, m=1.0):
-        self.params = SystemParams(m=m, beta=beta, r0=r0, lz=lz)
+    def __init__(self, n, l, beta, k=1.0, r0=1.0, lz=1.0):
+        self.params = SystemParams(beta=beta, r0=r0, lz=lz)
         self.qn = QuantumNumbers(n, l, k)
         self.state = solve(self.params, self.qn)
         self.profile = build_profile(self.state)

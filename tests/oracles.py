@@ -13,7 +13,8 @@ of the radial wavefunction at the wall.
 The reference paths reuse the package's special functions, radial nodes and
 adaptive quadrature, but not its fixed-grid rules: the Bessel derivative, the
 scalar adaptive Hankel transform and the adaptive radial norm. Density maxima
-are counted on a uniform grid.
+are counted on a uniform grid. The seam sweep runs the package's own S_p along
+beta, and takes its converged inner entropy on momentum panels 8 times narrower.
 """
 
 from __future__ import annotations
@@ -23,8 +24,16 @@ import math
 import mpmath as mp
 import numpy as np
 
+from abtrap.eigen import QuantumNumbers, SystemParams, solve
+from abtrap.entropy import shannon_momentum
 from abtrap.errors import DomainError
-from abtrap.quadrature import integrate_adaptive, integrate_oscillatory
+from abtrap.momentum import _AmplitudeEvaluator, _amplitude_breakpoints, build_profile
+from abtrap.quadrature import (
+    density_integrals,
+    integrate_adaptive,
+    integrate_oscillatory,
+    subdivide,
+)
 from abtrap.specfun import bessel_j, bessel_zero
 
 
@@ -339,3 +348,43 @@ def mean_p_squared(state) -> float:
     inner, _ = quad(smooth, 0.0, 1.0, weight="alg", wvar=(2.0 * nu - 1.0, 0.0),
                     epsabs=0.0, epsrel=1e-12)
     return theta * theta + c * 2.0 * math.pi * state.a0**2 * inner
+
+
+# a 4th difference of S_p along beta past this many times the sweep's median is a seam
+SEAM_RATIO = 30.0
+
+
+def momentum_entropy_seams(family, betas, points: int) -> tuple[float, list[float]]:
+    """Noise of S_p along `points` equal steps of beta over `betas`, and its seams.
+
+    `family` is (n, l, k). The noise is the median |4th difference| of S_p
+    (More and Wild, SIAM J. Sci. Comput. 33 (2011) 1292). S_p is smooth in beta
+    for nu > 0, except past a beta_c where two zeros of phi merge: the dip left
+    behind adds a term in (beta - beta_c)^(5/2), as the third derivative in e of
+    int (x^2 + e)^2 ln (x^2 + e)^2 dx has a part 4 pi / sqrt(e) for e > 0
+    alone. Its 4th differences, about h^(5/2) at step h, pass the median many
+    times over: 1.4e-8 at (1,1,k=1) by beta_c = 0.5628 with h = 8e-4, on panels
+    pi/32 wide as on the shipped ones. So a 4th difference past SEAM_RATIO times
+    the noise is a seam only where the shipped inner entropy's error moves it by
+    as much: its difference from the converged one, on the same amplitude,
+    breakpoints and tail but panels pi/8 wide. Returns the noise and the betas
+    at the middle of each seam's stencil.
+    """
+    n, l, k = family
+    grid = np.linspace(*betas, points)
+    states = [solve(SystemParams(beta=beta), QuantumNumbers(n, l, k)) for beta in grid]
+    profiles = [build_profile(state) for state in states]
+    diff = np.diff([shannon_momentum(profile) for profile in profiles], 4)
+    noise = float(np.median(np.abs(diff)))
+    flags = np.flatnonzero(np.abs(diff) > SEAM_RATIO * noise)
+
+    def error(i):
+        plan = _AmplitudeEvaluator(states[i])
+        ps = subdivide([0.0, plan.p_max], math.pi / 8.0, 1)
+        edges = subdivide([0.0, *_amplitude_breakpoints(plan, ps, plan(ps)), plan.p_max],
+                          math.pi / 8.0, 1)
+        return profiles[i].inner_entropy - density_integrals(edges, lambda p: plan(p) ** 2)[1]
+
+    errors = {i: error(i) for i in {f + j for f in flags for j in range(5)}}
+    return noise, [float(grid[f + 2]) for f in flags
+                   if abs(np.diff([errors[f + j] for j in range(5)], 4)[0]) > SEAM_RATIO * noise]

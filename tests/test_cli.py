@@ -245,7 +245,7 @@ class TestStateCommand:
         assert code == 2
 
     def test_mass_flag_is_rejected(self, capsys):
-        # the mass enters only Eigenstate.energy, which no command prints
+        # the entropies do not depend on the mass, and the package works in units m = 1
         code, out, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--m", "2"])
         assert (code, out) == (2, "")
         assert "--m" in err
@@ -548,7 +548,7 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text("{}")
         cfg = settings(["table", "--config", str(path)])
-        assert cfg.params == SystemParams(m=1.0, beta=0.0, r0=1.0, lz=1.0)
+        assert cfg.params == SystemParams(beta=0.0, r0=1.0, lz=1.0)
         assert cfg.k == 1.0
         assert cfg.betas == [0.2, 0.4, 0.8]
         assert cfg.grid == default_grid_points()
@@ -623,7 +623,7 @@ class TestConfig:
             settings(["table", "--config", str(path)])
 
     def test_mass_key_exits_2(self, capsys, tmp_path):
-        # no printed value depends on the mass, so the file cannot set it
+        # no printed value depends on the mass (units m = 1), so the file cannot set it
         path = tmp_path / "cfg.json"
         path.write_text('{"params": {"m": 1.0}}')
         code, out, err = run_cli(capsys, ["state", "--n", "0", "--l", "0", "--config", str(path)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,15 @@ A0_GROUND = 1.0867616361312726  # (2 pi J_1(Z1)^2 / 2)^(-1/2)
 class TestParams:
     def test_defaults_valid(self):
         p = SystemParams()
-        assert p.beta == 0.0 and p.m == 1.0 and p.r0 == 1.0 and p.lz == 1.0
+        assert p.beta == 0.0 and p.r0 == 1.0 and p.lz == 1.0
+
+    def test_fields_are_keyword_only_and_massless(self):
+        # units hbar = m = 1: no field holds a mass, and no call binds by position,
+        # so SystemParams(0.2) cannot silently give 0.2 to whichever field comes first
+        assert [f.name for f in dataclasses.fields(SystemParams)] == ["beta", "r0", "lz"]
+        for build in (lambda: SystemParams(m=1.0), lambda: SystemParams(0.2)):
+            with pytest.raises(TypeError):
+                build()
 
     def test_beta_constraint(self):
         SystemParams(beta=0.0)  # defect-free reference accepted
@@ -32,8 +41,6 @@ class TestParams:
     def test_positivity(self):
         # each bound's exact message; an int is shown as the float it becomes
         for kwargs, message in [
-            ({"m": 0}, "m (mass) must be > 0, got 0.0"),
-            ({"m": -1.0}, "m (mass) must be > 0, got -1.0"),
             ({"r0": 0.0}, "r0 (wall radius) must be > 0, got 0.0"),
             ({"r0": -1}, "r0 (wall radius) must be > 0, got -1.0"),
             ({"lz": 0}, "lz (z-box length) must be > 0, got 0.0"),
@@ -57,7 +64,7 @@ class TestParams:
 
     def test_integers_past_the_float_range_rejected(self):
         big = 10**400
-        for kwargs in ({"m": big}, {"r0": big}, {"lz": -big}):
+        for kwargs in ({"beta": big}, {"r0": big}, {"lz": -big}):
             with pytest.raises(DomainError, match="finite number"):
                 SystemParams(**kwargs)
         for n, l, k in ((big, 0, 1.0), (0, big, 1.0), (0, -big, 1.0), (0, 0, big)):
@@ -69,8 +76,8 @@ class TestParams:
         lambda big: QuantumNumbers(-big, 0),
         lambda big: QuantumNumbers(0, big),
         lambda big: QuantumNumbers(0, 0, k=big),
-        lambda big: SystemParams(m=big),
-    ], ids=["n", "-n", "l", "k", "m"])
+        lambda big: SystemParams(r0=big),
+    ], ids=["n", "-n", "l", "k", "r0"])
     def test_integers_past_the_digit_limit_named_by_size(self, build):
         # repr of an int past 4300 digits raises ValueError, so the message
         # gives the value's size in bits
@@ -99,13 +106,13 @@ class TestParams:
             entropies(np.bool_(True))
 
     def test_bools_rejected_and_numbers_stored_as_float(self):
-        for kwargs in ({"m": True}, {"beta": False}, {"r0": True}, {"lz": True}):
+        for kwargs in ({"beta": False}, {"r0": True}, {"lz": True}):
             with pytest.raises(DomainError, match="finite number"):
                 SystemParams(**kwargs)
         with pytest.raises(DomainError, match="wavenumber k"):
             QuantumNumbers(0, 0, True)
-        params = SystemParams(m=2, beta=0, r0=3, lz=4)
-        assert all(type(getattr(params, f)) is float for f in ("m", "beta", "r0", "lz"))
+        params = SystemParams(beta=0, r0=3, lz=4)
+        assert all(type(getattr(params, f)) is float for f in ("beta", "r0", "lz"))
         assert type(QuantumNumbers(0, 0, 2).k) is float
 
 
@@ -179,7 +186,7 @@ class TestSolve:
     @pytest.mark.parametrize("params, qn, energy", [
         (SystemParams(r0=1e-160), QuantumNumbers(0, 1), math.inf),
         (SystemParams(), QuantumNumbers(0, 0, 1e200), math.inf),
-        (SystemParams(beta=0.2, r0=1.7, m=2.0), QuantumNumbers(1, 1, 0.7), 4.1379023512974875),
+        (SystemParams(beta=0.2, r0=1.7), QuantumNumbers(1, 1, 0.7), 8.275804702594975),
     ], ids=["r0=1e-160", "k=1e200", "finite"])
     def test_energy_is_inf_past_the_float_range(self, params, qn, energy):
         # the squares are products: a float ** 2 raised OverflowError there;

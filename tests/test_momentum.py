@@ -247,13 +247,12 @@ class TestProfile:
         monkeypatch.setattr(momentum_mod, "_RADIAL_PANEL", momentum_mod._RADIAL_PANEL / 4.0)
         assert shannon_momentum(build_profile(st)) == pytest.approx(s_p, abs=1.5e-12)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18: the inner panels are split only "
-                       "at the sign changes of phi, not at its near-tangent dips")
     @pytest.mark.parametrize("n, l, beta", [(1, 1, 0.564), (2, 2, 0.8), (2, 2, 0.97)])
     def test_inner_entropy_across_near_tangent_dips(self, n, l, beta):
         # where two zeros of phi have just merged, |phi| keeps a narrow dip close
-        # to 0 inside one panel; the shipped inner entropy is off by 3.3e-7,
-        # 1.6e-10 and 6.5e-11 against adaptive quadrature between the sign changes
+        # to 0; with panels split only at the sign changes of phi the inner
+        # entropy was off by 3.3e-7, 1.6e-10 and 6.5e-11 against adaptive
+        # quadrature between them, and split at the dips too it is within 2.6e-12
         from scipy.integrate import quad
 
         st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
@@ -268,6 +267,24 @@ class TestProfile:
         entropy = sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
                       for a, b in zip(edges[:-1], edges[1:]))
         assert build_profile(st).inner_entropy == pytest.approx(entropy, abs=1e-11)
+
+    @pytest.mark.parametrize("n, l, beta", [(2, 2, 0.97), (1, 1, 0.564)])
+    def test_every_root_is_a_breakpoint(self, n, l, beta):
+        # at (2,2,0.97) phi has roots at 47.735 and 48.025, closer than the scan
+        # step pi/8, so no sign change of the scan shows them: the refinement of
+        # the dip between them lands on the other sign and brackets both
+        from scipy.optimize import brentq
+
+        st = solve(SystemParams(beta=beta), QuantumNumbers(n, l, 1.0))
+        plan = _AmplitudeEvaluator(st)
+        fine = np.linspace(0.0, plan.p_max, 400_001)
+        amps = plan(fine)
+        roots = [brentq(lambda p: plan(np.array([p]))[0], fine[i], fine[i + 1], xtol=1e-14)
+                 for i in np.flatnonzero(np.sign(amps[:-1]) * np.sign(amps[1:]) < 0)]
+        ps = np.linspace(0.0, plan.p_max, math.ceil(8.0 * plan.p_max / math.pi) + 1)
+        breakpoints = _amplitude_breakpoints(plan, ps, plan(ps))
+        gaps = np.min(np.abs(np.subtract.outer(roots, breakpoints)), axis=1)
+        assert roots and np.max(gaps) <= 1e-9 * plan.p_max
 
     def test_samples_sorted_and_consistent(self):
         # the six bench `density` states, then a wide, a high-n and a small-nu
